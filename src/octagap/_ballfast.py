@@ -1,12 +1,21 @@
-"""Vectorized orbit-ball enumeration shared by the geometry module.
+"""The vectorized isometry action and the orbit-ball walker of the geometry module.
 
-These walk the same languages as ``words.enumerate_free_ball`` and
-``words.enumerate_racg_ball`` but carry complex128 matrix entries in numpy
-arrays instead of materializing word tuples, which is what makes orbit balls
-of tens of millions of elements feasible.  Entries of products of the
-generator matrices grow like 4^L, far inside double range for the guarded
-lengths, and every group element has unit determinant modulus, so the
-isometry action needs no determinant correction.
+``act`` maps arrays of points (z, t) of upper half space under arrays of
+matrices with conjugation bits, and ``distance`` is the hyperbolic metric on
+arrays; ``isom_table`` turns any list of ``ProjIsom`` into the arrays ``act``
+takes.  Every other use of the action formula in the package goes through
+these two functions.
+
+``ball_displacements`` walks the ShortLex normal-form automaton of
+``words.shortlex_automaton_masks`` restricted to a subset of the letters,
+carrying complex128 matrix entries in numpy arrays instead of materializing
+word tuples, which is what makes orbit balls of tens of millions of elements
+feasible.  The face letters r1..r4 pairwise do not commute, so restricted to
+them the automaton accepts exactly the reduced words of their free product;
+on all eight letters it accepts the normal forms of the reflection group.
+Entries of products of the generator matrices grow like 4^L, far inside
+double range for the guarded lengths, and every group element has unit
+determinant modulus.
 
 All generators carry the conjugation bit, so an element of word length L
 conjugates iff L is odd; appending a letter to an odd-length element must
@@ -15,10 +24,12 @@ right-multiply by the entrywise conjugate of the letter's matrix.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import MemoryGuardError
-from .group import GENERATOR_NAMES, STANDARD_GENERATORS
+from .group import GENERATOR_NAMES, STANDARD_GENERATORS, ProjIsom
 from .words import (
     free_sphere_count,
     racg_sphere_count,
@@ -30,171 +41,148 @@ _CHUNK = 1 << 21
 MAX_FREE_LEN = 15
 MAX_RACG_LEN = 10
 
+#: Letter subsets the walker accepts, as positions in GENERATOR_NAMES: the
+#: face letters r1..r4 and all eight letters.
+FACE_LETTERS = (0, 2, 4, 6)
+ALL_LETTERS = tuple(range(8))
 
-def generator_matrix_table() -> np.ndarray:
-    """(8, 4) complex array of generator entries (a, b, c, d), letter order."""
-    out = np.zeros((8, 4), dtype=np.complex128)
-    for k, name in enumerate(GENERATOR_NAMES):
-        g = STANDARD_GENERATORS[name]
-        out[k] = [complex(e.re, e.im) for e in g.entries()]
-    return out
+#: Per letter subset: the length guard and the sphere count each level must hit.
+_WALKS = {
+    FACE_LETTERS: (MAX_FREE_LEN, free_sphere_count),
+    ALL_LETTERS: (MAX_RACG_LEN, racg_sphere_count),
+}
 
 
-def _displacement_chunk(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-    parity: int, z0: complex, t0: float, out: np.ndarray,
-) -> None:
-    z = np.conj(z0) if parity else z0
+def isom_table(isoms: Sequence[ProjIsom]) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of the isometries for ``act``: entries and conjugation bits.
+
+    The entries come as a (4, n) complex array with rows a, b, c, d, each
+    matrix scaled by |det|^(-1/2) so that it has unit determinant modulus
+    and the action needs no determinant factor.  The bits are an (n,) bool
+    array.
+    """
+    mats = np.empty((4, len(isoms)), dtype=np.complex128)
+    for k, g in enumerate(isoms):
+        scale = g.det().norm() ** -0.25
+        mats[:, k] = [complex(e.re, e.im) * scale for e in g.entries()]
+    return mats, np.array([g.conj for g in isoms], dtype=bool)
+
+
+def act(
+    mats: Sequence[np.ndarray], conj, z, t
+) -> tuple[np.ndarray, np.ndarray]:
+    """Images (z', t') of the points (z, t) under matrices of unit |det|.
+
+    ``mats`` holds the entries a, b, c, d; they, the conjugation bits and the
+    coordinates broadcast against each other.  With z conjugated first where
+    the bit is set,
+
+        z' = ((a z + b) conj(c z + d) + a conj(c) t^2) / D
+        t' = t / D,          D = |c z + d|^2 + |c|^2 t^2.
+    """
+    a, b, c, d = mats
+    z = np.where(conj, np.conj(z), z)
     czd = c * z + d
-    denom = np.abs(czd) ** 2 + np.abs(c) ** 2 * (t0 * t0)
-    w = ((a * z + b) * np.conj(czd) + a * np.conj(c) * (t0 * t0)) / denom
-    t1 = t0 / denom
-    coshd = 1.0 + (np.abs(w - z0) ** 2 + (t1 - t0) ** 2) / (2.0 * t1 * t0)
-    np.arccosh(np.maximum(coshd, 1.0), out=out)
+    denom = np.abs(czd) ** 2 + np.abs(c) ** 2 * (t * t)
+    w = ((a * z + b) * np.conj(czd) + a * np.conj(c) * (t * t)) / denom
+    return w, t / denom
+
+
+def distance(z1, t1, z0, t0) -> np.ndarray:
+    """Hyperbolic distance between the points (z1, t1) and (z0, t0), elementwise."""
+    coshd = 1.0 + (np.abs(z1 - z0) ** 2 + (t1 - t0) ** 2) / (2.0 * t1 * t0)
+    return np.arccosh(np.maximum(coshd, 1.0))
 
 
 def _displacements(
     mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     parity: int, z0: complex, t0: float,
 ) -> np.ndarray:
-    a, b, c, d = mats
-    n = a.shape[0]
+    n = mats[0].shape[0]
     out = np.empty(n, dtype=np.float64)
     for i in range(0, n, _CHUNK):
         s = slice(i, min(i + _CHUNK, n))
-        _displacement_chunk(a[s], b[s], c[s], d[s], parity, z0, t0, out[s])
+        w, t1 = act([m[s] for m in mats], parity, z0, t0)
+        out[s] = distance(w, t1, z0, t0)
     return out
 
 
-def free_ball_displacements(z0: complex, t0: float, max_len: int) -> np.ndarray:
-    """Displacements d(x0, g x0) over the ball of the free product on r1..r4.
-
-    Returns one float per reduced word of length <= max_len (the identity
-    included), unsorted.
-    """
-    if max_len < 0:
-        raise MemoryGuardError("max_len must be nonnegative")
-    if max_len > MAX_FREE_LEN:
-        raise MemoryGuardError(
-            f"free orbit ball of radius {max_len} exceeds the memory guard ({MAX_FREE_LEN})"
-        )
-    table = generator_matrix_table()
-    face = table[[0, 2, 4, 6]]
-    pieces = [np.zeros(1)]
-    a = np.ones(1, dtype=np.complex128)
-    b = np.zeros(1, dtype=np.complex128)
-    c = np.zeros(1, dtype=np.complex128)
-    d = np.ones(1, dtype=np.complex128)
-    last = np.full(1, -1, dtype=np.int8)
-    for level in range(max_len):
-        size = free_sphere_count(level + 1)
-        na = np.empty(size, dtype=np.complex128)
-        nb = np.empty_like(na)
-        nc = np.empty_like(na)
-        nd = np.empty_like(na)
-        nlast = np.empty(size, dtype=np.int8)
-        gmats = face if level % 2 == 0 else np.conj(face)
-        off = 0
-        for g in range(4):
-            sel = np.flatnonzero(last != g)
-            ga, gb, gc, gd = gmats[g]
-            n_g = sel.size
-            view = slice(off, off + n_g)
-            sa, sb, sc, sd = a[sel], b[sel], c[sel], d[sel]
-            na[view] = sa * ga + sb * gc
-            nb[view] = sa * gb + sb * gd
-            nc[view] = sc * ga + sd * gc
-            nd[view] = sc * gb + sd * gd
-            nlast[view] = g
-            off += n_g
-        if off != size:
-            raise AssertionError(f"free sphere {level + 1}: {off} != {size}")
-        a, b, c, d, last = na, nb, nc, nd, nlast
-        pieces.append(_displacements((a, b, c, d), (level + 1) % 2, z0, t0))
-    return np.concatenate(pieces)
+def _perp_step(
+    pack: np.ndarray, plen: np.ndarray, sym: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Append a letter to packed perp-image words: push or pop sym (0 keeps them)."""
+    if sym == 0:
+        return pack, plen
+    top_shift = (3 * np.maximum(plen - 1, 0)).astype(np.uint64)
+    top = (pack >> top_shift) & np.uint64(7)
+    pop = (plen > 0) & (top == sym)
+    pushed = pack | (np.uint64(sym) << (3 * plen).astype(np.uint64))
+    popped = pack & ~(np.uint64(7) << top_shift)
+    return np.where(pop, popped, pushed), np.where(pop, plen - 1, plen + 1)
 
 
-def racg_ball_displacements(
-    z0: complex, t0: float, max_len: int, kernel_only: bool = False
+def ball_displacements(
+    z0: complex, t0: float, max_len: int, letters: tuple[int, ...], kernel_only: bool
 ) -> np.ndarray:
-    """Displacements over the ball of the full reflection group.
+    """Displacements d(x0, g x0) over a word-length ball of a letter subgroup.
 
-    One float per element of geodesic length <= max_len (identity included),
-    unsorted.  With kernel_only, elements are kept only when their image in
-    the free product on the perp letters is trivial (the ball of the normal
-    closure of the face letters, intersected with the word-length ball).
+    ``letters`` is FACE_LETTERS (the free product on r1..r4) or ALL_LETTERS
+    (the full reflection group).  Returns one float per element of geodesic
+    length <= max_len (the identity included), unsorted.  With kernel_only,
+    elements are kept only when their image in the free product on the perp
+    letters is trivial (the ball of the normal closure of the face letters,
+    intersected with the word-length ball).
     """
-    if max_len < 0:
-        raise MemoryGuardError("max_len must be nonnegative")
-    if max_len > MAX_RACG_LEN:
+    max_guard, sphere_count = _WALKS[letters]
+    if max_len > max_guard:
         raise MemoryGuardError(
-            f"reflection-group orbit ball of radius {max_len} exceeds the memory guard ({MAX_RACG_LEN})"
+            f"orbit ball of radius {max_len} on letters {letters} exceeds "
+            f"the memory guard ({max_guard})"
         )
     keep_masks, set_masks = shortlex_automaton_masks()
-    keep = np.array(keep_masks, dtype=np.uint16)
-    sets = np.array(set_masks, dtype=np.uint16)
-    table = generator_matrix_table()
+    table, _ = isom_table([STANDARD_GENERATORS[name] for name in GENERATOR_NAMES])
     # perp letters are the odd positions of GENERATOR_NAMES; letter rkp pushes
     # or pops the symbol k on the reduced image word, packed 3 bits per symbol
-    perp_symbol = np.array(
-        [(g // 2 + 1) if GENERATOR_NAMES[g].endswith("p") else 0 for g in range(8)],
-        dtype=np.uint64,
-    )
+    perp_symbol = [(g // 2 + 1) if GENERATOR_NAMES[g].endswith("p") else 0 for g in range(8)]
     pieces = [np.zeros(1)]
-    a = np.ones(1, dtype=np.complex128)
-    b = np.zeros(1, dtype=np.complex128)
-    c = np.zeros(1, dtype=np.complex128)
-    d = np.ones(1, dtype=np.complex128)
+    a, b, c, d = np.array([[1], [0], [0], [1]], dtype=np.complex128)
     state = np.zeros(1, dtype=np.uint16)
     pack = np.zeros(1, dtype=np.uint64)
     plen = np.zeros(1, dtype=np.int64)
     for level in range(max_len):
-        size = racg_sphere_count(level + 1)
-        na = np.empty(size, dtype=np.complex128)
-        nb = np.empty_like(na)
-        nc = np.empty_like(na)
-        nd = np.empty_like(na)
+        size = sphere_count(level + 1)
+        na, nb, nc, nd = np.empty((4, size), dtype=np.complex128)
         nstate = np.empty(size, dtype=np.uint16)
-        npack = np.empty(size, dtype=np.uint64)
-        nplen = np.empty(size, dtype=np.int64)
+        if kernel_only:
+            npack = np.empty(size, dtype=np.uint64)
+            nplen = np.empty(size, dtype=np.int64)
         gmats = table if level % 2 == 0 else np.conj(table)
         off = 0
-        for g in range(8):
+        for g in letters:
             sel = np.flatnonzero((state >> np.uint16(2 * g)) & np.uint16(3) == 0)
             n_g = sel.size
             view = slice(off, off + n_g)
-            ga, gb, gc, gd = gmats[g]
+            ga, gb, gc, gd = gmats[:, g]
             sa, sb, sc, sd = a[sel], b[sel], c[sel], d[sel]
             na[view] = sa * ga + sb * gc
             nb[view] = sa * gb + sb * gd
             nc[view] = sc * ga + sd * gc
             nd[view] = sc * gb + sd * gd
-            nstate[view] = (state[sel] & keep[g]) | sets[g]
-            sym = int(perp_symbol[g])
-            if sym == 0:
-                npack[view] = pack[sel]
-                nplen[view] = plen[sel]
-            else:
-                pk = pack[sel]
-                pl = plen[sel]
-                top_shift = (3 * np.maximum(pl - 1, 0)).astype(np.uint64)
-                top = (pk >> top_shift) & np.uint64(7)
-                pop = (pl > 0) & (top == sym)
-                pushed = pk | (np.uint64(sym) << (3 * pl).astype(np.uint64))
-                popped = pk & ~(np.uint64(7) << top_shift)
-                npack[view] = np.where(pop, popped, pushed)
-                nplen[view] = np.where(pop, pl - 1, pl + 1)
+            nstate[view] = (state[sel] & np.uint16(keep_masks[g])) | np.uint16(set_masks[g])
+            if kernel_only:
+                npack[view], nplen[view] = _perp_step(pack[sel], plen[sel], perp_symbol[g])
             off += n_g
         if off != size:
             raise AssertionError(f"sphere {level + 1}: {off} != {size}")
-        a, b, c, d = na, nb, nc, nd
-        state, pack, plen = nstate, npack, nplen
+        a, b, c, d, state = na, nb, nc, nd, nstate
+        parity = (level + 1) % 2
         if kernel_only:
+            pack, plen = npack, nplen
             sel = np.flatnonzero(plen == 0)
             if sel.size:
                 pieces.append(
-                    _displacements((a[sel], b[sel], c[sel], d[sel]), (level + 1) % 2, z0, t0)
+                    _displacements((a[sel], b[sel], c[sel], d[sel]), parity, z0, t0)
                 )
         else:
-            pieces.append(_displacements((a, b, c, d), (level + 1) % 2, z0, t0))
+            pieces.append(_displacements((a, b, c, d), parity, z0, t0))
     return np.concatenate(pieces)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import sys
 
 import numpy as np
@@ -432,7 +431,7 @@ def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
     if token not in _DELTA_GROUPS:
         raise DomainError(f"group must be one of ap, sa, inf, got {token!r}")
     orbit_group, default_len, band, reference = _DELTA_GROUPS[token]
-    word_length = params["word_length"] or default_len
+    word_length = default_len if params["word_length"] is None else params["word_length"]
     if word_length < 1:
         raise DomainError(f"word length must be positive, got {word_length}")
     base = params["base_point"]

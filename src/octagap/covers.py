@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -298,9 +297,6 @@ def graph_lambda1(graph: DualGraph) -> float:
     when the graph is disconnected.  Tiny negative rounding is clamped.
     """
     return max(0.0, 4.0 - _second_largest_eigenvalue(adjacency_matrix(graph)))
-
-
-GraphLike = "DualGraph | tuple[int, Sequence[tuple[int, int]]]"
 
 
 def _graph_data(graph) -> tuple[int, list[tuple[int, int]]]:

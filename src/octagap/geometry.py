@@ -2,28 +2,24 @@
 the fundamental corner, horoball covers, and critical-exponent estimates.
 
 Points live in upper half space as (z, t) with z complex horizontal coordinate
-and t > 0 height.  A matrix [[a, b], [c, d]] over Z[i] acts by
-
-    z' = ((a z + b) conj(c z + d) + a conj(c) t^2) / D
-    t' = |det| t / D,          D = |c z + d|^2 + |c|^2 t^2,
-
-preceded by z -> conj(z) when the conjugation bit is set.  The |det| factor
-makes the formula scale invariant, so projective representatives with
-non-unit determinant (the octahedron rotations, for instance) act correctly.
+and t > 0 height.  The action of a matrix over Z[i] with a conjugation bit is
+``_ballfast.act``, on arrays; ``_ballfast.isom_table`` scales every matrix to
+unit determinant modulus first, so projective representatives with non-unit
+determinant (the octahedron rotations, for instance) act correctly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy import integrate
 
 from . import _ballfast
 from .errors import DomainError, InsufficientDataError, SetupError
-from .group import GaussianInt, ProjIsom, identity, octa_symmetry_group
+from .group import GaussianInt, ProjIsom, octa_symmetry_group
 from .words import CoxeterWord, evaluate_word, format_word
 
 #: Critical exponent of the subgroup generated by the four face reflections
@@ -48,25 +44,15 @@ def apply_isom(g: ProjIsom, p: Point3) -> Point3:
     """Image of p under the isometry g."""
     if not p.t > 0:
         raise DomainError(f"height must be positive, got {p.t}")
-    z = p.z.conjugate() if g.conj else p.z
-    t = p.t
-    a = complex(g.a.re, g.a.im)
-    b = complex(g.b.re, g.b.im)
-    c = complex(g.c.re, g.c.im)
-    d = complex(g.d.re, g.d.im)
-    czd = c * z + d
-    denom = abs(czd) ** 2 + abs(c) ** 2 * t * t
-    w = ((a * z + b) * czd.conjugate() + a * c.conjugate() * t * t) / denom
-    det_mod = math.sqrt(g.det().norm())
-    return Point3(w, det_mod * t / denom)
+    w, t = _ballfast.act(*_ballfast.isom_table([g]), p.z, p.t)
+    return Point3(complex(w[0]), float(t[0]))
 
 
 def dist(p: Point3, q: Point3) -> float:
     """Hyperbolic distance between two points of upper half space."""
     if not (p.t > 0 and q.t > 0):
         raise DomainError("heights must be positive")
-    coshd = 1.0 + (abs(p.z - q.z) ** 2 + (p.t - q.t) ** 2) / (2.0 * p.t * q.t)
-    return math.acosh(max(coshd, 1.0))
+    return float(_ballfast.distance(p.z, p.t, q.z, q.t))
 
 
 def ball_volume(radius: float) -> float:
@@ -195,12 +181,16 @@ def move_to_corner(p: Point3, tol: float = 1e-9) -> tuple[ProjIsom, Point3]:
 
 
 def in_standard_horoball(p: Point3, tol: float = 1e-9) -> bool:
-    """The truncated horoball piece {0 <= x, y <= 1, t >= 1/sqrt(2)}."""
+    """The truncated horoball piece {0 <= x, y <= 1, t >= 1/sqrt(2)}.
+
+    The coordinates of p may also be numpy arrays; the answer is then a
+    bool array.
+    """
     x, y = p.z.real, p.z.imag
     return (
-        -tol <= x <= 1.0 + tol
-        and -tol <= y <= 1.0 + tol
-        and p.t >= math.sqrt(0.5) - tol
+        (-tol <= x) & (x <= 1.0 + tol)
+        & (-tol <= y) & (y <= 1.0 + tol)
+        & (p.t >= math.sqrt(0.5) - tol)
     )
 
 
@@ -238,6 +228,10 @@ def horoball_cover_maps() -> list[tuple[str, ProjIsom]]:
     return [(label, found[label]) for label, _, _ in IDEAL_VERTICES]
 
 
+#: Samples drawn and mapped at once by horoball_cover_check; bounds its memory.
+_HOROBALL_CHUNK = 4096
+
+
 @dataclass(frozen=True)
 class HoroballCoverReport:
     n_checked: int
@@ -260,44 +254,41 @@ def horoball_cover_check(
     For each point the multiplicity counts how many of the six truncated
     horoballs contain it.  Points within exclusion_radius (hyperbolic) of the
     center, where all six pieces meet, are excluded from the multiplicity
-    tally but still counted for coverage.
+    tally but still counted for coverage; n_checked counts the rest.  Points
+    are drawn and mapped in chunks of _HOROBALL_CHUNK.
     """
     if n_samples <= 0:
         raise DomainError("n_samples must be positive")
     if height_cap <= 1.0:
         raise DomainError("height_cap must exceed the corner floor")
     rng = np.random.default_rng(seed)
-    maps = horoball_cover_maps()
-    inverses = [(label, g.inverse()) for label, g in maps]
-    syms = octa_symmetry_group()
-    counts: dict[int, int] = {}
-    n_excluded = 0
+    syms, sym_conj = _ballfast.isom_table(octa_symmetry_group())
+    inv, inv_conj = _ballfast.isom_table([g.inverse() for _, g in horoball_cover_maps()])
+    tally = np.zeros(len(IDEAL_VERTICES) + 1, dtype=np.int64)
     n_covered = 0
-    max_mult = 0
-    for _ in range(n_samples):
-        x = rng.random() * 0.5
-        y = rng.random() * 0.5
-        t_low = math.sqrt(max(1.0 - x * x - y * y, 0.0))
-        t = t_low + rng.random() * (height_cap - t_low)
-        p = Point3(complex(x, y), t)
-        g = syms[rng.integers(len(syms))]
-        p = apply_isom(g, p)
-        mult = sum(
-            1 for _, ginv in inverses if in_standard_horoball(apply_isom(ginv, p))
-        )
-        if mult > 0:
-            n_covered += 1
-        if dist(p, OCTA_CENTER) < exclusion_radius:
-            n_excluded += 1
-            continue
-        counts[mult] = counts.get(mult, 0) + 1
-        max_mult = max(max_mult, mult)
+    for done in range(0, n_samples, _HOROBALL_CHUNK):
+        m = min(_HOROBALL_CHUNK, n_samples - done)
+        x = rng.random(m) * 0.5
+        y = rng.random(m) * 0.5
+        t_low = np.sqrt(np.maximum(1.0 - x * x - y * y, 0.0))
+        t = t_low + rng.random(m) * (height_cap - t_low)
+        pick = rng.integers(syms.shape[1], size=m)
+        z, t = _ballfast.act(syms[:, pick], sym_conj[pick], x + 1j * y, t)
+        mult = np.zeros(m, dtype=np.int64)
+        for k in range(len(IDEAL_VERTICES)):
+            w, h = _ballfast.act(inv[:, k], inv_conj[k], z, t)
+            mult += in_standard_horoball(Point3(w, h))
+        n_covered += int(np.count_nonzero(mult))
+        far = _ballfast.distance(z, t, OCTA_CENTER.z, OCTA_CENTER.t) >= exclusion_radius
+        tally += np.bincount(mult[far], minlength=tally.size)
+    counts = {k: int(n) for k, n in enumerate(tally) if n}
+    n_checked = int(tally.sum())
     return HoroballCoverReport(
-        n_checked=n_samples,
-        n_excluded=n_excluded,
+        n_checked=n_checked,
+        n_excluded=n_samples - n_checked,
         covered_fraction=n_covered / n_samples,
-        max_multiplicity=max_mult,
-        multiplicity_counts=dict(sorted(counts.items())),
+        max_multiplicity=max(counts, default=0),
+        multiplicity_counts=counts,
     )
 
 
@@ -390,7 +381,14 @@ class OrbitBall:
             fileobj.write(f"{format_word(w)},{dval:.12g}\r\n")
 
 
-ORBIT_GROUPS = ("free", "full", "kernel")
+#: Built-in orbit groups: the walker's letters and whether it keeps only the
+#: kernel of the perp retraction.
+_ORBIT_WALKS = {
+    "free": (_ballfast.FACE_LETTERS, False),
+    "full": (_ballfast.ALL_LETTERS, False),
+    "kernel": (_ballfast.ALL_LETTERS, True),
+}
+ORBIT_GROUPS = tuple(_ORBIT_WALKS)
 
 
 def orbit_ball(
@@ -409,9 +407,14 @@ def orbit_ball(
     """
     if not base.t > 0:
         raise DomainError("base height must be positive")
+    if max_len < 0:
+        raise DomainError(f"max_len must be nonnegative, got {max_len}")
     if callable(group):
         words = [tuple(w) for w in group(max_len)]
-        disp = np.array([dist(base, apply_isom(evaluate_word(w), base)) for w in words])
+        w, t = _ballfast.act(
+            *_ballfast.isom_table([evaluate_word(word) for word in words]), base.z, base.t
+        )
+        disp = _ballfast.distance(w, t, base.z, base.t)
         order = np.argsort(disp, kind="stable")
         return OrbitBall(
             base=base,
@@ -420,14 +423,10 @@ def orbit_ball(
             words=[words[k] for k in order],
             label="custom",
         )
-    if group == "free":
-        disp = _ballfast.free_ball_displacements(base.z, base.t, max_len)
-    elif group == "full":
-        disp = _ballfast.racg_ball_displacements(base.z, base.t, max_len)
-    elif group == "kernel":
-        disp = _ballfast.racg_ball_displacements(base.z, base.t, max_len, kernel_only=True)
-    else:
+    if group not in _ORBIT_WALKS:
         raise DomainError(f"unknown orbit group {group!r}; expected one of {ORBIT_GROUPS}")
+    letters, kernel_only = _ORBIT_WALKS[group]
+    disp = _ballfast.ball_displacements(base.z, base.t, max_len, letters, kernel_only)
     disp.sort()
     return OrbitBall(
         base=base, word_length=max_len, displacements=disp, words=None, label=group

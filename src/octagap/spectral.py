@@ -55,13 +55,6 @@ class SpectralParams:
         """Spectral parameter with lam = 1 - s^2."""
         return math.sqrt(1.0 - self.lam)
 
-    def require_gap(self) -> None:
-        """Raise unless lam sits strictly below the reference eigenvalue."""
-        if not self.lam < self.lam0:
-            raise DomainError(
-                f"eigenvalue {self.lam} must be below the reference {self.lam0}"
-            )
-
 
 # ---------------------------------------------------------------------------
 # Zeta functions of Q and Q(i).

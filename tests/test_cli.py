@@ -147,6 +147,10 @@ def test_delta_rejects_unknown_groups():
     assert excinfo.value.code == EXIT_USAGE
 
 
+def test_delta_rejects_a_zero_word_length():
+    assert main(["delta", "--group", "ap", "--word-length", "0", "--seed", "1"]) == EXIT_USAGE
+
+
 def test_delta_csv_is_the_counting_function(tmp_path):
     out = tmp_path / "counts.csv"
     args = [

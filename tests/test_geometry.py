@@ -40,7 +40,12 @@ from octagap.group import (
     STANDARD_GENERATORS,
     octa_symmetry_group,
 )
-from octagap.words import enumerate_free_ball, free_to_face_word
+from octagap.words import (
+    enumerate_free_ball,
+    enumerate_racg_ball,
+    free_to_face_word,
+    in_perp_kernel,
+)
 
 GAP_LOWER_BOUND = 0.0014149807552836344
 GAP_UPPER_BOUND = 0.8794822700984786
@@ -102,6 +107,24 @@ def test_inverse_undoes_the_action(g, p):
     assert q.t == pytest.approx(p.t, abs=1e-9)
 
 
+def test_scalar_action_returns_python_numbers_and_checks_heights():
+    image = apply_isom(STANDARD_GENERATORS["r1"], DEFAULT_BASE_POINT)
+    assert type(image.z) is complex and type(image.t) is float
+    assert type(dist(image, DEFAULT_BASE_POINT)) is float
+    with pytest.raises(DomainError):
+        apply_isom(STANDARD_GENERATORS["r1"], Point3(0.3 + 0.4j, 0.0))
+    with pytest.raises(DomainError):
+        dist(DEFAULT_BASE_POINT, Point3(0.3 + 0.4j, -1.0))
+
+
+def test_octahedral_symmetries_fix_the_center():
+    """The order-four rotation has determinant modulus two; the action must not care."""
+    for g in octa_symmetry_group():
+        image = apply_isom(g, OCTA_CENTER)
+        assert image.z == pytest.approx(OCTA_CENTER.z, abs=1e-12)
+        assert image.t == pytest.approx(OCTA_CENTER.t, abs=1e-12)
+
+
 def test_point_requires_positive_height():
     with pytest.raises(DomainError):
         point(0.0, 0.0, 0.0)
@@ -153,6 +176,10 @@ def test_horoball_cover_check_reports_full_coverage():
     assert report.max_multiplicity <= 3
     assert report.n_checked + report.n_excluded == 3000
     assert sum(report.multiplicity_counts.values()) == report.n_checked
+    wide = horoball_cover_check(3000, seed=20260818, exclusion_radius=0.4)
+    assert wide.n_excluded > 0
+    assert wide.n_checked == 3000 - wide.n_excluded
+    assert sum(wide.multiplicity_counts.values()) == wide.n_checked
 
 
 # -- cusp data --------------------------------------------------------------------
@@ -241,6 +268,23 @@ def test_orbit_ball_counts_match_the_word_counts():
     kernel = orbit_ball("kernel", DEFAULT_BASE_POINT, 4)
     assert 1 <= kernel.count <= full.count
     assert set(ORBIT_GROUPS) == {"free", "full", "kernel"}
+
+
+@pytest.mark.parametrize("label, keep, count", [("full", None, 1401), ("kernel", in_perp_kernel, 197)])
+def test_vectorized_reflection_group_balls_match_the_word_route(label, keep, count):
+    def words(max_len):
+        return (w for w in enumerate_racg_ball(max_len) if keep is None or keep(w))
+
+    slow = orbit_ball(words, DEFAULT_BASE_POINT, 4)
+    fast = orbit_ball(label, DEFAULT_BASE_POINT, 4)
+    assert slow.count == fast.count == count
+    assert max(abs(a - b) for a, b in zip(slow.displacements, fast.displacements)) < 1e-9
+
+
+@pytest.mark.parametrize("label", ORBIT_GROUPS)
+def test_orbit_ball_rejects_negative_lengths(label):
+    with pytest.raises(DomainError):
+        orbit_ball(label, DEFAULT_BASE_POINT, -1)
 
 
 def test_orbit_ball_displacements_are_sorted_from_zero():
