@@ -4,8 +4,12 @@ Selberg transform of the ball kernel, delocalization bounds, cusp growth and
 decay terms, and the flattening error budget.
 
 Two independent routes exist for the scattering coefficient: a closed formula
-built from zeta evaluators and a brute-force counting sum over Gaussian
-integer denominators.  Tests compare the two; neither calls the other.
+built from zeta evaluators and a counting sum over Gaussian integer
+denominators.  The counting sum takes its per-class residue counts from an
+exact multiplicative sieve over Gaussian primes (a Gaussian totient), which
+uses no zeta identity.  Tests compare the two routes; neither calls the
+other.  The tests also keep a brute-force Euclid count of the coprime
+residues, the sieve's own twin, and compare it class by class.
 """
 
 from __future__ import annotations
@@ -183,7 +187,7 @@ def _prime_split_norms(p: int) -> list[int]:
 
 
 def _validate_level(level: int) -> None:
-    if not isinstance(level, (int, np.integer)) or level < 1:
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or level < 1:
         raise DomainError(f"level must be a positive integer, got {level!r}")
 
 
@@ -215,60 +219,57 @@ def scattering_coefficient(s: float, level: int = 1) -> float:
 _ORACLE_RADIUS_GUARD = 500.0
 
 
-def _round_div(t: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Elementwise nearest integer of t / n for positive n."""
-    return (2 * t + n) // (2 * n)
-
-
-def _coprime_shift_count(x: int, y: int, level: int) -> int:
-    """Number of k in a transversal of Z[i]/(x + iy) with gcd(x + iy, 1 + level k) a unit."""
-    nn = x * x + y * y
-    g = math.gcd(x, y)
-    kx = np.arange(nn // g, dtype=np.int64)
-    ky = np.arange(g, dtype=np.int64)
-    bre = np.repeat(1 + level * kx, g)
-    bim = np.tile(level * ky, nn // g)
-    are = np.full(bre.shape, x, dtype=np.int64)
-    aim = np.full(bre.shape, y, dtype=np.int64)
-    while True:
-        active = (bre != 0) | (bim != 0)
-        if not active.any():
-            break
-        ar, ai = are[active], aim[active]
-        br, bi = bre[active], bim[active]
-        nb = br * br + bi * bi
-        qre = _round_div(ar * br + ai * bi, nb)
-        qim = _round_div(ai * br - ar * bi, nb)
-        are[active], aim[active] = br, bi
-        bre[active] = ar - (qre * br - qim * bi)
-        bim[active] = ai - (qre * bi + qim * br)
-    return int(np.count_nonzero(are * are + aim * aim == 1))
-
-
 @lru_cache(maxsize=8)
 def _scattering_counts(level: int, norm_cut: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-class data for denominators c = level c' with norm(c) <= norm_cut.
 
-    One representative c' per unit multiple (re > 0, im >= 0).  Returns the
-    norms of c and the counts of residues d = 1 + level k, taken over a
-    transversal of the quotient by c', that are coprime to c'.
+    One representative c' = x + iy per unit multiple (x > 0, y >= 0).  Returns
+    the norms of c, sorted stably (ties keep x-major, y-minor order), and the
+    counts of residues d = 1 + level k, taken over a transversal of the
+    quotient by c', that are coprime to c'.  Both arrays are read-only, since
+    the cache hands the same ones to every caller.
+
+    Modulo a Gaussian prime p not dividing the level, k -> 1 + level k
+    permutes the residues; modulo one dividing it, 1 + level k is 1.  Z[i]
+    has unique factorization, so the count is the Gaussian totient
+    N(c') prod (1 - 1/N(p)) over the primes p dividing c' but not the level.
+    It is sieved exactly in int64 on the (x, y) grid: each Gaussian prime p
+    visits only its multiples p m with N(m) <= cut / N(p), and each of them
+    takes num //= N(p); num *= N(p) - 1.  The tests check it class by class
+    against a brute-force Euclid count.
     """
-    norms: list[int] = []
-    counts: list[int] = []
     cut = norm_cut // (level * level)
-    x = 1
-    while x * x <= cut:
-        y = 0
-        while x * x + y * y <= cut:
-            norms.append(level * level * (x * x + y * y))
-            counts.append(_coprime_shift_count(x, y, level))
-            y += 1
-        x += 1
-    order = np.argsort(np.asarray(norms, dtype=np.int64), kind="stable")
-    return (
-        np.asarray(norms, dtype=np.int64)[order],
-        np.asarray(counts, dtype=np.int64)[order],
-    )
+    width = math.isqrt(cut) + 1
+    x, y = np.divmod(np.arange(width * width, dtype=np.int64), width)
+    num = x * x + y * y
+    classes = np.flatnonzero((x >= 1) & (num <= cut))
+    classes = classes[np.argsort(num[classes], kind="stable")]
+    class_norms = num[classes]
+    is_prime = np.ones(cut + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, width):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    # Gaussian primes a + ib, one per unit multiple: the classes of prime norm
+    # (lying over 2 and over the rational primes = 1 mod 4) and the rational
+    # primes = 3 mod 4, which stay prime in Z[i].
+    primes = [(int(x[c]), int(y[c]), int(num[c])) for c in classes[is_prime[class_norms]]]
+    primes += [(p, 0, p * p) for p in range(3, width, 4) if is_prime[p]]
+    for a, b, prime_norm in primes:
+        if level % (prime_norm if b else a) == 0:
+            continue
+        cofactors = classes[: np.searchsorted(class_norms, cut // prime_norm, side="right")]
+        re = a * x[cofactors] - b * y[cofactors]
+        im = a * y[cofactors] + b * x[cofactors]
+        turn = re <= 0  # p m lies in the upper half plane; -i turns it back
+        re, im = np.where(turn, im, re), np.where(turn, -re, im)
+        hit = re * width + im
+        num[hit] = num[hit] // prime_norm * (prime_norm - 1)
+    norms = level * level * class_norms
+    counts = num[classes]
+    norms.setflags(write=False)
+    counts.setflags(write=False)
+    return norms, counts
 
 
 def scattering_lattice_sum(
@@ -282,7 +283,10 @@ def scattering_lattice_sum(
 
     Enumerates denominators c = level c' with |c| <= radius, one per unit
     multiple, and for each counts the residues d = 1 + level k, with k over a
-    transversal of the quotient by c', that are coprime to c'.  The sum of
+    transversal of the quotient by c', that are coprime to c'.  The counts
+    come from the Gaussian-totient sieve of ``_scattering_counts``, in about
+    radius^2 log log radius steps; the tests check them against a brute-force
+    Euclid count over every residue of every class.  The sum of
     count / |c|^(2s) converges, as the radius grows, to the zeta ratio times
     level^(-2s) times the inverse Euler factors of the closed formula; the
     coefficient itself is pi / (4 (s - 1) level^2) times this limit.

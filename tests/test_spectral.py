@@ -15,6 +15,7 @@ from octagap.geometry import DEFAULT_BASE_POINT, orbit_ball
 from octagap.spectral import (
     FlatteningBudget,
     SpectralParams,
+    _scattering_counts,
     ball_delocalization_bound,
     bessel_k,
     cusp_decay_ratio_bessel,
@@ -119,6 +120,10 @@ def test_scattering_rejects_bad_arguments():
     with pytest.raises(DomainError):
         scattering_coefficient(2.5, level=0)
     with pytest.raises(DomainError):
+        scattering_coefficient(2.5, level=True)
+    with pytest.raises(DomainError):
+        scattering_lattice_sum(2.5, True, radius=20.0)
+    with pytest.raises(DomainError):
         scattering_lattice_sum(1.5, 1)
     with pytest.raises(DomainError):
         scattering_lattice_sum(2.5, 1, radius=5.0)
@@ -130,6 +135,86 @@ def test_scattering_rejects_bad_arguments():
 def test_scattering_formula_is_finite_and_positive_past_the_pole(s, level):
     value = scattering_coefficient(s, level)
     assert math.isfinite(value) and value > 0
+
+
+# -- the sieved counting oracle against its brute-force twin -----------------------
+
+
+def _round_div(t: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Elementwise nearest integer of t / n for positive n."""
+    return (2 * t + n) // (2 * n)
+
+
+def _coprime_shift_count(x: int, y: int, level: int) -> int:
+    """Number of k in a transversal of Z[i]/(x + iy) with gcd(x + iy, 1 + level k) a unit."""
+    nn = x * x + y * y
+    g = math.gcd(x, y)
+    kx = np.arange(nn // g, dtype=np.int64)
+    ky = np.arange(g, dtype=np.int64)
+    bre = np.repeat(1 + level * kx, g)
+    bim = np.tile(level * ky, nn // g)
+    are = np.full(bre.shape, x, dtype=np.int64)
+    aim = np.full(bre.shape, y, dtype=np.int64)
+    while True:
+        active = (bre != 0) | (bim != 0)
+        if not active.any():
+            break
+        ar, ai = are[active], aim[active]
+        br, bi = bre[active], bim[active]
+        nb = br * br + bi * bi
+        qre = _round_div(ar * br + ai * bi, nb)
+        qim = _round_div(ai * br - ar * bi, nb)
+        are[active], aim[active] = br, bi
+        bre[active] = ar - (qre * br - qim * bi)
+        bim[active] = ai - (qre * bi + qim * br)
+    return int(np.count_nonzero(are * are + aim * aim == 1))
+
+
+def _class_representatives(level: int, norm_cut: int) -> list[tuple[int, int]]:
+    """The classes x + iy (x > 0, y >= 0) in the order the oracle returns them."""
+    cut = norm_cut // (level * level)
+    pairs = [
+        (x, y)
+        for x in range(1, math.isqrt(cut) + 1)
+        for y in range(math.isqrt(cut - x * x) + 1)
+    ]
+    order = np.argsort([x * x + y * y for x, y in pairs], kind="stable")
+    return [pairs[i] for i in order]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 5, 6])
+def test_sieved_counts_match_the_euclid_count_per_class(level):
+    """Ramified (2), inert (3), split (5) and composite (6) levels, |c| <= 30."""
+    norms, counts = _scattering_counts(level, 30 * 30)
+    classes = _class_representatives(level, 30 * 30)
+    assert norms.tolist() == [level * level * (x * x + y * y) for x, y in classes]
+    assert counts.tolist() == [_coprime_shift_count(x, y, level) for x, y in classes]
+
+
+#: level -> (classes, sum of counts, lattice sum at s = 3), all at radius 120,
+#: as the per-class Euclid count gave them.
+ORACLE_AT_RADIUS_120 = {
+    1: (11306, 54033376, 1.2935726799949365),
+    2: (2822, 4490143, 0.02309713740876685),
+    3: (1256, 673418, 0.0017764820716541258),
+}
+
+
+@pytest.mark.parametrize("level", sorted(ORACLE_AT_RADIUS_120))
+def test_oracle_at_radius_120_is_pinned(level):
+    n_classes, total, lattice_sum = ORACLE_AT_RADIUS_120[level]
+    norms, counts = _scattering_counts(level, 120 * 120)
+    assert (len(norms), len(counts), int(counts.sum())) == (n_classes, n_classes, total)
+    assert norms.dtype == counts.dtype == np.int64
+    assert scattering_lattice_sum(3.0, level, 120.0) == lattice_sum
+
+
+def test_cached_oracle_arrays_are_read_only():
+    norms, counts = _scattering_counts(2, 30 * 30)
+    with pytest.raises(ValueError):
+        norms[0] = 0
+    with pytest.raises(ValueError):
+        counts[0] = 0
 
 
 # -- the Selberg transform ---------------------------------------------------------
