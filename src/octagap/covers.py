@@ -20,16 +20,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .errors import DomainError, SetupError
+from .errors import DomainError, MemoryGuardError, SetupError
 
 __all__ = [
     "NUM_COLORS",
@@ -70,10 +69,14 @@ REPLACEMENT_SPECTRAL_RADIUS = 1.0 + math.sqrt(5.0 + 2.0 * math.sqrt(3.0))
 _MAX_REPLACEMENT_RADIUS = 14
 _DENSE_EIGEN_CUTOFF = 2000
 _EIGSH_TOL = 1e-9
+#: Largest dense V x V float64 matrix ``adjacency_matrix`` will allocate.
+_DENSE_MATRIX_BYTES = 1 << 30
+#: Neighbour entries one batch of tangle-free BFS roots may gather per level.
+_BFS_BATCH_ENTRIES = 1 << 20
 
 
 def _validate_count(name: str, value: int, minimum: int) -> int:
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be at least {minimum}, got {value}")
@@ -180,14 +183,6 @@ class DualGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbor_lists(self) -> list[list[int]]:
-        """Adjacency lists with parallel edges repeated."""
-        lists: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, v, _ in self.edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        return lists
-
 
 @dataclass(frozen=True, eq=False)
 class Signing:
@@ -241,10 +236,23 @@ def dual_graph(cover: CoverPresentation) -> DualGraph:
 
 
 def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.ndarray:
-    """Dense adjacency matrix, entries multiplied by edge signs if given."""
+    """Dense adjacency matrix, entries multiplied by edge signs if given.
+
+    The dense V x V float64 matrix is for the exact eigvalsh paths (the
+    two-cover spectra, the switching walk and small graphs' lambda1).  It
+    raises MemoryGuardError, before allocating, when V * V * 8 bytes would
+    exceed 1 GiB (above about 11,585 vertices); ``graph_lambda1``,
+    ``is_connected`` and ``tangle_free_radius`` on large graphs never call it.
+    """
     if signing is not None and signing.num_edges != graph.num_edges:
         raise DomainError(
             f"signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
+        )
+    nbytes = graph.num_vertices * graph.num_vertices * 8
+    if nbytes > _DENSE_MATRIX_BYTES:
+        raise MemoryGuardError(
+            f"a dense adjacency matrix on {graph.num_vertices} vertices needs "
+            f"{nbytes / 2**30:.1f} GiB, over the {_DENSE_MATRIX_BYTES / 2**30:g} GiB limit"
         )
     matrix = np.zeros((graph.num_vertices, graph.num_vertices))
     for index, (u, v, _) in enumerate(graph.edges):
@@ -254,39 +262,46 @@ def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.nda
     return matrix
 
 
+def _edge_endpoints(graph: DualGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint arrays (u, v) of the graph's edges, in edge order."""
+    ends = np.array([(u, v) for u, v, _ in graph.edges], dtype=np.int64).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+def _sparse_adjacency(num_vertices: int, edge_u: np.ndarray, edge_v: np.ndarray) -> csr_matrix:
+    """Symmetric CSR adjacency of the edges (u, v); parallel edges sum."""
+    rows = np.concatenate([edge_u, edge_v])
+    cols = np.concatenate([edge_v, edge_u])
+    return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(num_vertices, num_vertices))
+
+
 def is_connected(graph: DualGraph) -> bool:
-    """Whether the dual graph is connected (breadth-first search)."""
-    lists = graph.neighbor_lists()
-    seen = np.zeros(graph.num_vertices, dtype=bool)
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        u = queue.popleft()
-        for v in lists[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return bool(seen.all())
+    """Whether the dual graph is connected (components of the sparse adjacency)."""
+    adjacency = _sparse_adjacency(graph.num_vertices, *_edge_endpoints(graph))
+    return connected_components(adjacency, directed=False, return_labels=False) == 1
 
 
-def _second_largest_eigenvalue(matrix: np.ndarray) -> float:
+def _top_eigenvalues(matrix, k: int) -> np.ndarray:
+    """The k largest eigenvalues of a symmetric matrix, ascending.
+
+    A dense array goes to LAPACK ``eigvalsh``.  A sparse matrix goes to
+    ARPACK ``eigsh`` (largest algebraic, tolerance 1e-9, started from the
+    normalized constant vector); if ARPACK does not converge this raises
+    SetupError with the eigenvalues that did.
+    """
+    if isinstance(matrix, np.ndarray):
+        return np.linalg.eigvalsh(matrix)[-k:]
     nv = matrix.shape[0]
-    if nv < _DENSE_EIGEN_CUTOFF:
-        eigenvalues = np.linalg.eigvalsh(matrix)
-        return float(eigenvalues[-2])
-    operator = csr_matrix(matrix)
     start = np.full(nv, 1.0 / math.sqrt(nv))
     try:
-        top_two = eigsh(
-            operator, k=2, which="LA", tol=_EIGSH_TOL, v0=start, return_eigenvectors=False
-        )
+        top = eigsh(matrix, k=k, which="LA", tol=_EIGSH_TOL, v0=start, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         converged = np.sort(exc.eigenvalues) if exc.eigenvalues is not None else []
         raise SetupError(
-            f"eigensolver did not converge to tolerance {_EIGSH_TOL}; "
+            f"eigensolver did not converge to tolerance {_EIGSH_TOL} on {nv} vertices; "
             f"converged eigenvalues {list(map(float, converged))}"
         ) from exc
-    return float(np.sort(top_two)[0])
+    return np.sort(top)
 
 
 def graph_lambda1(graph: DualGraph) -> float:
@@ -295,13 +310,21 @@ def graph_lambda1(graph: DualGraph) -> float:
     mu2 is the second largest adjacency eigenvalue with multiplicity; the
     top eigenvalue of a 4-regular graph is 4, so the gap vanishes exactly
     when the graph is disconnected.  Tiny negative rounding is clamped.
+    Below 2000 vertices every eigenvalue of ``adjacency_matrix`` is taken
+    densely; from 2000 up, ARPACK's ``eigsh`` runs on a CSR matrix built
+    straight from the edge arrays, so no V x V matrix is ever allocated.
     """
-    return max(0.0, 4.0 - _second_largest_eigenvalue(adjacency_matrix(graph)))
+    nv = graph.num_vertices
+    if nv < _DENSE_EIGEN_CUTOFF:
+        matrix = adjacency_matrix(graph)
+    else:
+        matrix = _sparse_adjacency(nv, *_edge_endpoints(graph))
+    return max(0.0, 4.0 - float(_top_eigenvalues(matrix, 2)[0]))
 
 
-def _graph_data(graph) -> tuple[int, list[tuple[int, int]]]:
+def _graph_data(graph) -> tuple[int, np.ndarray, np.ndarray]:
     if isinstance(graph, DualGraph):
-        return graph.num_vertices, [(u, v) for u, v, _ in graph.edges]
+        return (graph.num_vertices, *_edge_endpoints(graph))
     try:
         num_vertices, edge_seq = graph
     except (TypeError, ValueError):
@@ -315,7 +338,67 @@ def _graph_data(graph) -> tuple[int, list[tuple[int, int]]]:
         if not (0 <= u < num_vertices and 0 <= v < num_vertices and u != v):
             raise DomainError(f"edge {edge!r} is not a pair of distinct vertices")
         pairs.append((int(u), int(v)))
-    return num_vertices, pairs
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return num_vertices, ends[:, 0], ends[:, 1]
+
+
+def _sorted_contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of each of ``keys`` in the sorted array ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.size, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[at] == keys
+
+
+def _first_tangle_depth(adjacency: csr_matrix, roots: np.ndarray, depth_cut: int) -> int:
+    """Smallest depth t <= depth_cut at which some root's ball has cycle rank above 1.
+
+    Returns depth_cut + 1 when there is none.  The roots' breadth-first
+    searches run side by side, one depth per step.  A (root, vertex) pair is
+    the key slot * V + vertex, where slot is the root's place in ``roots``,
+    and each depth is a sorted key array.  A neighbour of a depth-t vertex
+    lies at depth t - 1, t or t + 1, so the last two depths tell the three
+    apart.  The edges that join the ball at depth t are those from depth t
+    back to t - 1 and those inside depth t (seen from both ends), counted
+    with their multiplicity, the CSR entry.
+    """
+    nv = adjacency.shape[0]
+    indptr, indices, weights = adjacency.indptr, adjacency.indices, adjacency.data
+    slots = roots.size
+    level = np.arange(slots, dtype=np.int64) * nv + roots
+    previous = np.empty(0, dtype=np.int64)
+    rank = np.ones(slots)
+    for depth in range(depth_cut + 1):
+        owner, vertex = np.divmod(level, nv)
+        starts = indptr[vertex]
+        counts = indptr[vertex + 1] - starts
+        offsets = starts - np.cumsum(counts) + counts
+        positions = np.arange(counts.sum()) + np.repeat(offsets, counts)
+        owner_of = np.repeat(owner, counts)
+        keys = owner_of * nv + indices[positions]
+        back = _sorted_contains(previous, keys)
+        inside = _sorted_contains(level, keys)
+        weight = weights[positions]
+        rank += np.bincount(owner_of[back], weight[back], slots)
+        rank += np.bincount(owner_of[inside], weight[inside], slots) / 2
+        rank -= np.bincount(owner, minlength=slots)
+        if np.any(rank > 1):
+            return depth
+        if depth == depth_cut:
+            break
+        previous, level = level, np.unique(keys[~(back | inside)])
+        if level.size == 0:
+            break
+    return depth_cut + 1
+
+
+def _ball_entries(max_degree: int, depth: int, total: int) -> int:
+    """Upper bound on the neighbour entries one root gathers up to ``depth``."""
+    if max_degree == 1:
+        ball = depth + 1
+    else:
+        ball = (max_degree ** (min(depth, 64) + 1) - 1) // (max_degree - 1)
+    return min(total, ball * max_degree)
 
 
 def tangle_free_radius(graph, *, max_radius: int | None = None) -> int:
@@ -327,39 +410,28 @@ def tangle_free_radius(graph, *, max_radius: int | None = None) -> int:
     a plain ``(num_vertices, edges)`` pair, so pruned subgraphs can be
     measured too.  Cycle free graphs return ``max_radius``, which defaults
     to the vertex count (every ball has saturated by then).
+
+    Each root runs a breadth-first search over the sparse adjacency that
+    stops at the running answer: a ball deeper than it can no longer lower
+    it.  Roots go in batches whose neighbour entries per depth stay under
+    2**20, so memory grows with the balls searched, not with V * V.
     """
-    num_vertices, pairs = _graph_data(graph)
+    num_vertices, edge_u, edge_v = _graph_data(graph)
     if max_radius is None:
         max_radius = num_vertices
     max_radius = _validate_count("max_radius", max_radius, 0)
-    if not pairs:
+    if edge_u.size == 0:
         return max_radius
-    rows = np.array([u for u, _ in pairs] + [v for _, v in pairs])
-    cols = np.array([v for _, v in pairs] + [u for u, _ in pairs])
-    adjacency = csr_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(num_vertices, num_vertices)
-    )
-    distances = shortest_path(adjacency, method="D", unweighted=True)
-    edge_u = np.array([u for u, _ in pairs])
-    edge_v = np.array([v for _, v in pairs])
+    adjacency = _sparse_adjacency(num_vertices, edge_u, edge_v)
+    max_degree = int(np.diff(adjacency.indptr).max())
     best = max_radius
-    for root in range(num_vertices):
-        dist = distances[root]
-        reachable = np.isfinite(dist)
-        vertex_depth = dist[reachable].astype(np.int64)
-        edge_depth = np.maximum(dist[edge_u], dist[edge_v])
-        edge_depth = edge_depth[np.isfinite(edge_depth)].astype(np.int64)
-        horizon = min(int(vertex_depth.max()), best)
-        vertex_counts = np.cumsum(np.bincount(vertex_depth, minlength=horizon + 1)[: horizon + 1])
-        edge_counts = np.cumsum(
-            np.bincount(edge_depth, minlength=horizon + 1)[: horizon + 1]
-        )
-        rank = edge_counts - vertex_counts + 1
-        violations = np.nonzero(rank > 1)[0]
-        if violations.size:
-            best = min(best, int(violations[0]) - 1)
-            if best == 0:
-                return 0
+    start = 0
+    while best > 0 and start < num_vertices:
+        batch = _BFS_BATCH_ENTRIES // _ball_entries(max_degree, best, adjacency.nnz)
+        stop = min(num_vertices, start + max(1, batch))
+        roots = np.arange(start, stop, dtype=np.int64)
+        best = min(best, _first_tangle_depth(adjacency, roots, best) - 1)
+        start = stop
     return best
 
 
@@ -578,22 +650,13 @@ def dirichlet_rho(ball: ReplacementBall) -> float:
     nv = ball.num_vertices
     if nv == 1:
         return 0.0
-    rows = np.array([u for u, _ in ball.edges] + [v for _, v in ball.edges])
-    cols = np.array([v for _, v in ball.edges] + [u for u, _ in ball.edges])
+    edge_u, edge_v = np.array(ball.edges, dtype=np.int64).T
     if nv < _DENSE_EIGEN_CUTOFF:
         matrix = np.zeros((nv, nv))
-        matrix[rows, cols] = 1.0
-        return float(np.linalg.eigvalsh(matrix)[-1])
-    operator = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(nv, nv))
-    start = np.full(nv, 1.0 / math.sqrt(nv))
-    try:
-        top = eigsh(operator, k=1, which="LA", tol=_EIGSH_TOL, v0=start, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise SetupError(
-            f"eigensolver did not converge to tolerance {_EIGSH_TOL} on the radius "
-            f"{ball.radius} ball"
-        ) from exc
-    return float(top[0])
+        matrix[edge_u, edge_v] = matrix[edge_v, edge_u] = 1.0
+    else:
+        matrix = _sparse_adjacency(nv, edge_u, edge_v)
+    return float(_top_eigenvalues(matrix, 1)[0])
 
 
 def export_edges_csv(graph: DualGraph, path, signing: Signing | None = None) -> None:

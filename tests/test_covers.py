@@ -7,7 +7,10 @@ import pytest
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
+from octagap import covers
 from octagap.covers import (
     NUM_COLORS,
     REPLACEMENT_SPECTRAL_RADIUS,
@@ -34,7 +37,7 @@ from octagap.covers import (
     two_cover_spectra,
     walk_summary,
 )
-from octagap.errors import DomainError
+from octagap.errors import DomainError, MemoryGuardError
 
 REPLACEMENT_SPHERES = (1, 4, 6, 12, 18, 36, 54, 108, 162, 324, 486, 972, 1458)
 RHO_AT_RADIUS_12 = 3.8644306520169893
@@ -48,6 +51,62 @@ def _two_vertex_graph():
 def _disjoint_pair_graph():
     edges = tuple(Edge(0, 1, c) for c in range(1, 5)) + tuple(Edge(2, 3, c) for c in range(1, 5))
     return DualGraph(4, edges)
+
+
+def _all_pairs_tangle_free_radius(num_vertices, pairs, max_radius=None):
+    """Brute-force twin of ``tangle_free_radius``: all-pairs distances, every root.
+
+    Builds the full V x V distance matrix, then reads each root's ball
+    sizes off it; only meant for the small graphs the tests compare on.
+    """
+    if max_radius is None:
+        max_radius = num_vertices
+    if not pairs:
+        return max_radius
+    rows = np.array([u for u, _ in pairs] + [v for _, v in pairs])
+    cols = np.array([v for _, v in pairs] + [u for u, _ in pairs])
+    adjacency = csr_matrix(
+        (np.ones(rows.size), (rows, cols)), shape=(num_vertices, num_vertices)
+    )
+    distances = shortest_path(adjacency, method="D", unweighted=True)
+    edge_u = np.array([u for u, _ in pairs])
+    edge_v = np.array([v for _, v in pairs])
+    best = max_radius
+    for root in range(num_vertices):
+        dist = distances[root]
+        reachable = np.isfinite(dist)
+        vertex_depth = dist[reachable].astype(np.int64)
+        edge_depth = np.maximum(dist[edge_u], dist[edge_v])
+        edge_depth = edge_depth[np.isfinite(edge_depth)].astype(np.int64)
+        horizon = min(int(vertex_depth.max()), best)
+        vertex_counts = np.cumsum(np.bincount(vertex_depth, minlength=horizon + 1)[: horizon + 1])
+        edge_counts = np.cumsum(
+            np.bincount(edge_depth, minlength=horizon + 1)[: horizon + 1]
+        )
+        rank = edge_counts - vertex_counts + 1
+        violations = np.nonzero(rank > 1)[0]
+        if violations.size:
+            best = min(best, int(violations[0]) - 1)
+            if best == 0:
+                return 0
+    return best
+
+
+def _pairs(graph):
+    return [(u, v) for u, v, _ in graph.edges]
+
+
+#: Handmade (num_vertices, edges) graphs: four parallel edges, a 6-cycle, a
+#: bowtie, a subdivided theta (two 2-cycles joined by a 20-edge path), a
+#: path, and a triangle next to a square with a pendant vertex.
+HANDMADE_GRAPHS = (
+    (2, [(0, 1)] * 4),
+    (6, [(k, (k + 1) % 6) for k in range(6)]),
+    (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+    (23, [(k, k + 1) for k in range(20)] + [(0, 21), (21, 0), (20, 22), (22, 20)]),
+    (7, [(0, 1), (1, 2), (2, 3)]),
+    (10, [(0, 1), (1, 2), (2, 0), (5, 6), (6, 7), (7, 8), (8, 5), (8, 9)]),
+)
 
 
 # -- matchings -------------------------------------------------------------------
@@ -90,6 +149,12 @@ def test_sample_cover_is_reproducible():
         assert np.array_equal(ma.perm, mb.perm)
     c = sample_cover(25, 100)
     assert any(not np.array_equal(ma.perm, mc.perm) for ma, mc in zip(a.sigma, c.sigma))
+
+
+def test_sample_cover_rejects_bad_sizes():
+    for n in (0, -3, True, 2.0):
+        with pytest.raises(DomainError):
+            sample_cover(n, 7)
 
 
 def test_sample_cover_without_a_seed_records_fresh_entropy():
@@ -169,6 +234,46 @@ def test_lambda1_sparse_path_matches_the_dense_path():
     assert sparse == pytest.approx(max(0.0, 4.0 - mu2), abs=1e-7)
 
 
+def test_large_cover_path_never_builds_a_dense_matrix(monkeypatch):
+    """From 2000 vertices up, lambda1, connectivity and the radius stay sparse."""
+    graph = dual_graph(sample_cover(1100, 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense adjacency built on the sparse path")
+
+    monkeypatch.setattr(covers, "adjacency_matrix", refuse)
+    assert 0.0 < graph_lambda1(graph) < 8.0
+    assert is_connected(graph)
+    assert tangle_free_radius(graph) >= 0
+
+
+def test_dense_adjacency_is_refused_above_the_byte_limit(monkeypatch):
+    graph = dual_graph(sample_cover(20, 5))
+    nbytes = graph.num_vertices**2 * 8
+    monkeypatch.setattr(covers, "_DENSE_MATRIX_BYTES", nbytes)
+    assert adjacency_matrix(graph).shape == (40, 40)
+    monkeypatch.setattr(covers, "_DENSE_MATRIX_BYTES", nbytes - 1)
+    signing = all_plus_signing(graph)
+    with pytest.raises(MemoryGuardError):
+        adjacency_matrix(graph)
+    with pytest.raises(MemoryGuardError):
+        two_cover_spectra(graph, signing)
+    with pytest.raises(MemoryGuardError):
+        switching_walk(graph, 1, seed=1)
+
+
+def test_dense_adjacency_of_a_large_cover_fails_before_allocating(monkeypatch):
+    """12,000 vertices would need 1.07 GiB; the guard raises before np.zeros."""
+    graph = dual_graph(sample_cover(6000, 1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the guard")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(MemoryGuardError):
+        adjacency_matrix(graph)
+
+
 # -- tangle-free radius ------------------------------------------------------------
 
 
@@ -196,6 +301,67 @@ def test_tangle_free_radius_matches_on_sampled_covers():
     radius = tangle_free_radius(graph)
     assert isinstance(radius, int)
     assert radius >= 0
+    assert radius == _all_pairs_tangle_free_radius(graph.num_vertices, _pairs(graph))
+
+
+@pytest.mark.parametrize("max_radius", [None, 0, 1, 2, 3, 5, 11, 100])
+@pytest.mark.parametrize("graph", HANDMADE_GRAPHS, ids=lambda g: f"V{g[0]}E{len(g[1])}")
+def test_tangle_free_radius_matches_the_all_pairs_twin_on_handmade_graphs(graph, max_radius):
+    num_vertices, pairs = graph
+    assert tangle_free_radius(graph, max_radius=max_radius) == _all_pairs_tangle_free_radius(
+        num_vertices, pairs, max_radius
+    )
+
+
+def test_tangle_free_radius_matches_the_all_pairs_twin_on_sampled_covers():
+    rng = np.random.default_rng(2024)
+    radii = []
+    for n in rng.integers(5, 301, size=100):
+        graph = dual_graph(sample_cover(int(n), int(rng.integers(2**32))))
+        max_radius = int(rng.choice([0, 1, 2, graph.num_vertices]))
+        radius = tangle_free_radius(graph, max_radius=max_radius)
+        assert radius == _all_pairs_tangle_free_radius(
+            graph.num_vertices, _pairs(graph), max_radius
+        ), (graph.num_vertices, max_radius)
+        radii.append(radius)
+    assert {0, 1} <= set(radii)
+
+
+@pytest.mark.parametrize("batch_entries", [1, 64, None])
+def test_tangle_free_radius_matches_the_all_pairs_twin_on_random_multigraphs(
+    monkeypatch, batch_entries
+):
+    """Irregular degrees, parallel edges, trees and several components; with
+    a tiny batch budget the roots run one or a few at a time."""
+    if batch_entries is not None:
+        monkeypatch.setattr(covers, "_BFS_BATCH_ENTRIES", batch_entries)
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        num_vertices = int(rng.integers(2, 40))
+        num_edges = int(rng.integers(0, 2 * num_vertices))
+        pairs = []
+        while len(pairs) < num_edges:
+            u, v = (int(x) for x in rng.integers(num_vertices, size=2))
+            if u != v:
+                pairs.append((u, v))
+        for max_radius in (None, 1, 4):
+            assert tangle_free_radius(
+                (num_vertices, pairs), max_radius=max_radius
+            ) == _all_pairs_tangle_free_radius(num_vertices, pairs, max_radius)
+
+
+def test_tangle_free_radius_rejects_bad_arguments():
+    graph = dual_graph(sample_cover(5, 1))
+    with pytest.raises(DomainError):
+        tangle_free_radius(graph, max_radius=True)
+    with pytest.raises(DomainError):
+        tangle_free_radius(graph, max_radius=-1)
+    with pytest.raises(DomainError):
+        tangle_free_radius((True, []))
+    with pytest.raises(DomainError):
+        tangle_free_radius((3, [(0, 0)]))
+    with pytest.raises(DomainError):
+        tangle_free_radius((3, [(0, 3)]))
 
 
 # -- signings and two-covers ---------------------------------------------------------
@@ -264,6 +430,8 @@ def test_switching_walk_requires_at_least_one_step():
     graph = dual_graph(sample_cover(6, 7))
     with pytest.raises(DomainError):
         switching_walk(graph, 0, seed=1)
+    with pytest.raises(DomainError):
+        switching_walk(graph, True, seed=1)
 
 
 def test_walk_summary_histogram_accounts_for_every_step():
@@ -316,6 +484,8 @@ def test_replacement_ball_guards_its_radius():
         replacement_ball(15)
     with pytest.raises(DomainError):
         replacement_ball(-1)
+    with pytest.raises(DomainError):
+        replacement_ball(True)
 
 
 # -- exports ----------------------------------------------------------------------------
