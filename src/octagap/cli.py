@@ -8,6 +8,12 @@ JSON config file (flags override, unknown keys are rejected), and reports are
 written as JSON (schema version field, deterministic key order) or CSV (comma
 separator, '.' decimal point, mandatory header, 12 significant digits).
 
+``_PARAM_SPECS`` is the one declaration of the parameters: per subcommand,
+each name maps to its caster, its default, and the keyword arguments of its
+flag (None for a config-only key).  The parser is built from it, and flag
+strings and config values pass through the same strict caster.  Range checks
+that the library already makes are left to the library's ``DomainError``.
+
 Exit codes: 0 when all checks of the subcommand pass, 1 for a computational
 failure or a failed check, 2 for invalid input.  Output files are written
 only after a computation finishes, so invalid input and mid-run failures
@@ -33,138 +39,136 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
-_GLOBAL_KEYS = ("seed", "out", "format")
 
-#: Per-subcommand parameter names, casters, and defaults. Config files may
-#: set exactly these keys (plus the global ones); flags override.
-_PARAM_SPECS: dict[str, dict[str, tuple]] = {}
+# Casters take a flag string or a JSON value and raise ValueError on misfit.
 
 
-def _float_list(value) -> list[float]:
+def _integer(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _seed(value) -> int:
+    seed = _integer(value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"must fit an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def _one_of(*choices: str):
+    def cast(value) -> str:
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    cast.choices = choices
+    return cast
+
+
+def _numbers(length: int | None = None):
+    """Caster for a list of numbers, given as "a,b,..." or as a JSON list."""
+
+    def cast(value) -> tuple[float, ...]:
+        parts = value.split(",") if isinstance(value, str) else value
+        if not isinstance(parts, (list, tuple)) or not parts or length not in (None, len(parts)):
+            count = "a nonempty list of" if length is None else length
+            raise ValueError(f"expected {count} numbers, got {value!r}")
+        return tuple(_real(v) for v in parts)
+
+    return cast
+
+
+def _point(value) -> geometry.Point3:
+    return geometry.point(*_numbers(3)(value))
+
+
+def _area_table(value) -> tuple[tuple[float, ...], ...]:
     if not isinstance(value, (list, tuple)) or not value:
-        raise ValueError(f"expected a nonempty list of numbers, got {value!r}")
-    return [float(v) for v in value]
+        raise ValueError(f"expected a nonempty list of area rows, got {value!r}")
+    return tuple(_numbers()(row) for row in value)
 
 
-def _area_table(value) -> tuple[tuple[float, float, float], ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ValueError(f"expected a list of 3-element area rows, got {value!r}")
-    rows = []
-    for row in value:
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise ValueError(f"each area row needs exactly 3 entries, got {row!r}")
-        rows.append(tuple(float(v) for v in row))
-    return tuple(rows)
-
-
-def _base_point(value) -> geometry.Point3:
-    if isinstance(value, (list, tuple)):
-        parts = [float(v) for v in value]
-    else:
-        parts = [float(v) for v in str(value).split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"base point needs x,y,t with three entries, got {value!r}")
-    return geometry.point(parts[0], parts[1], parts[2])
-
-
-def _window_pair(value) -> tuple[float, float]:
-    if isinstance(value, (list, tuple)):
-        parts = [float(v) for v in value]
-    else:
-        parts = [float(v) for v in str(value).split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"window needs two entries min,max, got {value!r}")
-    return (parts[0], parts[1])
-
-
-_PARAM_SPECS["verify-group"] = {
-    "corrupt_generator": (str, None),
+_DELTA_GROUPS = {
+    "ap": ("free", 14, (1.15, 1.45), geometry.FREE_SUBGROUP_CRITICAL_EXPONENT),
+    "sa": ("full", 10, (1.6, 2.0), 2.0),
+    "inf": ("kernel", 10, None, None),
 }
-_PARAM_SPECS["scattering"] = {
-    "level": (int, 1),
-    "s_min": (float, 2.2),
-    "s_max": (float, 4.0),
-    "grid": (int, 10),
-    "oracle_radius": (float, 120.0),
-    "tolerance": (float, 1e-3),
+
+_COMMON_SPECS = {
+    "seed": (_seed, None, {"help": "RNG seed (u64)"}),
+    "out": (_text, None, {"help": "output file path"}),
+    "format": (_one_of("json", "csv"), "json", {"help": "output format"}),
 }
-_PARAM_SPECS["delta"] = {
-    "group": (str, "sa"),
-    "word_length": (int, None),
-    "base_point": (_base_point, geometry.DEFAULT_BASE_POINT),
-    "window": (_window_pair, None),
+
+#: Per subcommand: name -> (caster, default, flag keyword arguments or None
+#: for a config-only key).  Config files may set exactly these keys.
+_PARAM_SPECS: dict[str, dict[str, tuple]] = {
+    "verify-group": {
+        "corrupt_generator": (_text, None, {"help": argparse.SUPPRESS}),
+    },
+    "scattering": {
+        "level": (_integer, 1, {}),
+        "s_min": (_real, 2.2, {}),
+        "s_max": (_real, 4.0, {}),
+        "grid": (_integer, 10, {}),
+        "oracle_radius": (_real, 120.0, {}),
+        "tolerance": (_real, 1e-3, {}),
+    },
+    "delta": {
+        "group": (_one_of(*_DELTA_GROUPS), "sa", {}),
+        "word_length": (_integer, None, {}),
+        "base_point": (_point, geometry.DEFAULT_BASE_POINT, {"help": "x,y,t"}),
+        "window": (_numbers(2), None, {"help": "Tmin,Tmax"}),
+    },
+    "cover": {
+        "n": (_integer, None, {}),
+        "walk_steps": (_integer, 0, {}),
+        "bins": (_integer, 20, {}),
+    },
+    "bounds-and-budgets": {
+        "cap_radii": (_numbers(), (0.5, 1.0, 1.5, 2.0, 2.5, 3.0), None),
+        "cap_separations": (_numbers(), (0.5, 1.0, 2.0), None),
+        "budget_lengths": (_numbers(), (10.0, 15.0, 20.0, 25.0), None),
+        "lam": (_real, 0.4, {}),
+        "lam0": (_real, 0.8, {}),
+        "eps": (_real, 0.01, {}),
+        "areas": (_area_table, ((1.0, 1.0, 1.0),), None),
+        "horoball_samples": (_integer, 100000, {}),
+        "exclusion_radius": (_real, 1e-3, {}),
+    },
 }
-_PARAM_SPECS["cover"] = {
-    "n": (int, None),
-    "walk_steps": (int, 0),
-    "bins": (int, 20),
-}
-_PARAM_SPECS["bounds-and-budgets"] = {
-    "cap_radii": (_float_list, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
-    "cap_separations": (_float_list, [0.5, 1.0, 2.0]),
-    "budget_lengths": (_float_list, [10.0, 15.0, 20.0, 25.0]),
-    "lam": (float, 0.4),
-    "lam0": (float, 0.8),
-    "eps": (float, 0.01),
-    "areas": (_area_table, ((1.0, 1.0, 1.0),)),
-    "horoball_samples": (int, 100000),
-    "exclusion_radius": (float, 1e-3),
-}
+for _spec in _PARAM_SPECS.values():
+    _spec.update(_COMMON_SPECS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
-    common.add_argument("--out", default=None, help="output file path")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default=None, help="output format"
-    )
-    common.add_argument("--config", default=None, help="JSON config file")
-
+    """One subparser per command, one flag per table entry, all strings."""
     parser = argparse.ArgumentParser(
         prog="octagap", description="Reflection group, cover, and bound checks."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "verify-group", parents=[common], help="exact reflection-group invariants"
-    ).add_argument("--corrupt-generator", default=None, help=argparse.SUPPRESS)
-
-    scattering = sub.add_parser(
-        "scattering", parents=[common], help="scattering formula vs lattice oracle"
-    )
-    scattering.add_argument("--level", type=int, default=None)
-    scattering.add_argument("--s-min", type=float, default=None)
-    scattering.add_argument("--s-max", type=float, default=None)
-    scattering.add_argument("--grid", type=int, default=None)
-    scattering.add_argument("--oracle-radius", type=float, default=None)
-    scattering.add_argument("--tolerance", type=float, default=None)
-
-    delta = sub.add_parser(
-        "delta", parents=[common], help="critical exponent estimate and gap bounds"
-    )
-    delta.add_argument("--group", choices=("ap", "sa", "inf"), default=None)
-    delta.add_argument("--word-length", type=int, default=None)
-    delta.add_argument("--base-point", default=None, help="x,y,t")
-    delta.add_argument("--window", default=None, help="Tmin,Tmax")
-
-    cover = sub.add_parser(
-        "cover", parents=[common], help="random cover sampling and switching walks"
-    )
-    cover.add_argument("--n", type=int, default=None)
-    cover.add_argument("--walk-steps", type=int, default=None)
-    cover.add_argument("--bins", type=int, default=None)
-
-    bounds = sub.add_parser(
-        "bounds-and-budgets",
-        parents=[common],
-        help="cap volume sweep, flattening budgets, horoball cover",
-    )
-    bounds.add_argument("--lam", type=float, default=None)
-    bounds.add_argument("--lam0", type=float, default=None)
-    bounds.add_argument("--eps", type=float, default=None)
-    bounds.add_argument("--horoball-samples", type=int, default=None)
-    bounds.add_argument("--exclusion-radius", type=float, default=None)
+    for command, (_, summary) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=summary)
+        subparser.add_argument("--config", help="JSON config file")
+        for name, (caster, _, flag) in _PARAM_SPECS[command].items():
+            if flag is not None:
+                option = "--" + name.replace("_", "-")
+                subparser.add_argument(option, choices=getattr(caster, "choices", None), **flag)
     return parser
 
 
@@ -178,7 +182,7 @@ def _load_config(path: str, spec: dict) -> dict:
         raise DomainError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(spec) - set(_GLOBAL_KEYS))
+    unknown = sorted(set(data) - set(spec))
     if unknown:
         raise DomainError(f"unknown config keys: {', '.join(unknown)}")
     return data
@@ -189,30 +193,15 @@ def _merge_params(args: argparse.Namespace) -> dict:
     spec = _PARAM_SPECS[args.command]
     config = _load_config(args.config, spec) if args.config else {}
     params: dict = {"command": args.command}
-    for name, (caster, default) in spec.items():
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            value = flag_value
-        elif name in config:
-            value = config[name]
-        else:
+    for name, (caster, default, _) in spec.items():
+        value = getattr(args, name, None)
+        if value is None and name not in config:
             params[name] = default
             continue
         try:
-            params[name] = caster(value)
-        except (TypeError, ValueError) as exc:
+            params[name] = caster(config[name] if value is None else value)
+        except ValueError as exc:
             raise DomainError(f"bad value for {name}: {exc}") from exc
-    for name in _GLOBAL_KEYS:
-        flag_value = getattr(args, name)
-        params[name] = flag_value if flag_value is not None else config.get(name)
-    params["format"] = params["format"] or "json"
-    if params["format"] not in ("json", "csv"):
-        raise DomainError(f"format must be json or csv, got {params['format']!r}")
-    if params["seed"] is not None:
-        seed = int(params["seed"])
-        if not 0 <= seed < 2**64:
-            raise DomainError(f"seed must fit an unsigned 64-bit integer, got {seed}")
-        params["seed"] = seed
     return params
 
 
@@ -350,10 +339,8 @@ def _cmd_scattering(params: dict) -> tuple[int, dict, tuple]:
     s_min, s_max = params["s_min"], params["s_max"]
     grid, radius = params["grid"], params["oracle_radius"]
     tolerance = params["tolerance"]
-    if level < 1:
-        raise DomainError(f"level must be at least 1, got {level}")
-    if not 1.0 < s_min <= s_max:
-        raise DomainError(f"need 1 < s_min <= s_max, got ({s_min}, {s_max})")
+    if not s_min <= s_max:
+        raise DomainError(f"need s_min <= s_max, got ({s_min}, {s_max})")
     if grid < 1:
         raise DomainError(f"grid must be at least 1, got {grid}")
     if not 10.0 <= radius <= 500.0:
@@ -419,17 +406,9 @@ def _cmd_scattering(params: dict) -> tuple[int, dict, tuple]:
 
 # -- delta -------------------------------------------------------------------
 
-_DELTA_GROUPS = {
-    "ap": ("free", 14, (1.15, 1.45), geometry.FREE_SUBGROUP_CRITICAL_EXPONENT),
-    "sa": ("full", 10, (1.6, 2.0), 2.0),
-    "inf": ("kernel", 10, None, None),
-}
-
 
 def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
     token = params["group"]
-    if token not in _DELTA_GROUPS:
-        raise DomainError(f"group must be one of ap, sa, inf, got {token!r}")
     orbit_group, default_len, band, reference = _DELTA_GROUPS[token]
     word_length = default_len if params["word_length"] is None else params["word_length"]
     if word_length < 1:
@@ -491,8 +470,6 @@ def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
     n = params["n"]
     if n is None:
         raise DomainError("cover needs --n")
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
     walk_steps = params["walk_steps"]
     if walk_steps < 0:
         raise DomainError(f"walk steps must be nonnegative, got {walk_steps}")
@@ -564,16 +541,6 @@ def _cmd_bounds_and_budgets(params: dict) -> tuple[int, dict, tuple]:
     exclusion = params["exclusion_radius"]
     if any(r <= 0 for r in radii):
         raise DomainError("cap radii must be positive")
-    if any(d < 0 for d in separations):
-        raise DomainError("cap separations must be nonnegative")
-    if any(length <= 0 for length in lengths):
-        raise DomainError("budget lengths must be positive")
-    if samples < 1:
-        raise DomainError(f"horoball sample count must be positive, got {samples}")
-    if not 0.0 < lam < lam0 <= 1.0:
-        raise DomainError(f"need 0 < lam < lam0 <= 1, got ({lam}, {lam0})")
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
 
     cap_rows = []
     caps_ok = True
@@ -610,7 +577,11 @@ def _cmd_bounds_and_budgets(params: dict) -> tuple[int, dict, tuple]:
     decreasing = all(b < a for a, b in zip(totals, totals[1:]))
 
     horoball = geometry.horoball_cover_check(samples, seed, exclusion_radius=exclusion)
-    horoball_ok = horoball.max_multiplicity <= 3 and horoball.covered_fraction == 1.0
+    horoball_ok = (
+        horoball.n_checked >= 1
+        and horoball.max_multiplicity <= 3
+        and horoball.covered_fraction == 1.0
+    )
 
     passed = caps_ok and decreasing and horoball_ok
     report = _new_report(params)
@@ -647,12 +618,16 @@ def _cmd_bounds_and_budgets(params: dict) -> tuple[int, dict, tuple]:
     return (EXIT_OK if passed else EXIT_COMPUTE), report, table_out
 
 
-_HANDLERS = {
-    "verify-group": _cmd_verify_group,
-    "scattering": _cmd_scattering,
-    "delta": _cmd_delta,
-    "cover": _cmd_cover,
-    "bounds-and-budgets": _cmd_bounds_and_budgets,
+#: Per subcommand: (handler, one-line help).
+_COMMANDS = {
+    "verify-group": (_cmd_verify_group, "exact reflection-group invariants"),
+    "scattering": (_cmd_scattering, "scattering formula vs lattice oracle"),
+    "delta": (_cmd_delta, "critical exponent estimate and gap bounds"),
+    "cover": (_cmd_cover, "random cover sampling and switching walks"),
+    "bounds-and-budgets": (
+        _cmd_bounds_and_budgets,
+        "cap volume sweep, flattening budgets, horoball cover",
+    ),
 }
 
 
@@ -661,15 +636,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         params = _merge_params(args)
-        code, report, table = _HANDLERS[args.command](params)
+        code, report, table = _COMMANDS[args.command][0](params)
         _write_output(params, report, table)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OctagapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except OSError as exc:
+    except (OctagapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     return code

@@ -254,13 +254,16 @@ def horoball_cover_check(
     For each point the multiplicity counts how many of the six truncated
     horoballs contain it.  Points within exclusion_radius (hyperbolic) of the
     center, where all six pieces meet, are excluded from the multiplicity
-    tally but still counted for coverage; n_checked counts the rest.  Points
+    tally but still counted for coverage; n_checked counts the rest, so the
+    radius must be finite (NaN or inf would exclude every point).  Points
     are drawn and mapped in chunks of _HOROBALL_CHUNK.
     """
     if n_samples <= 0:
         raise DomainError("n_samples must be positive")
     if height_cap <= 1.0:
         raise DomainError("height_cap must exceed the corner floor")
+    if not 0.0 <= exclusion_radius < math.inf:
+        raise DomainError(f"exclusion_radius must be finite and >= 0, got {exclusion_radius}")
     rng = np.random.default_rng(seed)
     syms, sym_conj = _ballfast.isom_table(octa_symmetry_group())
     inv, inv_conj = _ballfast.isom_table([g.inverse() for _, g in horoball_cover_maps()])

@@ -31,7 +31,7 @@ class SpectralParams:
     """Bundle of spectral parameters used by the bound evaluators.
 
     ``lam`` is the eigenvalue under study, ``lam0`` the reference bass note
-    it is compared against, ``eps`` a positive slack, ``tangle_radius`` the
+    it must stay below, ``eps`` a positive slack, ``tangle_radius`` the
     scale on which short loops are controlled, and ``truncation`` the kernel
     truncation radius.
     """
@@ -47,6 +47,8 @@ class SpectralParams:
             raise DomainError(f"eigenvalue must lie in (0, 1), got {self.lam}")
         if not 0.0 < self.lam0 < 1.0:
             raise DomainError(f"reference eigenvalue must lie in (0, 1), got {self.lam0}")
+        if not self.lam < self.lam0:
+            raise DomainError(f"eigenvalue {self.lam} must be below the reference {self.lam0}")
         if not self.eps > 0.0:
             raise DomainError(f"slack must be positive, got {self.eps}")
         if not self.tangle_radius > 0.0:
@@ -481,16 +483,7 @@ def tangle_delocalization_bound(
     the log.
     """
     L = float(tangle_radius)
-    if not L > 0.0:
-        raise DomainError(f"tangle radius must be positive, got {L}")
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"eigenvalue must lie in (0, 1), got {lam}")
-    if not 0.0 < lam0 < 1.0:
-        raise DomainError(f"reference eigenvalue must lie in (0, 1), got {lam0}")
-    if not lam < lam0:
-        raise DomainError(f"eigenvalue {lam} must be below the reference {lam0}")
-    if not eps > 0.0:
-        raise DomainError(f"slack must be positive, got {eps}")
+    SpectralParams(lam, lam0, eps, L)  # raises DomainError on an invalid parameter
     growth = cusp_kernel_growth(cusps, L)
     half = math.sinh(L / 2.0)
     for height, area in cover_cusps:
@@ -618,16 +611,7 @@ def flattening_budget(
     rate of the constant cusp mode).  Log factors are clamped below at zero.
     """
     L = float(tangle_radius)
-    if not L > 0.0:
-        raise DomainError(f"tangle radius must be positive, got {L}")
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"eigenvalue must lie in (0, 1), got {lam}")
-    if not 0.0 < lam0 < 1.0:
-        raise DomainError(f"reference eigenvalue must lie in (0, 1), got {lam0}")
-    if not lam < lam0:
-        raise DomainError(f"eigenvalue {lam} must be below the reference {lam0}")
-    if not eps > 0.0:
-        raise DomainError(f"slack must be positive, got {eps}")
+    SpectralParams(lam, lam0, eps, L)  # raises DomainError on an invalid parameter
     if decay_exponent is None:
         decay_exponent = 2.0 * math.sqrt(1.0 - lam0)
     if not decay_exponent > 0.0:

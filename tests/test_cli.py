@@ -1,10 +1,11 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from octagap.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
+from octagap.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, _build_parser, main
 
 
 def _read_json(path):
@@ -284,3 +285,80 @@ def test_unwritable_output_path_is_a_compute_error(tmp_path):
 def test_seed_must_be_an_unsigned_64_bit_integer():
     assert main(["cover", "--n", "5", "--seed", "-1"]) == EXIT_USAGE
     assert main(["cover", "--n", "5", "--seed", str(2**64)]) == EXIT_USAGE
+
+
+def test_horoball_check_fails_when_every_point_is_excluded(tmp_path):
+    out = tmp_path / "bounds.json"
+    args = ["bounds-and-budgets", "--seed", "3", "--horoball-samples", "500"]
+    assert main(args + ["--exclusion-radius", "1e6", "--out", str(out)]) == EXIT_COMPUTE
+    report = _read_json(out)
+    assert report["horoball"]["n_checked"] == 0
+    assert report["horoball_ok"] is False
+    for radius in ("nan", "inf"):
+        assert main(args + ["--exclusion-radius", radius]) == EXIT_USAGE
+
+
+# -- parameter table ----------------------------------------------------------------
+
+
+_COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--out", "--format"}
+_COMMAND_FLAGS = {
+    "verify-group": {"--corrupt-generator"},
+    "scattering": {"--level", "--s-min", "--s-max", "--grid", "--oracle-radius", "--tolerance"},
+    "delta": {"--group", "--word-length", "--base-point", "--window"},
+    "cover": {"--n", "--walk-steps", "--bins"},
+    "bounds-and-budgets": {
+        "--lam", "--lam0", "--eps", "--horoball-samples", "--exclusion-radius"
+    },
+}
+
+
+def test_each_subcommand_has_exactly_its_flags():
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(_COMMAND_FLAGS)
+    for name, subparser in commands.choices.items():
+        flags = {flag for action in subparser._actions for flag in action.option_strings}
+        assert flags == _COMMON_FLAGS | _COMMAND_FLAGS[name], name
+        choices = {
+            action.option_strings[-1]: tuple(action.choices)
+            for action in subparser._actions
+            if action.choices is not None
+        }
+        expected = {"--format": ("json", "csv")}
+        if name == "delta":
+            expected["--group"] = ("ap", "sa", "inf")
+        assert choices == expected, name
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("cover", {"n": 2.9, "seed": 1}, "n"),
+        ("cover", {"n": True, "seed": 1}, "n"),
+        ("delta", {"group": "ap", "word_length": 6.7, "seed": 1}, "word_length"),
+        ("cover", {"n": 5, "seed": 1.5}, "seed"),
+        ("cover", {"n": 5, "seed": True}, "seed"),
+        ("cover", {"n": 5, "seed": "abc"}, "seed"),
+        ("verify-group", {"out": 3.5}, "out"),
+    ],
+    ids=["n-fraction", "n-bool", "word-length-fraction", "seed-fraction", "seed-bool",
+         "seed-text", "out-number"],
+)
+def test_config_values_are_cast_strictly(tmp_path, monkeypatch, capsys, command, config, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    args = [command, "--config", "config.json"]
+    if key != "out":
+        args += ["--out", "report.json"]
+    assert main(args) == EXIT_USAGE
+    assert f"bad value for {key}" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_integral_config_floats_are_integers(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 10.0, "seed": 1}))
+    out = tmp_path / "cover.json"
+    assert main(["cover", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    assert _read_json(out)["num_vertices"] == 20

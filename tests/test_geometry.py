@@ -182,6 +182,13 @@ def test_horoball_cover_check_reports_full_coverage():
     assert sum(wide.multiplicity_counts.values()) == wide.n_checked
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1e-3])
+def test_horoball_cover_check_rejects_an_exclusion_radius_that_checks_nothing(radius):
+    # NaN and inf exclude every point, so no multiplicity would be checked.
+    with pytest.raises(DomainError):
+        horoball_cover_check(100, seed=1, exclusion_radius=radius)
+
+
 # -- cusp data --------------------------------------------------------------------
 
 

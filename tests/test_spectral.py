@@ -403,6 +403,22 @@ def test_tangle_delocalization_skips_low_cover_cusps():
     assert with_low == base
 
 
+@pytest.mark.parametrize(
+    "length, lam, lam0, eps",
+    [
+        (0.0, 0.4, 0.8, 0.01),
+        (-1.0, 0.4, 0.8, 0.01),
+        (10.0, 0.8, 0.8, 0.01),
+        (10.0, 0.9, 0.8, 0.01),
+        (10.0, 0.4, 0.8, 0.0),
+        (10.0, 0.4, 0.8, -0.01),
+    ],
+)
+def test_tangle_delocalization_validates_parameters(length, lam, lam0, eps):
+    with pytest.raises(DomainError):
+        tangle_delocalization_bound(length, lam, lam0, eps)
+
+
 @given(st.floats(0.05, 0.7), st.floats(6.0, 20.0))
 def test_tangle_delocalization_decays_in_the_tangle_radius(lam, length):
     near = tangle_delocalization_bound(length, lam, 0.8, 0.01)
@@ -417,3 +433,5 @@ def test_spectral_params_validate_their_ranges():
         SpectralParams(lam=0.4, eps=-1.0)
     with pytest.raises(DomainError):
         SpectralParams(lam=1.5)
+    with pytest.raises(DomainError):
+        SpectralParams(lam=0.9)
