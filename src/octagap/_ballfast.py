@@ -13,6 +13,15 @@ word tuples, which is what makes orbit balls of tens of millions of elements
 feasible.  The face letters r1..r4 pairwise do not commute, so restricted to
 them the automaton accepts exactly the reduced words of their free product;
 on all eight letters it accepts the normal forms of the reflection group.
+Each level's size is checked against the group's growth series.
+
+Only the displacements of the last sphere are used, so it is never stored:
+it is formed from the parent level in slices of ``_CHUNK`` rows that go
+straight to ``act`` and ``distance``.  The kernel walk also drops, after each
+level, every prefix whose perp image is longer than the letters left, since
+such a prefix can never return to the trivial image.  The growth check still
+covers the dropped prefixes: their accepted continuations are counted over
+the automaton states (``_continuations``) and added to the kept ones.
 Entries of products of the generator matrices grow like 4^L, far inside
 double range for the guarded lengths, and every group element has unit
 determinant modulus.
@@ -24,7 +33,8 @@ right-multiply by the entrywise conjugate of the letter's matrix.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +46,7 @@ from .words import (
     shortlex_automaton_masks,
 )
 
-_CHUNK = 1 << 21
+_CHUNK = 1 << 16
 
 MAX_FREE_LEN = 15
 MAX_RACG_LEN = 10
@@ -95,8 +105,7 @@ def distance(z1, t1, z0, t0) -> np.ndarray:
 
 
 def _displacements(
-    mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    parity: int, z0: complex, t0: float,
+    mats: Sequence[np.ndarray], parity: int, z0: complex, t0: float
 ) -> np.ndarray:
     n = mats[0].shape[0]
     out = np.empty(n, dtype=np.float64)
@@ -105,6 +114,28 @@ def _displacements(
         w, t1 = act([m[s] for m in mats], parity, z0, t0)
         out[s] = distance(w, t1, z0, t0)
     return out
+
+
+def _times(
+    mats: Sequence[np.ndarray], rows: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the matrices ``mats`` times the letter matrix g, on the right."""
+    a, b, c, d = (m[rows] for m in mats)
+    ga, gb, gc, gd = g
+    return a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+
+
+@lru_cache(maxsize=None)
+def _continuations(letters: tuple[int, ...], state: int, depth: int) -> int:
+    """Number of words of this length the automaton accepts on the letters from state."""
+    if depth == 0:
+        return 1
+    keep_masks, set_masks = shortlex_automaton_masks()
+    return sum(
+        _continuations(letters, (state & keep_masks[g]) | set_masks[g], depth - 1)
+        for g in letters
+        if not (state >> (2 * g)) & 3
+    )
 
 
 def _perp_step(
@@ -139,50 +170,86 @@ def ball_displacements(
             f"orbit ball of radius {max_len} on letters {letters} exceeds "
             f"the memory guard ({max_guard})"
         )
+    return np.concatenate(
+        list(_sphere_displacements(z0, t0, max_len, letters, kernel_only, sphere_count))
+    )
+
+
+def _sphere_displacements(
+    z0: complex, t0: float, max_len: int, letters: tuple[int, ...], kernel_only: bool,
+    sphere_count: Callable[[int], int],
+) -> Iterator[np.ndarray]:
+    """Displacements of the walk, piece by piece, shortest words first.
+
+    A generator, so that its spheres are freed before the caller joins the
+    pieces.
+    """
     keep_masks, set_masks = shortlex_automaton_masks()
     table, _ = isom_table([STANDARD_GENERATORS[name] for name in GENERATOR_NAMES])
     # perp letters are the odd positions of GENERATOR_NAMES; letter rkp pushes
     # or pops the symbol k on the reduced image word, packed 3 bits per symbol
     perp_symbol = [(g // 2 + 1) if GENERATOR_NAMES[g].endswith("p") else 0 for g in range(8)]
-    pieces = [np.zeros(1)]
-    a, b, c, d = np.array([[1], [0], [0], [1]], dtype=np.complex128)
+    yield np.zeros(1)
+    mats = list(np.array([[1], [0], [0], [1]], dtype=np.complex128))
     state = np.zeros(1, dtype=np.uint16)
     pack = np.zeros(1, dtype=np.uint64)
     plen = np.zeros(1, dtype=np.int64)
+    # missing[k]: words of length k + 1 that descend from pruned kernel prefixes
+    missing = [0] * max_len
     for level in range(max_len):
-        size = sphere_count(level + 1)
-        na, nb, nc, nd = np.empty((4, size), dtype=np.complex128)
+        free = [(state >> np.uint16(2 * g)) & np.uint16(3) == 0 for g in letters]
+        size = sum(int(np.count_nonzero(f)) for f in free)
+        if size + missing[level] != sphere_count(level + 1):
+            raise AssertionError(
+                f"sphere {level + 1}: {size} + {missing[level]} pruned "
+                f"!= {sphere_count(level + 1)}"
+            )
+        gmats = table if level % 2 == 0 else np.conj(table)
+        parity = (level + 1) % 2
+        if level == max_len - 1:
+            # the last sphere is never stored: slices of it go straight to
+            # displacements, and in the kernel only rows with a trivial image
+            for g, f in zip(letters, free):
+                sel = np.flatnonzero(f)
+                for i in range(0, sel.size, _CHUNK):
+                    rows = sel[i:i + _CHUNK]
+                    if kernel_only:
+                        _, rplen = _perp_step(pack[rows], plen[rows], perp_symbol[g])
+                        rows = rows[rplen == 0]
+                    yield _displacements(_times(mats, rows, gmats[:, g]), parity, z0, t0)
+            return
+        nmats = list(np.empty((4, size), dtype=np.complex128))
         nstate = np.empty(size, dtype=np.uint16)
         if kernel_only:
             npack = np.empty(size, dtype=np.uint64)
             nplen = np.empty(size, dtype=np.int64)
-        gmats = table if level % 2 == 0 else np.conj(table)
         off = 0
-        for g in letters:
-            sel = np.flatnonzero((state >> np.uint16(2 * g)) & np.uint16(3) == 0)
-            n_g = sel.size
-            view = slice(off, off + n_g)
-            ga, gb, gc, gd = gmats[:, g]
-            sa, sb, sc, sd = a[sel], b[sel], c[sel], d[sel]
-            na[view] = sa * ga + sb * gc
-            nb[view] = sa * gb + sb * gd
-            nc[view] = sc * ga + sd * gc
-            nd[view] = sc * gb + sd * gd
+        for g, f in zip(letters, free):
+            sel = np.flatnonzero(f)
+            view = slice(off, off + sel.size)
+            for m, product in zip(nmats, _times(mats, sel, gmats[:, g])):
+                m[view] = product
             nstate[view] = (state[sel] & np.uint16(keep_masks[g])) | np.uint16(set_masks[g])
             if kernel_only:
                 npack[view], nplen[view] = _perp_step(pack[sel], plen[sel], perp_symbol[g])
-            off += n_g
-        if off != size:
-            raise AssertionError(f"sphere {level + 1}: {off} != {size}")
-        a, b, c, d, state = na, nb, nc, nd, nstate
-        parity = (level + 1) % 2
-        if kernel_only:
-            pack, plen = npack, nplen
-            sel = np.flatnonzero(plen == 0)
-            if sel.size:
-                pieces.append(
-                    _displacements((a[sel], b[sel], c[sel], d[sel]), parity, z0, t0)
+            off += sel.size
+        mats, state = nmats, nstate
+        if not kernel_only:
+            yield _displacements(mats, parity, z0, t0)
+            continue
+        pack, plen = npack, nplen
+        sel = np.flatnonzero(plen == 0)
+        yield _displacements([m[sel] for m in mats], parity, z0, t0)
+        # a prefix whose image is longer than the letters left never returns
+        # to the trivial image; count its accepted continuations and drop it
+        dead = plen > max_len - level - 1
+        if dead.any():
+            states, mult = np.unique(state[dead], return_counts=True)
+            for k in range(level + 1, max_len):
+                missing[k] += sum(
+                    int(m) * _continuations(letters, int(s), k - level)
+                    for s, m in zip(states, mult)
                 )
-        else:
-            pieces.append(_displacements((a, b, c, d), parity, z0, t0))
-    return np.concatenate(pieces)
+            live = np.flatnonzero(~dead)
+            mats = [m[live] for m in mats]
+            state, pack, plen = state[live], pack[live], plen[live]

@@ -345,7 +345,7 @@ def _cmd_scattering(params: dict) -> tuple[int, dict, tuple]:
         raise DomainError(f"grid must be at least 1, got {grid}")
     if not 10.0 <= radius <= 500.0:
         raise DomainError(f"oracle radius must lie in [10, 500], got {radius}")
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
 
     rows = []

@@ -285,14 +285,17 @@ def _top_eigenvalues(matrix, k: int) -> np.ndarray:
     """The k largest eigenvalues of a symmetric matrix, ascending.
 
     A dense array goes to LAPACK ``eigvalsh``.  A sparse matrix goes to
-    ARPACK ``eigsh`` (largest algebraic, tolerance 1e-9, started from the
-    normalized constant vector); if ARPACK does not converge this raises
-    SetupError with the eigenvalues that did.
+    ARPACK ``eigsh`` (largest algebraic, tolerance 1e-9, started from a
+    fixed-seed Gaussian vector); if ARPACK does not converge this raises
+    SetupError with the eigenvalues that did.  The start vector is fixed so
+    that results repeat bit for bit: the constant vector is the exact top
+    eigenvector of a regular graph, and from it ARPACK restarts from its own
+    random seed, which advances from call to call.
     """
     if isinstance(matrix, np.ndarray):
         return np.linalg.eigvalsh(matrix)[-k:]
     nv = matrix.shape[0]
-    start = np.full(nv, 1.0 / math.sqrt(nv))
+    start = np.random.default_rng(0).standard_normal(nv)
     try:
         top = eigsh(matrix, k=k, which="LA", tol=_EIGSH_TOL, v0=start, return_eigenvectors=False)
     except ArpackNoConvergence as exc:

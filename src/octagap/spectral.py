@@ -205,8 +205,8 @@ def scattering_coefficient(s: float, level: int = 1) -> float:
     """
     s = float(s)
     _validate_level(level)
-    if s <= 1.0:
-        raise DomainError(f"the coefficient is defined for s > 1, got {s}")
+    if not 1.0 < s < math.inf:
+        raise DomainError(f"the coefficient is defined for finite s > 1, got {s}")
     if s == 2.0:
         raise PoleError("simple pole at s = 2")
     numerator = riemann_zeta(s - 1.0) * dirichlet_beta(s - 1.0)

@@ -97,6 +97,16 @@ def test_scattering_validates_its_window():
     assert main(["scattering", "--oracle-radius", "700"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--tolerance", "nan"], ["--s-max", "inf", "--grid", "3"]],
+    ids=["nan-tolerance", "infinite-s-max"],
+)
+def test_scattering_rejects_non_finite_input(tmp_path, flags):
+    args = ["scattering", "--oracle-radius", "20", "--out", str(tmp_path / "r.json")]
+    assert main(args + flags) == EXIT_USAGE
+
+
 def test_scattering_csv_rows(tmp_path):
     out = tmp_path / "rows.csv"
     args = [

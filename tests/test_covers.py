@@ -234,6 +234,13 @@ def test_lambda1_sparse_path_matches_the_dense_path():
     assert sparse == pytest.approx(max(0.0, 4.0 - mu2), abs=1e-7)
 
 
+def test_lambda1_repeats_bit_for_bit_on_the_sparse_path():
+    graph = dual_graph(sample_cover(1000, 1))
+    assert graph.num_vertices >= 2000
+    values = {graph_lambda1(graph).hex() for _ in range(3)}
+    assert len(values) == 1
+
+
 def test_large_cover_path_never_builds_a_dense_matrix(monkeypatch):
     """From 2000 vertices up, lambda1, connectivity and the radius stay sparse."""
     graph = dual_graph(sample_cover(1100, 4))

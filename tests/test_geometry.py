@@ -3,11 +3,13 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from octagap.errors import DomainError, InsufficientDataError, TruncationError
+from octagap import _ballfast
+from octagap.errors import DomainError, InsufficientDataError, MemoryGuardError, TruncationError
 from octagap.geometry import (
     DEFAULT_BASE_POINT,
     FREE_SUBGROUP_CRITICAL_EXPONENT,
@@ -286,6 +288,55 @@ def test_vectorized_reflection_group_balls_match_the_word_route(label, keep, cou
     fast = orbit_ball(label, DEFAULT_BASE_POINT, 4)
     assert slow.count == fast.count == count
     assert max(abs(a - b) for a, b in zip(slow.displacements, fast.displacements)) < 1e-9
+
+
+def _word_route_displacements(max_len, keep):
+    """Sorted displacements of the normal forms of length <= max_len that pass keep.
+
+    Each word acts on the base point one letter at a time, last letter first,
+    so no product matrix is ever formed.
+    """
+    words = [w for w in enumerate_racg_ball(max_len) if keep is None or keep(w)]
+    mats, conj = _ballfast.isom_table([STANDARD_GENERATORS[name] for name in GENERATOR_NAMES])
+    index = {name: k for k, name in enumerate(GENERATOR_NAMES)}
+    base = DEFAULT_BASE_POINT
+    z = np.full(len(words), base.z, dtype=np.complex128)
+    t = np.full(len(words), base.t)
+    for j in range(max_len - 1, -1, -1):
+        rows = np.array([k for k, w in enumerate(words) if len(w) > j], dtype=np.int64)
+        letters = np.array([index[words[k][j]] for k in rows], dtype=np.int64)
+        z[rows], t[rows] = _ballfast.act(mats[:, letters], conj[letters], z[rows], t[rows])
+    return np.sort(_ballfast.distance(z, t, base.z, base.t))
+
+
+@pytest.mark.parametrize("max_len", [5, 6])
+@pytest.mark.parametrize("label, keep", [("full", None), ("kernel", in_perp_kernel)])
+def test_pruned_and_streamed_walks_match_the_word_route(label, keep, max_len):
+    fast = orbit_ball(label, DEFAULT_BASE_POINT, max_len).displacements
+    slow = _word_route_displacements(max_len, keep)
+    assert fast.size == slow.size
+    assert np.max(np.abs(fast - slow)) < 1e-9
+
+
+@pytest.mark.parametrize("error", [-1, 1])
+@pytest.mark.parametrize("label", ORBIT_GROUPS)
+def test_walker_growth_check_catches_a_wrong_sphere_count(monkeypatch, label, error):
+    """Off by one on the last sphere only: for the kernel, that sphere is
+    checked through the continuation count of the pruned prefixes."""
+    max_len = 6
+    letters = _ballfast.FACE_LETTERS if label == "free" else _ballfast.ALL_LETTERS
+    guard, count = _ballfast._WALKS[letters]
+    monkeypatch.setitem(
+        _ballfast._WALKS, letters, (guard, lambda n: count(n) + error * (n == max_len))
+    )
+    with pytest.raises(AssertionError):
+        orbit_ball(label, DEFAULT_BASE_POINT, max_len)
+
+
+@pytest.mark.parametrize("label, max_len", [("free", 16), ("full", 11), ("kernel", 11)])
+def test_orbit_ball_refuses_lengths_past_the_memory_guard(label, max_len):
+    with pytest.raises(MemoryGuardError):
+        orbit_ball(label, DEFAULT_BASE_POINT, max_len)
 
 
 @pytest.mark.parametrize("label", ORBIT_GROUPS)

@@ -109,6 +109,12 @@ def test_scattering_has_a_pole_at_two():
     assert near < 0 and abs(near) > 1e3
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_scattering_coefficient_rejects_non_finite_s(s):
+    with pytest.raises(DomainError):
+        scattering_coefficient(s)
+
+
 def test_scattering_pole_scan_is_empty_inside_the_strip():
     for level in (1, 2, 3):
         assert scattering_pole_scan(level, grid_points=200) == []
