@@ -14,6 +14,10 @@ flag (None for a config-only key).  The parser is built from it, and flag
 strings and config values pass through the same strict caster.  Range checks
 that the library already makes are left to the library's ``DomainError``.
 
+Each handler imports the layers it runs, so a command loads no numpy, scipy
+or library module it does not use.  Handlers call the layers through their
+modules (``covers.graph_lambda1(...)``), which the benchmark's tracer wraps.
+
 Exit codes: 0 when all checks of the subcommand pass, 1 for a computational
 failure or a failed check, 2 for invalid input.  Output files are written
 only after a computation finishes, so invalid input and mid-run failures
@@ -25,11 +29,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
-import numpy as np
-
-from . import covers, geometry, group, spectral
 from .errors import DomainError, OctagapError, PoleError
 
 __all__ = ["main"]
@@ -93,20 +95,17 @@ def _numbers(length: int | None = None):
     return cast
 
 
-def _point(value) -> geometry.Point3:
-    return geometry.point(*_numbers(3)(value))
-
-
 def _area_table(value) -> tuple[tuple[float, ...], ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ValueError(f"expected a nonempty list of area rows, got {value!r}")
     return tuple(_numbers()(row) for row in value)
 
 
+#: Per delta group token: orbit group, default word length, exponent band.
 _DELTA_GROUPS = {
-    "ap": ("free", 14, (1.15, 1.45), geometry.FREE_SUBGROUP_CRITICAL_EXPONENT),
-    "sa": ("full", 10, (1.6, 2.0), 2.0),
-    "inf": ("kernel", 10, None, None),
+    "ap": ("free", 14, (1.15, 1.45)),
+    "sa": ("full", 10, (1.6, 2.0)),
+    "inf": ("kernel", 10, None),
 }
 
 _COMMON_SPECS = {
@@ -132,7 +131,7 @@ _PARAM_SPECS: dict[str, dict[str, tuple]] = {
     "delta": {
         "group": (_one_of(*_DELTA_GROUPS), "sa", {}),
         "word_length": (_integer, None, {}),
-        "base_point": (_point, geometry.DEFAULT_BASE_POINT, {"help": "x,y,t"}),
+        "base_point": (_numbers(3), None, {"help": "x,y,t"}),
         "window": (_numbers(2), None, {"help": "Tmin,Tmax"}),
     },
     "cover": {
@@ -216,12 +215,8 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if hasattr(value, "tolist"):  # a numpy array or scalar
+        return _jsonify(value.tolist())
     return value
 
 
@@ -276,6 +271,8 @@ def _expected_commuting(a: str, b: str) -> bool:
 
 
 def _cmd_verify_group(params: dict) -> tuple[int, dict, tuple]:
+    from . import group
+
     table = dict(group.STANDARD_GENERATORS)
     corrupt = params.get("corrupt_generator")
     if corrupt is not None:
@@ -335,10 +332,17 @@ def _cmd_verify_group(params: dict) -> tuple[int, dict, tuple]:
 
 
 def _cmd_scattering(params: dict) -> tuple[int, dict, tuple]:
+    import numpy as np
+
+    from . import spectral
+
     level = params["level"]
     s_min, s_max = params["s_min"], params["s_max"]
     grid, radius = params["grid"], params["oracle_radius"]
     tolerance = params["tolerance"]
+    for name in ("s_min", "s_max"):
+        if not math.isfinite(params[name]):
+            raise DomainError(f"{name} must be finite, got {params[name]}")
     if not s_min <= s_max:
         raise DomainError(f"need s_min <= s_max, got ({s_min}, {s_max})")
     if grid < 1:
@@ -408,12 +412,18 @@ def _cmd_scattering(params: dict) -> tuple[int, dict, tuple]:
 
 
 def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
+    from . import geometry
+
     token = params["group"]
-    orbit_group, default_len, band, reference = _DELTA_GROUPS[token]
+    orbit_group, default_len, band = _DELTA_GROUPS[token]
+    reference = {"ap": geometry.FREE_SUBGROUP_CRITICAL_EXPONENT, "sa": 2.0}.get(token)
     word_length = default_len if params["word_length"] is None else params["word_length"]
     if word_length < 1:
         raise DomainError(f"word length must be positive, got {word_length}")
-    base = params["base_point"]
+    if params["base_point"] is None:
+        base = geometry.DEFAULT_BASE_POINT
+    else:
+        base = geometry.point(*params["base_point"])
 
     ball = geometry.orbit_ball(orbit_group, base, word_length)
     fit = geometry.estimate_critical_exponent(ball, window=params["window"])
@@ -466,6 +476,8 @@ def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
 
 
 def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
+    from . import covers
+
     seed = _require_seed(params)
     n = params["n"]
     if n is None:
@@ -531,6 +543,8 @@ def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
 
 
 def _cmd_bounds_and_budgets(params: dict) -> tuple[int, dict, tuple]:
+    from . import geometry, spectral
+
     seed = _require_seed(params)
     radii = params["cap_radii"]
     separations = params["cap_separations"]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from . import _ballfast
 from .errors import DomainError, InsufficientDataError, SetupError
@@ -74,6 +73,8 @@ def cap_volume(radius: float, separation: float) -> float:
     whose area fraction is (1 - cos(theta))-shaped; the fraction is clamped to
     [0, 2] where the cap is empty or the whole sphere.
     """
+    from scipy import integrate
+
     T, delta = float(radius), float(separation)
     if T < 0 or delta < 0:
         raise DomainError("radius and separation must be nonnegative")

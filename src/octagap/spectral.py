@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, MemoryGuardError, PoleError, TruncationError
-from .geometry import OrbitBall
+
+if TYPE_CHECKING:
+    from .geometry import OrbitBall
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,8 @@ class SpectralParams:
 
 
 # ---------------------------------------------------------------------------
-# Zeta functions of Q and Q(i).
+# Zeta functions of Q and Q(i).  The private evaluators take a float or an
+# ndarray and skip validation; the public ones validate a float.
 
 #: Even-index Bernoulli numbers B_2 .. B_12 for the Euler-Maclaurin tail.
 _BERNOULLI_EVEN = (
@@ -78,7 +80,9 @@ _BERNOULLI_EVEN = (
 _EULER_MACLAURIN_CUT = 20
 
 
-def _alternating_sum(term: Callable[[int], float], n: int = 32) -> float:
+def _alternating_sum(
+    term: Callable[[int], float | np.ndarray], n: int = 32
+) -> float | np.ndarray:
     """Accelerated value of sum_k (-1)^k term(k) for totally monotone terms.
 
     Chebyshev-style acceleration: error decays like (3 + sqrt(8))^(-n), so the
@@ -96,15 +100,28 @@ def _alternating_sum(term: Callable[[int], float], n: int = 32) -> float:
     return total / d
 
 
-def _zeta_euler_maclaurin(s: float) -> float:
+def _zeta_euler_maclaurin(s: float | np.ndarray) -> float | np.ndarray:
     m = float(_EULER_MACLAURIN_CUT)
     total = sum(k ** -s for k in range(1, _EULER_MACLAURIN_CUT))
     total += m ** (1.0 - s) / (s - 1.0) + 0.5 * m ** -s
     pochhammer = s
     for k, bern in enumerate(_BERNOULLI_EVEN, start=1):
         total += bern / math.factorial(2 * k) * pochhammer * m ** (-s - 2 * k + 1)
-        pochhammer *= (s + 2 * k - 1) * (s + 2 * k)
+        # Not *=: on an ndarray that would write through to s.
+        pochhammer = pochhammer * ((s + 2 * k - 1) * (s + 2 * k))
     return total
+
+
+def _zeta(s: float | np.ndarray) -> float | np.ndarray:
+    """Zeta at s > 1 by Euler-Maclaurin, elsewhere on s > 0 by the eta series."""
+    if np.all(s > 1.0):
+        return _zeta_euler_maclaurin(s)
+    eta = _alternating_sum(lambda k: (k + 1.0) ** -s)
+    return eta / (1.0 - 2.0 ** (1.0 - s))
+
+
+def _beta(s: float | np.ndarray) -> float | np.ndarray:
+    return _alternating_sum(lambda k: (2.0 * k + 1.0) ** -s)
 
 
 def riemann_zeta(s: float) -> float:
@@ -118,10 +135,7 @@ def riemann_zeta(s: float) -> float:
         raise DomainError(f"zeta argument must be positive, got {s}")
     if s == 1.0:
         raise PoleError("the zeta function has its pole at s = 1")
-    if s > 1.0:
-        return _zeta_euler_maclaurin(s)
-    eta = _alternating_sum(lambda k: (k + 1.0) ** -s)
-    return eta / (1.0 - 2.0 ** (1.0 - s))
+    return _zeta(s)
 
 
 def dirichlet_beta(s: float) -> float:
@@ -129,7 +143,7 @@ def dirichlet_beta(s: float) -> float:
     s = float(s)
     if s <= 0.0:
         raise DomainError(f"beta argument must be positive, got {s}")
-    return _alternating_sum(lambda k: (2.0 * k + 1.0) ** -s)
+    return _beta(s)
 
 
 def dedekind_zeta_qi(s: float) -> float:
@@ -137,7 +151,7 @@ def dedekind_zeta_qi(s: float) -> float:
     s = float(s)
     if s <= 1.0:
         raise DomainError(f"dedekind_zeta_qi requires s > 1, got {s}")
-    return riemann_zeta(s) * dirichlet_beta(s)
+    return _zeta(s) * _beta(s)
 
 
 def gaussian_lattice_zeta(s: float, radius: float = 300.0) -> float:
@@ -209,8 +223,13 @@ def scattering_coefficient(s: float, level: int = 1) -> float:
         raise DomainError(f"the coefficient is defined for finite s > 1, got {s}")
     if s == 2.0:
         raise PoleError("simple pole at s = 2")
-    numerator = riemann_zeta(s - 1.0) * dirichlet_beta(s - 1.0)
-    denominator = dedekind_zeta_qi(s)
+    return _scattering_formula(s, level)
+
+
+def _scattering_formula(s: float | np.ndarray, level: int) -> float | np.ndarray:
+    """The closed formula of ``scattering_coefficient`` at unchecked s."""
+    numerator = _zeta(s - 1.0) * _beta(s - 1.0)
+    denominator = _zeta(s) * _beta(s)
     euler = 1.0
     for norm in _gaussian_prime_norms(level):
         euler /= 1.0 - float(norm) ** -s
@@ -339,8 +358,9 @@ def scattering_pole_scan(
 ) -> list[float]:
     """Grid scan for poles of the scattering coefficient inside (1, 2).
 
-    Returns the grid points where the coefficient overflows the threshold or
-    raises a pole error; the expected result on (1.05, 1.95) is empty.
+    Evaluates the closed formula on the whole grid at once and returns the
+    grid points where it is not finite or exceeds the threshold in absolute
+    value; the expected result on (1.05, 1.95) is empty.
     """
     _validate_level(level)
     lo, hi = float(interval[0]), float(interval[1])
@@ -348,16 +368,10 @@ def scattering_pole_scan(
         raise DomainError(f"scan interval must sit strictly inside (1, 2), got {interval}")
     if grid_points < 2:
         raise DomainError(f"need at least 2 grid points, got {grid_points}")
-    poles: list[float] = []
-    for s in np.linspace(lo, hi, grid_points):
-        try:
-            value = scattering_coefficient(float(s), level)
-        except PoleError:
-            poles.append(float(s))
-            continue
-        if not math.isfinite(value) or abs(value) > threshold:
-            poles.append(float(s))
-    return poles
+    grid = np.linspace(lo, hi, grid_points)
+    with np.errstate(all="ignore"):  # a pole shows as inf or nan, flagged below
+        values = _scattering_formula(grid, level)
+    return grid[~(np.abs(values) <= threshold)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +410,8 @@ def selberg_h(truncation: float, lam: float) -> float:
 
 def selberg_h_quadrature(truncation: float, lam: float) -> float:
     """Adaptive quadrature of the defining Selberg transform integral."""
+    from scipy import integrate
+
     T, lam = _validate_transform_args(truncation, lam)
     s = math.sqrt(1.0 - lam)
 
@@ -521,6 +537,8 @@ def bessel_k(order: float, x: float) -> float:
     Integrates e^(-x cosh u) cosh(order u) du over [0, U] with U chosen so
     the integrand has fallen below 1e-30.  Valid for real order in (0, 1).
     """
+    from scipy import integrate
+
     order, x = float(order), float(x)
     if not 0.0 < order < 1.0:
         raise DomainError(f"order must lie in (0, 1), got {order}")
@@ -545,6 +563,8 @@ def cusp_decay_ratio_bessel(s: float, frequency: float = 1.0, radius: float = 1.
     by the same integral over [2R, oo), truncating the tail where the
     exponential Bessel decay drops the integrand below working precision.
     """
+    from scipy import integrate
+
     s = float(s)
     if not 0.0 < s < 1.0:
         raise DomainError(f"spectral parameter must lie in (0, 1), got {s}")

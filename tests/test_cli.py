@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 
 import pytest
 
@@ -102,9 +103,12 @@ def test_scattering_validates_its_window():
     [["--tolerance", "nan"], ["--s-max", "inf", "--grid", "3"]],
     ids=["nan-tolerance", "infinite-s-max"],
 )
-def test_scattering_rejects_non_finite_input(tmp_path, flags):
+def test_scattering_rejects_non_finite_input(tmp_path, capsys, flags):
     args = ["scattering", "--oracle-radius", "20", "--out", str(tmp_path / "r.json")]
-    assert main(args + flags) == EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + flags) == EXIT_USAGE
+    assert f"got {flags[1]}" in capsys.readouterr().err
 
 
 def test_scattering_csv_rows(tmp_path):

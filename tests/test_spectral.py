@@ -120,6 +120,27 @@ def test_scattering_pole_scan_is_empty_inside_the_strip():
         assert scattering_pole_scan(level, grid_points=200) == []
 
 
+def test_scattering_pole_scan_flags_what_the_scalar_coefficient_exceeds():
+    grid = np.linspace(1.05, 1.95, 60)
+    scalar = [abs(scattering_coefficient(float(s), 2)) for s in grid]
+    ranked = sorted(scalar)
+    threshold = (ranked[29] + ranked[30]) / 2.0  # far from every value
+    expected = [float(s) for s, value in zip(grid, scalar) if value > threshold]
+    assert len(expected) == 30
+    assert scattering_pole_scan(2, grid_points=60, threshold=threshold) == expected
+
+
+def test_scattering_pole_scan_flags_non_finite_values(monkeypatch):
+    def formula(s, level):
+        values = np.ones_like(s)
+        values[1], values[3] = np.inf, np.nan
+        return values
+
+    monkeypatch.setattr("octagap.spectral._scattering_formula", formula)
+    grid = np.linspace(1.1, 1.9, 5)
+    assert scattering_pole_scan(1, (1.1, 1.9), 5) == [grid[1], grid[3]]
+
+
 def test_scattering_rejects_bad_arguments():
     with pytest.raises(DomainError):
         scattering_coefficient(1.0)
