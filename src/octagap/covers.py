@@ -69,6 +69,10 @@ REPLACEMENT_SPECTRAL_RADIUS = 1.0 + math.sqrt(5.0 + 2.0 * math.sqrt(3.0))
 _MAX_REPLACEMENT_RADIUS = 14
 _DENSE_EIGEN_CUTOFF = 2000
 _EIGSH_TOL = 1e-9
+#: ARPACK's default Lanczos basis for the few eigenvalues taken here.  On a
+#: graph no larger than it the Krylov space is the whole space and ARPACK
+#: fails ("starting vector is zero"), so such graphs stay on LAPACK.
+_LANCZOS_BASIS = 20
 #: Largest dense V x V float64 matrix ``adjacency_matrix`` will allocate.
 _DENSE_MATRIX_BYTES = 1 << 30
 #: Neighbour entries one batch of tangle-free BFS roots may gather per level.
@@ -239,10 +243,10 @@ def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.nda
     """Dense adjacency matrix, entries multiplied by edge signs if given.
 
     The dense V x V float64 matrix is for the exact eigvalsh paths (the
-    two-cover spectra, the switching walk and small graphs' lambda1).  It
-    raises MemoryGuardError, before allocating, when V * V * 8 bytes would
-    exceed 1 GiB (above about 11,585 vertices); ``graph_lambda1``,
-    ``is_connected`` and ``tangle_free_radius`` on large graphs never call it.
+    two-cover spectra and small graphs' lambda1).  It raises
+    MemoryGuardError, before allocating, when V * V * 8 bytes would exceed
+    1 GiB (above about 11,585 vertices); ``graph_lambda1``, ``is_connected``,
+    ``tangle_free_radius`` and ``switching_walk`` on large graphs never call it.
     """
     if signing is not None and signing.num_edges != graph.num_edges:
         raise DomainError(
@@ -268,11 +272,18 @@ def _edge_endpoints(graph: DualGraph) -> tuple[np.ndarray, np.ndarray]:
     return ends[:, 0], ends[:, 1]
 
 
-def _sparse_adjacency(num_vertices: int, edge_u: np.ndarray, edge_v: np.ndarray) -> csr_matrix:
-    """Symmetric CSR adjacency of the edges (u, v); parallel edges sum."""
+def _sparse_adjacency(
+    num_vertices: int,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
+    signs: np.ndarray | None = None,
+) -> csr_matrix:
+    """Symmetric CSR adjacency of the edges (u, v), each weighted by its sign
+    if given; parallel edges sum."""
     rows = np.concatenate([edge_u, edge_v])
     cols = np.concatenate([edge_v, edge_u])
-    return csr_matrix((np.ones(rows.size), (rows, cols)), shape=(num_vertices, num_vertices))
+    weights = np.ones(rows.size) if signs is None else np.tile(signs.astype(float), 2)
+    return csr_matrix((weights, (rows, cols)), shape=(num_vertices, num_vertices))
 
 
 def is_connected(graph: DualGraph) -> bool:
@@ -516,6 +527,14 @@ def switching_walk(
     disjoint copies with gap zero), flips one uniformly random edge per
     step, and records (signing hash, two-cover gap) for the initial signing
     and after every step: steps + 1 entries in all, reproducible from seed.
+
+    The two-cover's spectrum is the base spectrum together with the signed
+    spectrum, and the base's top eigenvalue is 4, so each gap is
+    4 - max(mu2_old, mu1_new): mu2_old is the base graph's second eigenvalue,
+    taken once, and mu1_new the top eigenvalue of the signed adjacency, one
+    ARPACK solve per step on a CSR matrix from a fixed start vector, so a
+    step's value depends on its signing alone.  No V x V matrix is built
+    except on graphs of at most 20 vertices, which go to LAPACK.
     """
     steps = _validate_count("steps", steps, 1)
     if seed is None:
@@ -526,12 +545,17 @@ def switching_walk(
         raise DomainError(
             f"start signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
         )
-    old = np.linalg.eigvalsh(adjacency_matrix(graph))
+    nv = graph.num_vertices
+    edge_u, edge_v = _edge_endpoints(graph)
+
+    def top(signs: np.ndarray | None, k: int) -> np.ndarray:
+        matrix = _sparse_adjacency(nv, edge_u, edge_v, signs)
+        return _top_eigenvalues(matrix.toarray() if nv <= _LANCZOS_BASIS else matrix, k)
+
+    mu2_old = float(top(None, 2)[0])
 
     def gap(current: Signing) -> float:
-        new = np.linalg.eigvalsh(adjacency_matrix(graph, current))
-        combined = np.sort(np.concatenate([old, new]))
-        return max(0.0, 4.0 - float(combined[-2]))
+        return max(0.0, 4.0 - max(mu2_old, float(top(current.values, 1)[0])))
 
     trajectory = [(signing_hash(signing), gap(signing))]
     for _ in range(steps):

@@ -172,12 +172,15 @@ class ProjIsom:
         det = a * d - b * c
         if not det:
             raise DomainError("matrix is singular over Z[i]")
-        g = GaussianInt.gcd(GaussianInt.gcd(a, b), GaussianInt.gcd(c, d))
-        if g.norm() != 1:
-            a = a.exact_div(g)
-            b = b.exact_div(g)
-            c = c.exact_div(g)
-            d = d.exact_div(g)
+        # g dividing every entry means g**2 divides det, so a unit det means
+        # unit content: every product of generators skips the gcds.
+        if det.norm() != 1:
+            g = GaussianInt.gcd(GaussianInt.gcd(a, b), GaussianInt.gcd(c, d))
+            if g.norm() != 1:
+                a = a.exact_div(g)
+                b = b.exact_div(g)
+                c = c.exact_div(g)
+                d = d.exact_div(g)
         u = _UNITS_CACHE[0]
         for e in (a, b, c, d):
             if e:

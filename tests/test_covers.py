@@ -242,16 +242,18 @@ def test_lambda1_repeats_bit_for_bit_on_the_sparse_path():
 
 
 def test_large_cover_path_never_builds_a_dense_matrix(monkeypatch):
-    """From 2000 vertices up, lambda1, connectivity and the radius stay sparse."""
+    """From 2000 vertices up, lambda1, connectivity, the radius and the walk stay sparse."""
     graph = dual_graph(sample_cover(1100, 4))
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense adjacency built on the sparse path")
 
     monkeypatch.setattr(covers, "adjacency_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert 0.0 < graph_lambda1(graph) < 8.0
     assert is_connected(graph)
     assert tangle_free_radius(graph) >= 0
+    assert len(switching_walk(graph, 2, seed=1)) == 3
 
 
 def test_dense_adjacency_is_refused_above_the_byte_limit(monkeypatch):
@@ -265,8 +267,7 @@ def test_dense_adjacency_is_refused_above_the_byte_limit(monkeypatch):
         adjacency_matrix(graph)
     with pytest.raises(MemoryGuardError):
         two_cover_spectra(graph, signing)
-    with pytest.raises(MemoryGuardError):
-        switching_walk(graph, 1, seed=1)
+    assert len(switching_walk(graph, 1, seed=1)) == 2
 
 
 def test_dense_adjacency_of_a_large_cover_fails_before_allocating(monkeypatch):
@@ -431,6 +432,40 @@ def test_switching_walk_is_reproducible_and_bounded():
     assert all(0.0 <= gap <= 8.0 for _, gap in walk1)
     walk3 = switching_walk(graph, 10, seed=4)
     assert walk3 != walk1
+
+
+@pytest.mark.parametrize("n, seed", [(1, 1), (5, 2), (11, 3), (12, 7), (40, 5), (300, 7)])
+def test_switching_walk_matches_the_dense_two_cover_step_by_step(n, seed):
+    """Each step's gap equals the dense two-cover twin; n <= 10 stays on LAPACK."""
+    graph = dual_graph(sample_cover(n, seed))
+    steps = 12
+    walk = switching_walk(graph, steps, seed=seed)
+    rng = np.random.default_rng(seed)
+    signing = all_plus_signing(graph)
+    twin = [(signing_hash(signing), two_cover_lambda1(graph, signing))]
+    for _ in range(steps):
+        signing = simple_switching(signing, int(rng.integers(graph.num_edges)))
+        twin.append((signing_hash(signing), two_cover_lambda1(graph, signing)))
+    assert [h for h, _ in walk] == [h for h, _ in twin]
+    assert np.max(np.abs(np.array([g for _, g in walk]) - [g for _, g in twin])) < 1e-12
+
+
+def test_switching_walk_repeats_bit_for_bit_on_the_sparse_path():
+    graph = dual_graph(sample_cover(1000, 2))
+    assert graph.num_vertices >= 2000
+    series = {tuple(gap.hex() for _, gap in switching_walk(graph, 4, seed=5)) for _ in range(3)}
+    assert len(series) == 1
+
+
+def test_switching_walk_runs_above_the_dense_matrix_limit():
+    """12,000 vertices: a dense adjacency would need 1.07 GiB and is refused."""
+    graph = dual_graph(sample_cover(6000, 1))
+    with pytest.raises(MemoryGuardError):
+        adjacency_matrix(graph)
+    walk = switching_walk(graph, 3, seed=1)
+    assert len(walk) == 4
+    assert walk[0][1] == pytest.approx(0.0, abs=1e-9)
+    assert all(0.0 <= gap <= 8.0 for _, gap in walk)
 
 
 def test_switching_walk_requires_at_least_one_step():

@@ -221,6 +221,18 @@ def test_equality_ignores_unit_scaling(names):
     assert hash(scaled) == hash(g)
 
 
+@given(
+    st.lists(st.sampled_from(("r1", "r2", "r3", "r4")), max_size=12),
+    st.sampled_from((GaussianInt(1, 1), GaussianInt(2, 0), GaussianInt(2, -1))),
+)
+def test_unit_determinant_route_matches_the_gcd_route(names, factor):
+    """Face words skip the gcds (unit det); scaling by a non-unit forces them."""
+    g = _evaluate(names)
+    assert g.det().is_unit()
+    scaled = ProjIsom(g.a * factor, g.b * factor, g.c * factor, g.d * factor, conj=g.conj)
+    assert scaled == g
+
+
 @given(generator_words)
 def test_json_roundtrip_is_exact(names):
     g = _evaluate(names)
