@@ -3,8 +3,9 @@
 ``act`` maps arrays of points (z, t) of upper half space under arrays of
 matrices with conjugation bits, and ``distance`` is the hyperbolic metric on
 arrays; ``isom_table`` turns any list of ``ProjIsom`` into the arrays ``act``
-takes.  Every other use of the action formula in the package goes through
-these two functions.
+takes.  Every use of the action formula outside the orbit walker goes
+through these two functions; the walker needs displacements only, and takes
+them from Gram vectors instead.
 
 ``ball_displacements`` walks the ShortLex normal-form automaton of
 ``words.shortlex_automaton_masks`` restricted to a subset of the letters,
@@ -15,16 +16,27 @@ them the automaton accepts exactly the reduced words of their free product;
 on all eight letters it accepts the normal forms of the reflection group.
 Each level's size is checked against the group's growth series.
 
-Only the displacements of the last sphere are used, so it is never stored:
-it is formed from the parent level in slices of ``_CHUNK`` rows that go
-straight to ``act`` and ``distance``.  The kernel walk also drops, after each
-level, every prefix whose perp image is longer than the letters left, since
-such a prefix can never return to the trivial image.  The growth check still
-covers the dropped prefixes: their accepted continuations are counted over
-the automaton states (``_continuations``) and added to the kept ones.
-Entries of products of the generator matrices grow like 4^L, far inside
-double range for the guarded lengths, and every group element has unit
-determinant modulus.
+Displacements come from the parent level.  With h = [[sqrt t0, z0 / sqrt t0],
+[0, 1 / sqrt t0]], which carries j = (0, 1) to x0 = (z0, t0), an element of
+matrix M with |det M| = 1 moves x0 by cosh d = |h^-1 M h'|_F^2 / 2
+(Elstrodt, Grunewald and Mennicke, *Groups Acting on Hyperbolic Space*,
+ch. 1), where h' conjugates z0 if the element does.  So the cosh of every
+child M G' is the inner product of the parent's Gram vector (``_gram``) with a
+fixed weight vector per letter and parity (``_letter_weights``).  Each level
+works in slices of ``_CHUNK`` parents: their Gram vectors times the weights
+give the cosh of all their children at once, masked by the automaton's free
+letters.  Child matrices are formed only for levels that get extended, so the
+last sphere never forms one.  The stored levels keep exact Gaussian-integer
+entries, which grow like 4^L, far inside double range for the guarded
+lengths; Gram vectors are recomputed from them at every level rather than
+carried along, which would accumulate rounding.
+
+The kernel walk never forms a child whose perp image is longer than the
+letters left, since such a prefix can never return to the trivial image, and
+takes Gram vectors only of the parents whose image has at most one letter,
+the only ones with a child of trivial image.  The growth check still covers
+the dropped prefixes: their accepted continuations are counted over the
+automaton states (``_continuations``) and added to the kept ones.
 
 All generators carry the conjugation bit, so an element of word length L
 conjugates iff L is odd; appending a letter to an odd-length element must
@@ -89,6 +101,9 @@ def act(
 
         z' = ((a z + b) conj(c z + d) + a conj(c) t^2) / D
         t' = t / D,          D = |c z + d|^2 + |c|^2 t^2.
+
+    The orbit walker does not call it: it needs displacements only, and
+    takes them from Gram vectors (``_gram``, ``_letter_weights``).
     """
     a, b, c, d = mats
     z = np.where(conj, np.conj(z), z)
@@ -104,25 +119,101 @@ def distance(z1, t1, z0, t0) -> np.ndarray:
     return np.arccosh(np.maximum(coshd, 1.0))
 
 
-def _displacements(
-    mats: Sequence[np.ndarray], parity: int, z0: complex, t0: float
-) -> np.ndarray:
-    n = mats[0].shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(0, n, _CHUNK):
-        s = slice(i, min(i + _CHUNK, n))
-        w, t1 = act([m[s] for m in mats], parity, z0, t0)
-        out[s] = distance(w, t1, z0, t0)
+def _gram(mats: Sequence[np.ndarray], z0: complex, t0: float) -> np.ndarray:
+    """Gram vectors of Q = h^-1 M, one (n, 4) row per matrix M of ``mats``.
+
+    h = [[sqrt t0, z0 / sqrt t0], [0, 1 / sqrt t0]] carries j = (0, 1) to
+    x0 = (z0, t0).  A row is (|q11|^2 + |q21|^2, |q12|^2 + |q22|^2, Re c,
+    Im c) with c = conj(q11) q12 + conj(q21) q22: the entries of Q* Q.
+    """
+    a, b, c, d = mats
+    rt = np.sqrt(t0)
+    q11 = z0 * c
+    np.subtract(a, q11, out=q11)
+    q12 = z0 * d
+    np.subtract(b, q12, out=q12)
+    # scale through the float views: numpy multiplies a complex array by a
+    # real scalar as by a complex one, four products per entry
+    q11.view(np.float64)[:] *= 1 / rt
+    q12.view(np.float64)[:] *= 1 / rt
+    q21 = c * rt
+    q22 = d * rt
+    out = np.empty((a.shape[0], 4))
+    out[:, 0] = _norm2(q11) + _norm2(q21)
+    out[:, 1] = _norm2(q12) + _norm2(q22)
+    np.conj(q11, out=q11)
+    q11 *= q12
+    np.conj(q21, out=q21)
+    q21 *= q22
+    q11 += q21
+    out[:, 2] = q11.real
+    out[:, 3] = q11.imag
     return out
 
 
+def _norm2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _letter_weights(gmats: np.ndarray, z0: complex, t0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per parent parity p, a (4, k) array W with cosh d(x0, M G' x0) = gram(M) @ W.
+
+    ``gmats`` holds the (4, k) entries of the letters, of unit determinant
+    modulus.  A parent of parity p appends the letter G' (G conjugated when
+    p is odd) and its child conjugates iff p is even, so the child's
+    displacement is cosh d = |h^-1 M G' h'|_F^2 / 2, with h' = h of conj(z0)
+    when p is even.  That is <S, w> for S = gram(M) and, with
+    R = (G' h')(G' h')*, w = (R11 / 2, R22 / 2, Re R12, Im R12).
+    """
+    rt = np.sqrt(t0)
+    weights = []
+    for p in (0, 1):
+        ga, gb, gc, gd = np.conj(gmats) if p else gmats
+        zq = np.conj(z0) if p == 0 else z0
+        b11, b12 = ga * rt, (ga * zq + gb) / rt
+        b21, b22 = gc * rt, (gc * zq + gd) / rt
+        r12 = b11 * np.conj(b21) + b12 * np.conj(b22)
+        weights.append(np.array([
+            (_norm2(b11) + _norm2(b12)) / 2, (_norm2(b21) + _norm2(b22)) / 2, r12.real, r12.imag,
+        ]))
+    return weights[0], weights[1]
+
+
+def _child_displacements(
+    mats: Sequence[np.ndarray], hit: np.ndarray, weights: np.ndarray, z0: complex, t0: float,
+    rows: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Displacements of the children hit[i, k] of parent i by letter k, in slices of parents.
+
+    The parents are the rows of ``mats``, or those listed in ``rows``.  The
+    product runs in ``einsum``, not in BLAS: a threaded BLAS wakes its
+    threads for every slice, which costs more than the product itself.
+    """
+    for i in range(0, hit.shape[0], _CHUNK):
+        s = slice(i, i + _CHUNK)
+        parents = [m[s] if rows is None else m[rows[s]] for m in mats]
+        coshd = np.einsum("ij,jk->ik", _gram(parents, z0, t0), weights)[hit[s]]
+        yield np.arccosh(np.maximum(coshd, 1.0, out=coshd), out=coshd)
+
+
 def _times(
-    mats: Sequence[np.ndarray], rows: np.ndarray, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of the matrices ``mats`` times the letter matrix g, on the right."""
-    a, b, c, d = (m[rows] for m in mats)
+    mats: Sequence[np.ndarray], rows: np.ndarray, g: np.ndarray, out: Sequence[np.ndarray]
+) -> None:
+    """Write the rows of the matrices ``mats`` times the letter matrix g, on the right, to out.
+
+    A row (x, y) of M becomes (x ga + y gc, x gb + y gd); the terms with a
+    zero letter entry, half of them for these generators, are skipped.
+    """
     ga, gb, gc, gd = g
-    return a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+    for x, y, ox, oy in ((mats[0], mats[1], out[0], out[1]), (mats[2], mats[3], out[2], out[3])):
+        x, y = x[rows], y[rows]
+        for o, gx, gy in ((ox, ga, gc), (oy, gb, gd)):
+            if gx == 0:
+                np.multiply(y, gy, out=o)
+                continue
+            np.multiply(x, gx, out=o)
+            if gy != 0:
+                o += y * gy
 
 
 @lru_cache(maxsize=None)
@@ -186,9 +277,14 @@ def _sphere_displacements(
     """
     keep_masks, set_masks = shortlex_automaton_masks()
     table, _ = isom_table([STANDARD_GENERATORS[name] for name in GENERATOR_NAMES])
+    weights = _letter_weights(table[:, list(letters)], z0, t0)
+    # free_table[s, k]: whether the automaton state s lets letter k follow
+    shifts = np.array([2 * g for g in letters], dtype=np.uint16)
+    free_table = (np.arange(1 << 16, dtype=np.uint16)[:, None] >> shifts) & np.uint16(3) == 0
     # perp letters are the odd positions of GENERATOR_NAMES; letter rkp pushes
     # or pops the symbol k on the reduced image word, packed 3 bits per symbol
     perp_symbol = [(g // 2 + 1) if GENERATOR_NAMES[g].endswith("p") else 0 for g in range(8)]
+    syms = np.array([perp_symbol[g] for g in letters], dtype=np.uint64)
     yield np.zeros(1)
     mats = list(np.array([[1], [0], [0], [1]], dtype=np.complex128))
     state = np.zeros(1, dtype=np.uint16)
@@ -197,59 +293,56 @@ def _sphere_displacements(
     # missing[k]: words of length k + 1 that descend from pruned kernel prefixes
     missing = [0] * max_len
     for level in range(max_len):
-        free = [(state >> np.uint16(2 * g)) & np.uint16(3) == 0 for g in letters]
-        size = sum(int(np.count_nonzero(f)) for f in free)
+        free = free_table[state]
+        size = int(np.count_nonzero(free))
         if size + missing[level] != sphere_count(level + 1):
             raise AssertionError(
                 f"sphere {level + 1}: {size} + {missing[level]} pruned "
                 f"!= {sphere_count(level + 1)}"
             )
-        gmats = table if level % 2 == 0 else np.conj(table)
-        parity = (level + 1) % 2
+        if kernel_only:
+            # a child has a trivial image iff a face letter (symbol 0) extends
+            # an empty image (pack 0) or a perp letter pops the one symbol of
+            # its parent's image: in both cases the pack equals the symbol
+            near = np.flatnonzero(plen <= 1)
+            hit = free[near] & (pack[near, None] == syms)
+            yield from _child_displacements(mats, hit, weights[level % 2], z0, t0, near)
+        else:
+            yield from _child_displacements(mats, free, weights[level % 2], z0, t0)
         if level == max_len - 1:
-            # the last sphere is never stored: slices of it go straight to
-            # displacements, and in the kernel only rows with a trivial image
-            for g, f in zip(letters, free):
-                sel = np.flatnonzero(f)
-                for i in range(0, sel.size, _CHUNK):
-                    rows = sel[i:i + _CHUNK]
-                    if kernel_only:
-                        _, rplen = _perp_step(pack[rows], plen[rows], perp_symbol[g])
-                        rows = rows[rplen == 0]
-                    yield _displacements(_times(mats, rows, gmats[:, g]), parity, z0, t0)
             return
+        gmats = table if level % 2 == 0 else np.conj(table)
+        # the kernel walk fills only the first `off` rows: np.empty leaves
+        # the rest of each row untouched
         nmats = list(np.empty((4, size), dtype=np.complex128))
         nstate = np.empty(size, dtype=np.uint16)
         if kernel_only:
             npack = np.empty(size, dtype=np.uint64)
             nplen = np.empty(size, dtype=np.int64)
+            dead_states = []
         off = 0
-        for g, f in zip(letters, free):
-            sel = np.flatnonzero(f)
-            view = slice(off, off + sel.size)
-            for m, product in zip(nmats, _times(mats, sel, gmats[:, g])):
-                m[view] = product
-            nstate[view] = (state[sel] & np.uint16(keep_masks[g])) | np.uint16(set_masks[g])
+        for k, g in enumerate(letters):
+            sel = np.flatnonzero(free[:, k])
+            cstate = (state[sel] & np.uint16(keep_masks[g])) | np.uint16(set_masks[g])
             if kernel_only:
-                npack[view], nplen[view] = _perp_step(pack[sel], plen[sel], perp_symbol[g])
+                # a child whose image is longer than the letters left never
+                # returns to the trivial image: it is counted, not formed
+                cpack, cplen = _perp_step(pack[sel], plen[sel], perp_symbol[g])
+                live = cplen <= max_len - level - 1
+                dead_states.append(cstate[~live])
+                sel, cstate = sel[live], cstate[live]
+                npack[off:off + sel.size], nplen[off:off + sel.size] = cpack[live], cplen[live]
+            view = slice(off, off + sel.size)
+            _times(mats, sel, gmats[:, g], [m[view] for m in nmats])
+            nstate[view] = cstate
             off += sel.size
-        mats, state = nmats, nstate
+        mats, state = [m[:off] for m in nmats], nstate[:off]
         if not kernel_only:
-            yield _displacements(mats, parity, z0, t0)
             continue
-        pack, plen = npack, nplen
-        sel = np.flatnonzero(plen == 0)
-        yield _displacements([m[sel] for m in mats], parity, z0, t0)
-        # a prefix whose image is longer than the letters left never returns
-        # to the trivial image; count its accepted continuations and drop it
-        dead = plen > max_len - level - 1
-        if dead.any():
-            states, mult = np.unique(state[dead], return_counts=True)
-            for k in range(level + 1, max_len):
-                missing[k] += sum(
-                    int(m) * _continuations(letters, int(s), k - level)
-                    for s, m in zip(states, mult)
-                )
-            live = np.flatnonzero(~dead)
-            mats = [m[live] for m in mats]
-            state, pack, plen = state[live], pack[live], plen[live]
+        pack, plen = npack[:off], nplen[:off]
+        # the growth check counts the accepted continuations of the dropped children
+        states, mult = np.unique(np.concatenate(dead_states), return_counts=True)
+        for k in range(level + 1, max_len):
+            missing[k] += sum(
+                int(m) * _continuations(letters, int(s), k - level) for s, m in zip(states, mult)
+            )

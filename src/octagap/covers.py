@@ -28,7 +28,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .errors import DomainError, MemoryGuardError, SetupError
+from .errors import DomainError, MemoryGuardError, SetupError, check_count
 
 __all__ = [
     "NUM_COLORS",
@@ -77,14 +77,6 @@ _LANCZOS_BASIS = 20
 _DENSE_MATRIX_BYTES = 1 << 30
 #: Neighbour entries one batch of tangle-free BFS roots may gather per level.
 _BFS_BATCH_ENTRIES = 1 << 20
-
-
-def _validate_count(name: str, value: int, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +157,7 @@ class DualGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        nv = _validate_count("num_vertices", self.num_vertices, 2)
+        nv = check_count("num_vertices", self.num_vertices, 2)
         if nv % 2 != 0:
             raise DomainError(f"num_vertices must be even, got {nv}")
         seen: dict[int, set[int]] = {color: set() for color in range(1, NUM_COLORS + 1)}
@@ -215,7 +207,7 @@ def sample_cover(n: int, seed: int | None = None) -> CoverPresentation:
     which is uniform over the (2n - 1)!! perfect matchings.  With ``seed``
     None a fresh seed is drawn and recorded on the presentation.
     """
-    n = _validate_count("n", n, 1)
+    n = check_count("n", n, 1)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
     rng = np.random.default_rng(seed)
@@ -345,7 +337,7 @@ def _graph_data(graph) -> tuple[int, np.ndarray, np.ndarray]:
         raise DomainError(
             f"expected a DualGraph or a (num_vertices, edges) pair, got {graph!r}"
         ) from None
-    num_vertices = _validate_count("num_vertices", num_vertices, 1)
+    num_vertices = check_count("num_vertices", num_vertices, 1)
     pairs = []
     for edge in edge_seq:
         u, v = edge[0], edge[1]
@@ -433,7 +425,7 @@ def tangle_free_radius(graph, *, max_radius: int | None = None) -> int:
     num_vertices, edge_u, edge_v = _graph_data(graph)
     if max_radius is None:
         max_radius = num_vertices
-    max_radius = _validate_count("max_radius", max_radius, 0)
+    max_radius = check_count("max_radius", max_radius, 0)
     if edge_u.size == 0:
         return max_radius
     adjacency = _sparse_adjacency(num_vertices, edge_u, edge_v)
@@ -461,7 +453,7 @@ def signing_hash(signing: Signing) -> str:
 
 def simple_switching(signing: Signing, edge_index: int) -> Signing:
     """Flip the sign of one edge; switching the same edge twice restores."""
-    edge_index = _validate_count("edge_index", edge_index, 0)
+    edge_index = check_count("edge_index", edge_index, 0)
     if edge_index >= signing.num_edges:
         raise DomainError(
             f"unknown edge {edge_index}, signing covers {signing.num_edges} edges"
@@ -536,7 +528,7 @@ def switching_walk(
     step's value depends on its signing alone.  No V x V matrix is built
     except on graphs of at most 20 vertices, which go to LAPACK.
     """
-    steps = _validate_count("steps", steps, 1)
+    steps = check_count("steps", steps, 1)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
     rng = np.random.default_rng(seed)
@@ -635,7 +627,7 @@ def replacement_ball(radius: int) -> ReplacementBall:
     glued along a 4-regular tree by the y edges.  Raises DomainError above
     radius 14 (the ball grows like 3^(radius/2) per parity step).
     """
-    radius = _validate_count("radius", radius, 0)
+    radius = check_count("radius", radius, 0)
     if radius > _MAX_REPLACEMENT_RADIUS:
         raise DomainError(
             f"radius must be at most {_MAX_REPLACEMENT_RADIUS}, got {radius}"

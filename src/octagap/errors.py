@@ -1,4 +1,6 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the count check that raises one."""
+
+from numbers import Integral
 
 
 class OctagapError(Exception):
@@ -27,3 +29,15 @@ class SetupError(OctagapError, RuntimeError):
 
 class MemoryGuardError(OctagapError, ValueError):
     """An enumeration was refused because it would exhaust memory."""
+
+
+def check_count(name: str, value: int, minimum: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) of at least ``minimum``.
+
+    numpy integers pass: numpy registers them as ``numbers.Integral``.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)

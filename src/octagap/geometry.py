@@ -10,6 +10,7 @@ determinant (the octahedron rotations, for instance) act correctly.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import _ballfast
-from .errors import DomainError, InsufficientDataError, SetupError
+from .errors import DomainError, InsufficientDataError, SetupError, check_count
 from .group import GaussianInt, ProjIsom, octa_symmetry_group
 from .words import CoxeterWord, evaluate_word, format_word
 
@@ -34,6 +35,9 @@ class Point3(NamedTuple):
 
 
 def point(x: float, y: float, t: float) -> Point3:
+    """The point (x + iy, t); every coordinate must be finite and t positive."""
+    if not all(map(math.isfinite, (x, y, t))):
+        raise DomainError(f"coordinates must be finite, got ({x}, {y}, {t})")
     if not t > 0:
         raise DomainError(f"height must be positive, got {t}")
     return Point3(complex(x, y), float(t))
@@ -409,10 +413,9 @@ def orbit_ball(
     the perp letters.  A callable taking max_len and yielding words runs the
     exact word-by-word path and keeps the words.
     """
-    if not base.t > 0:
-        raise DomainError("base height must be positive")
-    if max_len < 0:
-        raise DomainError(f"max_len must be nonnegative, got {max_len}")
+    if not (cmath.isfinite(base.z) and 0 < base.t < math.inf):
+        raise DomainError(f"base point must be finite with positive height, got {base}")
+    max_len = check_count("max_len", max_len, 0)
     if callable(group):
         words = [tuple(w) for w in group(max_len)]
         w, t = _ballfast.act(

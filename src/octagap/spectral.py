@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MemoryGuardError, PoleError, TruncationError
+from .errors import DomainError, MemoryGuardError, PoleError, TruncationError, check_count
 
 if TYPE_CHECKING:
     from .geometry import OrbitBall
@@ -202,11 +202,6 @@ def _prime_split_norms(p: int) -> list[int]:
     return [p * p]
 
 
-def _validate_level(level: int) -> None:
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or level < 1:
-        raise DomainError(f"level must be a positive integer, got {level!r}")
-
-
 def scattering_coefficient(s: float, level: int = 1) -> float:
     """Diagonal scattering coefficient at the cusp for the given level.
 
@@ -218,7 +213,7 @@ def scattering_coefficient(s: float, level: int = 1) -> float:
     at s = 2 inherited from the Riemann zeta factor.
     """
     s = float(s)
-    _validate_level(level)
+    check_count("level", level, 1)
     if not 1.0 < s < math.inf:
         raise DomainError(f"the coefficient is defined for finite s > 1, got {s}")
     if s == 2.0:
@@ -317,7 +312,7 @@ def scattering_lattice_sum(
     Richardson extrapolation against a second partial sum at radius/sqrt(2).
     """
     s = float(s)
-    _validate_level(level)
+    check_count("level", level, 1)
     if s <= 2.0:
         raise DomainError(f"the counting sum converges for s > 2, got {s}")
     if radius < 10.0:
@@ -362,7 +357,7 @@ def scattering_pole_scan(
     grid points where it is not finite or exceeds the threshold in absolute
     value; the expected result on (1.05, 1.95) is empty.
     """
-    _validate_level(level)
+    check_count("level", level, 1)
     lo, hi = float(interval[0]), float(interval[1])
     if not 1.0 < lo < hi < 2.0:
         raise DomainError(f"scan interval must sit strictly inside (1, 2), got {interval}")

@@ -166,6 +166,15 @@ def test_delta_rejects_a_zero_word_length():
     assert main(["delta", "--group", "ap", "--word-length", "0", "--seed", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("base_point", ["0.3,0.4,inf", "nan,0.4,0.9", "0.3,-inf,0.9"])
+def test_delta_rejects_a_non_finite_base_point_before_walking(capsys, base_point):
+    args = ["delta", "--group", "sa", "--base-point", base_point, "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == EXIT_USAGE
+    assert "coordinates must be finite" in capsys.readouterr().err
+
+
 def test_delta_csv_is_the_counting_function(tmp_path):
     out = tmp_path / "counts.csv"
     args = [

@@ -45,6 +45,7 @@ from octagap.group import (
 from octagap.words import (
     enumerate_free_ball,
     enumerate_racg_ball,
+    evaluate_word,
     free_to_face_word,
     in_perp_kernel,
 )
@@ -132,6 +133,14 @@ def test_point_requires_positive_height():
         point(0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         point(0.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "coords", [(0.3, 0.4, math.inf), (math.nan, 0.4, 0.9), (0.3, -math.inf, 0.9), (0.3, 0.4, math.nan)]
+)
+def test_point_rejects_non_finite_coordinates(coords):
+    with pytest.raises(DomainError, match="finite"):
+        point(*coords)
 
 
 # -- fundamental domain pieces ---------------------------------------------------
@@ -290,32 +299,95 @@ def test_vectorized_reflection_group_balls_match_the_word_route(label, keep, cou
     assert max(abs(a - b) for a, b in zip(slow.displacements, fast.displacements)) < 1e-9
 
 
-def _word_route_displacements(max_len, keep):
-    """Sorted displacements of the normal forms of length <= max_len that pass keep.
+#: The twins' base points: the default one and one off its symmetry lines.
+TWIN_BASE_POINTS = (DEFAULT_BASE_POINT, point(0.35, 0.38, 0.95))
+
+
+def _face_word(word):
+    """Whether the word uses face letters only: in the reflection group's
+    normal forms, exactly the reduced words of the free face subgroup."""
+    return not any(letter.endswith("p") for letter in word)
+
+
+def _twin_words(max_len, keep):
+    """The normal forms of length <= max_len that pass keep (None keeps all)."""
+    return [w for w in enumerate_racg_ball(max_len) if keep is None or keep(w)]
+
+
+def _word_route_displacements(words, base):
+    """Sorted displacements of the words at the base point.
 
     Each word acts on the base point one letter at a time, last letter first,
     so no product matrix is ever formed.
     """
-    words = [w for w in enumerate_racg_ball(max_len) if keep is None or keep(w)]
     mats, conj = _ballfast.isom_table([STANDARD_GENERATORS[name] for name in GENERATOR_NAMES])
     index = {name: k for k, name in enumerate(GENERATOR_NAMES)}
-    base = DEFAULT_BASE_POINT
     z = np.full(len(words), base.z, dtype=np.complex128)
     t = np.full(len(words), base.t)
-    for j in range(max_len - 1, -1, -1):
+    for j in range(max(map(len, words)) - 1, -1, -1):
         rows = np.array([k for k, w in enumerate(words) if len(w) > j], dtype=np.int64)
         letters = np.array([index[words[k][j]] for k in rows], dtype=np.int64)
         z[rows], t[rows] = _ballfast.act(mats[:, letters], conj[letters], z[rows], t[rows])
     return np.sort(_ballfast.distance(z, t, base.z, base.t))
 
 
+_TWIN_GROUPS = [("free", _face_word), ("full", None), ("kernel", in_perp_kernel)]
+
+
 @pytest.mark.parametrize("max_len", [5, 6])
-@pytest.mark.parametrize("label, keep", [("full", None), ("kernel", in_perp_kernel)])
+@pytest.mark.parametrize("label, keep", _TWIN_GROUPS)
 def test_pruned_and_streamed_walks_match_the_word_route(label, keep, max_len):
-    fast = orbit_ball(label, DEFAULT_BASE_POINT, max_len).displacements
-    slow = _word_route_displacements(max_len, keep)
-    assert fast.size == slow.size
-    assert np.max(np.abs(fast - slow)) < 1e-9
+    words = _twin_words(max_len, keep)
+    for base in TWIN_BASE_POINTS:
+        fast = orbit_ball(label, base, max_len).displacements
+        slow = _word_route_displacements(words, base)
+        assert fast.size == slow.size
+        assert np.max(np.abs(fast - slow)) < 1e-9
+
+
+@pytest.mark.parametrize("label, keep", _TWIN_GROUPS)
+def test_walks_match_the_word_route_across_slice_boundaries(monkeypatch, label, keep):
+    """Seven-row slices: every level of the walk spans several of them."""
+    monkeypatch.setattr(_ballfast, "_CHUNK", 7)
+    words = _twin_words(5, keep)
+    for base in TWIN_BASE_POINTS:
+        fast = orbit_ball(label, base, 5).displacements
+        slow = _word_route_displacements(words, base)
+        assert fast.size == slow.size
+        assert np.max(np.abs(fast - slow)) < 1e-9
+
+
+@pytest.mark.parametrize("label, max_len", [("free", 8), ("full", 6), ("kernel", 6)])
+def test_counting_function_matches_the_word_route_exactly(label, max_len):
+    """N(T) at every 0.1 grid point, the counts the exponent fit reads."""
+    if label == "free":
+        words = [free_to_face_word(w) for w in enumerate_free_ball(max_len)]
+    else:
+        words = _twin_words(max_len, in_perp_kernel if label == "kernel" else None)
+    ball = orbit_ball(label, DEFAULT_BASE_POINT, max_len)
+    slow = _word_route_displacements(words, DEFAULT_BASE_POINT)
+    grid = [k * 0.1 for k in range(math.ceil(ball.radius / 0.1) + 2)]
+    assert [ball.counting_function(t) for t in grid] == [
+        int(np.searchsorted(slow, t, side="right")) for t in grid
+    ]
+
+
+@pytest.mark.parametrize("base", TWIN_BASE_POINTS, ids=["default", "second"])
+def test_gram_weights_give_the_child_displacements(base):
+    """<S, w> for every letter and both parent parities against act and distance."""
+    rng = np.random.default_rng(11)
+    table, _ = _ballfast.isom_table([STANDARD_GENERATORS[name] for name in GENERATOR_NAMES])
+    weights = _ballfast._letter_weights(table, base.z, base.t)
+    for length in range(7):
+        for _ in range(4):
+            word = tuple(GENERATOR_NAMES[k] for k in rng.integers(8, size=length))
+            mats, conj = _ballfast.isom_table([evaluate_word(word)])
+            assert conj[0] == length % 2
+            fast = _ballfast._gram(mats, base.z, base.t) @ weights[length % 2]
+            children = [evaluate_word(word + (name,)) for name in GENERATOR_NAMES]
+            w, t = _ballfast.act(*_ballfast.isom_table(children), base.z, base.t)
+            slow = np.cosh(_ballfast.distance(w, t, base.z, base.t))
+            np.testing.assert_allclose(fast[0], slow, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("error", [-1, 1])
@@ -343,6 +415,22 @@ def test_orbit_ball_refuses_lengths_past_the_memory_guard(label, max_len):
 def test_orbit_ball_rejects_negative_lengths(label):
     with pytest.raises(DomainError):
         orbit_ball(label, DEFAULT_BASE_POINT, -1)
+
+
+@pytest.mark.parametrize("max_len", [True, 2.0, "3"])
+def test_orbit_ball_rejects_lengths_that_are_not_integers(max_len):
+    with pytest.raises(DomainError, match="integer"):
+        orbit_ball("free", DEFAULT_BASE_POINT, max_len)
+
+
+def test_orbit_ball_takes_numpy_integer_lengths():
+    assert orbit_ball("free", DEFAULT_BASE_POINT, np.int64(3)).count == 2 * 3**3 - 1
+
+
+@pytest.mark.parametrize("base", [Point3(complex(math.nan, 0.0), 1.0), Point3(0.5j, math.inf)])
+def test_orbit_ball_rejects_a_non_finite_base_point(base):
+    with pytest.raises(DomainError, match="finite"):
+        orbit_ball("full", base, 3)
 
 
 def test_orbit_ball_displacements_are_sorted_from_zero():
