@@ -334,9 +334,7 @@ def _word_route_displacements(words, base):
 _TWIN_GROUPS = [("free", _face_word), ("full", None), ("kernel", in_perp_kernel)]
 
 
-@pytest.mark.parametrize("max_len", [5, 6])
-@pytest.mark.parametrize("label, keep", _TWIN_GROUPS)
-def test_pruned_and_streamed_walks_match_the_word_route(label, keep, max_len):
+def _assert_walk_matches_the_word_route(label, keep, max_len):
     words = _twin_words(max_len, keep)
     for base in TWIN_BASE_POINTS:
         fast = orbit_ball(label, base, max_len).displacements
@@ -345,16 +343,17 @@ def test_pruned_and_streamed_walks_match_the_word_route(label, keep, max_len):
         assert np.max(np.abs(fast - slow)) < 1e-9
 
 
+@pytest.mark.parametrize("max_len", [5, 6])
+@pytest.mark.parametrize("label, keep", _TWIN_GROUPS)
+def test_pruned_and_streamed_walks_match_the_word_route(label, keep, max_len):
+    _assert_walk_matches_the_word_route(label, keep, max_len)
+
+
 @pytest.mark.parametrize("label, keep", _TWIN_GROUPS)
 def test_walks_match_the_word_route_across_slice_boundaries(monkeypatch, label, keep):
-    """Seven-row slices: every level of the walk spans several of them."""
+    """Seven-row slices, so that every level but the first few spans several."""
     monkeypatch.setattr(_ballfast, "_CHUNK", 7)
-    words = _twin_words(5, keep)
-    for base in TWIN_BASE_POINTS:
-        fast = orbit_ball(label, base, 5).displacements
-        slow = _word_route_displacements(words, base)
-        assert fast.size == slow.size
-        assert np.max(np.abs(fast - slow)) < 1e-9
+    _assert_walk_matches_the_word_route(label, keep, 5)
 
 
 @pytest.mark.parametrize("label, max_len", [("free", 8), ("full", 6), ("kernel", 6)])
