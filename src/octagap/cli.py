@@ -476,6 +476,8 @@ def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
 
 
 def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
+    import numpy as np
+
     from . import covers
 
     seed = _require_seed(params)
@@ -531,7 +533,7 @@ def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
     else:
         table_out = (
             ["u", "v", "color", "sign"],
-            [[u, v, color, 1] for u, v, color in graph.edges],
+            np.column_stack([*graph.edges(), np.ones(graph.num_edges, dtype=np.int64)]).tolist(),
         )
     passed = all(checks)
     report["passed"] = passed

@@ -21,7 +21,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -35,7 +35,6 @@ __all__ = [
     "REPLACEMENT_SPECTRAL_RADIUS",
     "Matching",
     "CoverPresentation",
-    "Edge",
     "DualGraph",
     "Signing",
     "ReplacementBall",
@@ -84,13 +83,16 @@ class Matching:
     """A perfect matching on an even point set, stored as its involution.
 
     ``perm[j]`` is the partner of point ``j``; the array is a fixed point
-    free involution, which is checked at construction.
+    free involution of integer dtype (not bool), checked at construction.
     """
 
     perm: np.ndarray
 
     def __post_init__(self) -> None:
-        perm = np.asarray(self.perm, dtype=np.int64)
+        perm = np.asarray(self.perm)
+        if not np.issubdtype(perm.dtype, np.integer):
+            raise DomainError(f"matching entries must be integers, got dtype {perm.dtype}")
+        perm = perm.astype(np.int64, copy=False)
         if perm.ndim != 1 or perm.size == 0 or perm.size % 2 != 0:
             raise DomainError(
                 f"matching needs a 1-d array over an even point set, got shape {perm.shape}"
@@ -136,62 +138,65 @@ class CoverPresentation:
                 )
 
 
-class Edge(NamedTuple):
-    """A colored dual-graph edge with endpoints u < v."""
-
-    u: int
-    v: int
-    color: int
-
-
 @dataclass(frozen=True, eq=False)
 class DualGraph:
-    """The 4-regular colored dual graph of a cover presentation.
+    """The 4-regular colored dual graph of a cover, stored as its four matchings.
 
-    Vertices 0 .. num_vertices - 1 are the octahedron copies; each color
-    class is a perfect matching, so the graph is loop free and exactly
-    4-regular, with parallel edges allowed.
+    ``matchings`` is a read-only (4, V) int64 array whose row c - 1 is the
+    involution of color c: an edge of color c joins u and
+    ``matchings[c - 1, u]``.  Each row is validated as a ``Matching``, so
+    every color class is a perfect matching and the graph is loop free and
+    exactly 4-regular, with parallel edges allowed.
+
+    Edges are ordered color by color, and within a color by ascending
+    smaller endpoint; ``edges()`` lists them in that order, and a
+    ``Signing``'s entries follow it.
     """
 
-    num_vertices: int
-    edges: tuple[Edge, ...]
+    matchings: np.ndarray
 
     def __post_init__(self) -> None:
-        nv = check_count("num_vertices", self.num_vertices, 2)
-        if nv % 2 != 0:
-            raise DomainError(f"num_vertices must be even, got {nv}")
-        seen: dict[int, set[int]] = {color: set() for color in range(1, NUM_COLORS + 1)}
-        for edge in self.edges:
-            if not 0 <= edge.u < edge.v < nv:
-                raise DomainError(f"edge {edge} is not an ordered pair of distinct vertices")
-            touched = seen.get(edge.color)
-            if touched is None:
-                raise DomainError(f"edge color must lie in 1 .. {NUM_COLORS}, got {edge.color}")
-            if edge.u in touched or edge.v in touched:
-                raise DomainError(f"color {edge.color} touches a vertex twice")
-            touched.add(edge.u)
-            touched.add(edge.v)
-        for color, touched in seen.items():
-            if len(touched) != nv:
-                raise DomainError(f"color {color} is not a perfect matching on the vertices")
+        rows = np.asarray(self.matchings)
+        if rows.ndim != 2 or len(rows) != NUM_COLORS:
+            raise DomainError(
+                f"a dual graph needs {NUM_COLORS} matchings of equal size, got shape {rows.shape}"
+            )
+        matchings = np.stack([Matching(row).perm for row in rows])
+        matchings.setflags(write=False)
+        object.__setattr__(self, "matchings", matchings)
+
+    @property
+    def num_vertices(self) -> int:
+        return int(self.matchings.shape[1])
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.matchings.size // 2
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edge arrays (u, v, color) with u < v, in edge order."""
+        color, u = np.nonzero(self.matchings > np.arange(self.num_vertices))
+        return u, self.matchings[color, u], color + 1
 
 
 @dataclass(frozen=True, eq=False)
 class Signing:
-    """A sign per dual-graph edge, aligned with ``DualGraph.edges`` order."""
+    """A sign per dual-graph edge, aligned with ``DualGraph.edges()`` order.
+
+    Entries need an integer dtype and the values +-1 before the int8 cast.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.int8)
+        values = np.asarray(self.values)
         if values.ndim != 1:
             raise DomainError(f"signing needs a 1-d sign array, got shape {values.shape}")
-        if not np.all(np.abs(values) == 1):
+        if not np.issubdtype(values.dtype, np.integer):
+            raise DomainError(f"signing entries must be integers, got dtype {values.dtype}")
+        if not np.all((values == 1) | (values == -1)):
             raise DomainError("signing entries must be +1 or -1")
+        values = values.astype(np.int8, copy=False)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -223,19 +228,15 @@ def sample_cover(n: int, seed: int | None = None) -> CoverPresentation:
 
 def dual_graph(cover: CoverPresentation) -> DualGraph:
     """The colored dual graph of a cover presentation."""
-    edges = []
-    for index, matching in enumerate(cover.sigma):
-        color = index + 1
-        for u, v in matching.pairs():
-            edges.append(Edge(u, v, color))
-    return DualGraph(2 * cover.n, tuple(edges))
+    return DualGraph(np.stack([matching.perm for matching in cover.sigma]))
 
 
 def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.ndarray:
     """Dense adjacency matrix, entries multiplied by edge signs if given.
 
-    The dense V x V float64 matrix is for the exact eigvalsh paths (the
-    two-cover spectra and small graphs' lambda1).  It raises
+    Parallel edges add, and sums of +-1 are exact.  The dense V x V float64
+    matrix is for the exact eigvalsh paths (the two-cover spectra and small
+    graphs' lambda1).  It raises
     MemoryGuardError, before allocating, when V * V * 8 bytes would exceed
     1 GiB (above about 11,585 vertices); ``graph_lambda1``, ``is_connected``,
     ``tangle_free_radius`` and ``switching_walk`` on large graphs never call it.
@@ -250,18 +251,12 @@ def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.nda
             f"a dense adjacency matrix on {graph.num_vertices} vertices needs "
             f"{nbytes / 2**30:.1f} GiB, over the {_DENSE_MATRIX_BYTES / 2**30:g} GiB limit"
         )
+    edge_u, edge_v, _ = graph.edges()
+    weights = np.ones(edge_u.size) if signing is None else signing.values.astype(float)
     matrix = np.zeros((graph.num_vertices, graph.num_vertices))
-    for index, (u, v, _) in enumerate(graph.edges):
-        weight = 1.0 if signing is None else float(signing.values[index])
-        matrix[u, v] += weight
-        matrix[v, u] += weight
+    np.add.at(matrix, (edge_u, edge_v), weights)
+    np.add.at(matrix, (edge_v, edge_u), weights)
     return matrix
-
-
-def _edge_endpoints(graph: DualGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoint arrays (u, v) of the graph's edges, in edge order."""
-    ends = np.array([(u, v) for u, v, _ in graph.edges], dtype=np.int64).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1]
 
 
 def _sparse_adjacency(
@@ -280,7 +275,7 @@ def _sparse_adjacency(
 
 def is_connected(graph: DualGraph) -> bool:
     """Whether the dual graph is connected (components of the sparse adjacency)."""
-    adjacency = _sparse_adjacency(graph.num_vertices, *_edge_endpoints(graph))
+    adjacency = _sparse_adjacency(graph.num_vertices, *graph.edges()[:2])
     return connected_components(adjacency, directed=False, return_labels=False) == 1
 
 
@@ -324,13 +319,13 @@ def graph_lambda1(graph: DualGraph) -> float:
     if nv < _DENSE_EIGEN_CUTOFF:
         matrix = adjacency_matrix(graph)
     else:
-        matrix = _sparse_adjacency(nv, *_edge_endpoints(graph))
+        matrix = _sparse_adjacency(nv, *graph.edges()[:2])
     return max(0.0, 4.0 - float(_top_eigenvalues(matrix, 2)[0]))
 
 
 def _graph_data(graph) -> tuple[int, np.ndarray, np.ndarray]:
     if isinstance(graph, DualGraph):
-        return (graph.num_vertices, *_edge_endpoints(graph))
+        return (graph.num_vertices, *graph.edges()[:2])
     try:
         num_vertices, edge_seq = graph
     except (TypeError, ValueError):
@@ -340,10 +335,11 @@ def _graph_data(graph) -> tuple[int, np.ndarray, np.ndarray]:
     num_vertices = check_count("num_vertices", num_vertices, 1)
     pairs = []
     for edge in edge_seq:
-        u, v = edge[0], edge[1]
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices and u != v):
+        u = check_count("edge endpoint", edge[0], 0)
+        v = check_count("edge endpoint", edge[1], 0)
+        if not (u < num_vertices and v < num_vertices and u != v):
             raise DomainError(f"edge {edge!r} is not a pair of distinct vertices")
-        pairs.append((int(u), int(v)))
+        pairs.append((u, v))
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return num_vertices, ends[:, 0], ends[:, 1]
 
@@ -468,22 +464,20 @@ def lift_graph(graph: DualGraph, signing: Signing) -> DualGraph:
 
     A +1 edge lifts to two parallel-sheet copies, a -1 edge to the two
     sheet-crossing copies.  The result is again a valid colored dual graph,
-    on twice the vertices.
+    on twice the vertices: vertex u + V is u's copy on the second sheet.
     """
     if signing.num_edges != graph.num_edges:
         raise DomainError(
             f"signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
         )
-    shift = graph.num_vertices
-    lifted = []
-    for index, (u, v, color) in enumerate(graph.edges):
-        if signing.values[index] > 0:
-            first, second = (u, v), (u + shift, v + shift)
-        else:
-            first, second = (u, v + shift), (v, u + shift)
-        lifted.append(Edge(min(first), max(first), color))
-        lifted.append(Edge(min(second), max(second), color))
-    return DualGraph(2 * shift, tuple(lifted))
+    nv = graph.num_vertices
+    edge_u, edge_v, color = graph.edges()
+    negative = signing.values < 0
+    crossed = np.zeros_like(graph.matchings)
+    crossed[color[negative] - 1, edge_u[negative]] = 1
+    crossed[color[negative] - 1, edge_v[negative]] = 1
+    partner = graph.matchings + nv * crossed
+    return DualGraph(np.hstack([partner, (partner + nv) % (2 * nv)]))
 
 
 def two_cover_spectra(graph: DualGraph, signing: Signing) -> tuple[np.ndarray, np.ndarray]:
@@ -538,7 +532,7 @@ def switching_walk(
             f"start signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
         )
     nv = graph.num_vertices
-    edge_u, edge_v = _edge_endpoints(graph)
+    edge_u, edge_v, _ = graph.edges()
 
     def top(signs: np.ndarray | None, k: int) -> np.ndarray:
         matrix = _sparse_adjacency(nv, edge_u, edge_v, signs)
@@ -564,7 +558,10 @@ def walk_summary(
     *,
     bins: int = 20,
 ) -> dict:
-    """JSON-ready record of a switching walk: series plus histogram."""
+    """JSON-ready record of a nonempty switching walk: series plus histogram."""
+    bins = check_count("bins", bins, 1)
+    if len(trajectory) == 0:
+        raise DomainError("walk summary needs a nonempty trajectory")
     gaps = [float(gap) for _, gap in trajectory]
     counts, edges = np.histogram(gaps, bins=bins, range=(0.0, max(max(gaps), 1e-12)))
     return {
@@ -687,9 +684,8 @@ def export_edges_csv(graph: DualGraph, path, signing: Signing | None = None) -> 
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["u", "v", "color", "sign"])
-        for index, (u, v, color) in enumerate(graph.edges):
-            sign = 1 if signing is None else int(signing.values[index])
-            writer.writerow([u, v, color, sign])
+        signs = np.ones(graph.num_edges, dtype=np.int8) if signing is None else signing.values
+        writer.writerows(np.column_stack([*graph.edges(), signs]).tolist())
 
 
 def export_spectra_csv(old: np.ndarray, new: np.ndarray, path) -> None:

@@ -16,8 +16,8 @@ from octagap.covers import (
     REPLACEMENT_SPECTRAL_RADIUS,
     CoverPresentation,
     DualGraph,
-    Edge,
     Matching,
+    Signing,
     adjacency_matrix,
     all_plus_signing,
     dirichlet_rho,
@@ -37,6 +37,7 @@ from octagap.covers import (
     two_cover_spectra,
     walk_summary,
 )
+from octagap.cli import EXIT_OK, main
 from octagap.errors import DomainError, MemoryGuardError
 
 REPLACEMENT_SPHERES = (1, 4, 6, 12, 18, 36, 54, 108, 162, 324, 486, 972, 1458)
@@ -45,12 +46,49 @@ RHO_AT_RADIUS_12 = 3.8644306520169893
 
 def _two_vertex_graph():
     """Two vertices joined by four parallel edges, one of each color."""
-    return DualGraph(2, tuple(Edge(0, 1, c) for c in range(1, 5)))
+    return DualGraph(np.array([[1, 0]] * NUM_COLORS))
 
 
 def _disjoint_pair_graph():
-    edges = tuple(Edge(0, 1, c) for c in range(1, 5)) + tuple(Edge(2, 3, c) for c in range(1, 5))
-    return DualGraph(4, edges)
+    return DualGraph(np.array([[1, 0, 3, 2]] * NUM_COLORS))
+
+
+def _edge_triples(graph):
+    """The graph's edges as (u, v, color) tuples of Python ints, in edge order."""
+    return list(zip(*(column.tolist() for column in graph.edges())))
+
+
+def _dual_graph_edges_twin(cover):
+    """Per-pair twin of ``dual_graph(cover).edges()``: each color's matched
+    pairs (u, v) with u < v in ascending u, color by color."""
+    edges = []
+    for index, matching in enumerate(cover.sigma):
+        for u, v in matching.pairs():
+            edges.append((u, v, index + 1))
+    return edges
+
+
+def _lift_edges_twin(num_vertices, edges, signs):
+    """Per-edge twin of ``lift_graph``: a +1 edge lifts to its two
+    parallel-sheet copies, a -1 edge to the two sheet-crossing copies."""
+    lifted = []
+    for (u, v, color), sign in zip(edges, signs):
+        if sign > 0:
+            first, second = (u, v), (u + num_vertices, v + num_vertices)
+        else:
+            first, second = (u, v + num_vertices), (v, u + num_vertices)
+        lifted.append((min(first), max(first), color))
+        lifted.append((min(second), max(second), color))
+    return lifted
+
+
+def _adjacency_twin(num_vertices, edges, signs):
+    """Per-edge twin of ``adjacency_matrix``: add each edge's sign at (u, v) and (v, u)."""
+    matrix = np.zeros((num_vertices, num_vertices))
+    for (u, v, _), sign in zip(edges, signs):
+        matrix[u, v] += float(sign)
+        matrix[v, u] += float(sign)
+    return matrix
 
 
 def _all_pairs_tangle_free_radius(num_vertices, pairs, max_radius=None):
@@ -93,7 +131,7 @@ def _all_pairs_tangle_free_radius(num_vertices, pairs, max_radius=None):
 
 
 def _pairs(graph):
-    return [(u, v) for u, v, _ in graph.edges]
+    return [(u, v) for u, v, _ in _edge_triples(graph)]
 
 
 #: Handmade (num_vertices, edges) graphs: four parallel edges, a 6-cycle, a
@@ -125,6 +163,17 @@ def test_matching_rejects_degenerate_arrays():
         Matching(np.array([0, 1, 3, 2]))
     with pytest.raises(DomainError):
         Matching(np.array([1, 2, 3, 0]))
+
+
+def test_matching_rejects_non_integer_dtypes():
+    """Floats are not truncated and bools are not read as 0 and 1."""
+    with pytest.raises(DomainError):
+        Matching(np.array([1.9, 0.2]))
+    with pytest.raises(DomainError):
+        Matching(np.array([1.0, 0.0]))
+    with pytest.raises(DomainError):
+        Matching(np.array([True, False]))
+    assert Matching(np.array([1, 0], dtype=np.uint8)).perm.dtype == np.int64
 
 
 def test_matching_array_is_immutable():
@@ -181,28 +230,87 @@ def test_dual_graph_of_a_cover_is_four_regular():
     assert graph.num_vertices == 40
     assert graph.num_edges == 80
     degrees = [0] * graph.num_vertices
-    for edge in graph.edges:
-        degrees[edge.u] += 1
-        degrees[edge.v] += 1
+    for u, v, _ in _edge_triples(graph):
+        degrees[u] += 1
+        degrees[v] += 1
     assert all(d == 4 for d in degrees)
 
 
 def test_dual_graph_colors_partition_into_perfect_matchings():
     graph = dual_graph(sample_cover(15, 3))
     for color in range(1, 5):
-        touched = [v for e in graph.edges if e.color == color for v in (e.u, e.v)]
+        touched = [x for u, v, c in _edge_triples(graph) if c == color for x in (u, v)]
         assert sorted(touched) == list(range(graph.num_vertices))
 
 
 def test_dual_graph_validation():
+    matched = [1, 0]
+    # a loop: color 1 fixes both vertices
     with pytest.raises(DomainError):
-        DualGraph(2, (Edge(0, 0, 1),))
+        DualGraph(np.array([[0, 1]] + [matched] * 3))
+    # a wrong number of colors
     with pytest.raises(DomainError):
-        DualGraph(2, tuple(Edge(0, 1, c) for c in (1, 2, 3, 5)))
+        DualGraph(np.array([matched] * 5))
     with pytest.raises(DomainError):
-        DualGraph(3, (Edge(0, 1, 1),))
+        DualGraph(np.array([matched] * 3))
+    # an odd vertex count
     with pytest.raises(DomainError):
-        DualGraph(2, (Edge(0, 1, 1), Edge(0, 1, 1)))
+        DualGraph(np.array([[1, 0, 2]] * 4))
+    # color 1 touches vertex 1 twice
+    with pytest.raises(DomainError):
+        DualGraph(np.array([[1, 1]] + [matched] * 3))
+    # float and bool rows go through the Matching check
+    with pytest.raises(DomainError):
+        DualGraph(np.array([matched] * 4, dtype=float))
+    with pytest.raises(DomainError):
+        DualGraph(np.array([matched] * 4, dtype=bool))
+
+
+def test_dual_graph_stores_one_read_only_array():
+    graph = _disjoint_pair_graph()
+    assert graph.matchings.shape == (NUM_COLORS, 4)
+    assert graph.matchings.dtype == np.int64
+    with pytest.raises(ValueError):
+        graph.matchings[0, 0] = 1
+    assert (graph.num_vertices, graph.num_edges) == (4, 8)
+
+
+@pytest.mark.parametrize("n", [1, 5, 300])
+def test_edges_match_the_per_pair_twin(n):
+    """Edge order (color by color, ascending smaller endpoint) is what signings index."""
+    for seed in range(4):
+        cover = sample_cover(n, seed)
+        graph = dual_graph(cover)
+        assert all(column.dtype == np.int64 for column in graph.edges())
+        assert _edge_triples(graph) == _dual_graph_edges_twin(cover)
+
+
+@pytest.mark.parametrize("n", [1, 5, 30])
+def test_adjacency_matrix_is_bitwise_equal_to_a_per_edge_loop(n):
+    rng = np.random.default_rng(n)
+    for seed in range(3):
+        graph = dual_graph(sample_cover(n, seed))
+        nv, edges = graph.num_vertices, _edge_triples(graph)
+        unsigned = _adjacency_twin(nv, edges, [1] * len(edges))
+        assert adjacency_matrix(graph).tobytes() == unsigned.tobytes()
+        signs = rng.choice([-1, 1], size=graph.num_edges)
+        signed = _adjacency_twin(nv, edges, signs)
+        assert adjacency_matrix(graph, Signing(signs)).tobytes() == signed.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 30])
+def test_lift_graph_matches_the_per_edge_twin(n):
+    """The lift's edge multiset equals the twin's, and so does its dense adjacency."""
+    rng = np.random.default_rng(100 + n)
+    for seed in range(3):
+        graph = dual_graph(sample_cover(n, seed))
+        signs = rng.choice([-1, 1], size=graph.num_edges)
+        lift = lift_graph(graph, Signing(signs))
+        twin = _lift_edges_twin(graph.num_vertices, _edge_triples(graph), signs)
+        assert lift.num_vertices == 2 * graph.num_vertices
+        assert sorted(_edge_triples(lift)) == sorted(twin)
+        dense = _adjacency_twin(lift.num_vertices, twin, [1] * len(twin))
+        assert adjacency_matrix(lift).tobytes() == dense.tobytes()
 
 
 def test_adjacency_matrix_is_symmetric_with_row_sums_four():
@@ -372,6 +480,18 @@ def test_tangle_free_radius_rejects_bad_arguments():
         tangle_free_radius((3, [(0, 3)]))
 
 
+def test_tangle_free_radius_rejects_non_integer_endpoints():
+    """A float endpoint is not truncated and True is not vertex 1."""
+    with pytest.raises(DomainError):
+        tangle_free_radius((3, [(0.5, 1), (1, 2)]))
+    with pytest.raises(DomainError):
+        tangle_free_radius((3, [(0, 1), (1, 2.0)]))
+    with pytest.raises(DomainError):
+        tangle_free_radius((3, [(0, True), (1, 2)]))
+    cycle = [(np.int64(0), np.int32(1)), (1, 2), (2, 0)]
+    assert tangle_free_radius((3, cycle)) == tangle_free_radius((3, [(0, 1), (1, 2), (2, 0)]))
+
+
 # -- signings and two-covers ---------------------------------------------------------
 
 
@@ -486,6 +606,31 @@ def test_walk_summary_histogram_accounts_for_every_step():
     assert sum(summary["histogram"]["counts"]) == 26
 
 
+def test_walk_summary_rejects_bad_bins_and_an_empty_trajectory():
+    walk = switching_walk(dual_graph(sample_cover(6, 7)), 3, seed=1)
+    for bins in (0, -1, True, 2.5):
+        with pytest.raises(DomainError):
+            walk_summary(6, 1, walk, bins=bins)
+    with pytest.raises(DomainError):
+        walk_summary(6, 1, [])
+    assert len(walk_summary(6, 1, walk, bins=1)["histogram"]["counts"]) == 1
+
+
+def test_signing_rejects_non_integer_and_out_of_range_values():
+    """Floats are not truncated to +-1 and 255 does not wrap through int8 to -1."""
+    with pytest.raises(DomainError):
+        Signing(np.array([1.5, -1.2]))
+    with pytest.raises(DomainError):
+        Signing(np.array([1.0, -1.0]))
+    with pytest.raises(DomainError):
+        Signing(np.array([1, 255]))
+    with pytest.raises(DomainError):
+        Signing(np.array([1, 255], dtype=np.uint8))
+    with pytest.raises(DomainError):
+        Signing(np.array([True, True]))
+    assert Signing(np.array([1, -1], dtype=np.int64)).values.dtype == np.int8
+
+
 def test_single_switch_moves_lambda1_continuously():
     """One sign flip changes the two-cover gap by a bounded amount."""
     graph = dual_graph(sample_cover(40, 21))
@@ -545,6 +690,23 @@ def test_export_edges_csv(tmp_path):
     export_edges_csv(graph, path, signing)
     lines = path.read_text().strip().splitlines()
     assert lines[1].endswith(",-1")
+    signs = np.random.default_rng(4).choice([-1, 1], size=graph.num_edges)
+    export_edges_csv(graph, path, Signing(signs))
+    rows = [[int(cell) for cell in line.split(",")] for line in path.read_text().splitlines()[1:]]
+    twin = _dual_graph_edges_twin(sample_cover(8, 3))
+    assert rows == [[u, v, color, int(sign)] for (u, v, color), sign in zip(twin, signs)]
+
+
+def test_cover_command_edge_table_matches_the_per_pair_twin(tmp_path):
+    """Without a walk, ``cover --format csv`` writes the edge table (u, v, color, 1)."""
+    path = tmp_path / "edges.csv"
+    args = ["cover", "--n", "50", "--seed", "3", "--format", "csv", "--out", str(path)]
+    assert main(args) == EXIT_OK
+    lines = path.read_text().splitlines()
+    assert lines[0] == "u,v,color,sign"
+    rows = [[int(cell) for cell in line.split(",")] for line in lines[1:]]
+    twin = _dual_graph_edges_twin(sample_cover(50, 3))
+    assert rows == [[u, v, color, 1] for u, v, color in twin]
 
 
 def test_export_spectra_csv(tmp_path):

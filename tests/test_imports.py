@@ -47,8 +47,12 @@ def test_import_leaves_heavy_modules_out(statements, absent):
         (["verify-group"], {"numpy", "scipy"}),
         (["scattering", "--oracle-radius", "20", "--tolerance", "0.01"], {"scipy"}),
         (["delta", "--group", "inf", "--word-length", "6", "--window", "1,4"], {"scipy"}),
+        (
+            ["cover", "--n", "3", "--seed", "1"],
+            {"scipy.integrate", "octagap.geometry", "octagap.spectral"},
+        ),
     ],
-    ids=["verify-group", "scattering", "delta"],
+    ids=["verify-group", "scattering", "delta", "cover"],
 )
 def test_command_loads_only_its_layers(argv, absent):
     code, modules = _fresh_run(f"from octagap.cli import main\ncode = main({argv!r})")
