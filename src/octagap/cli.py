@@ -531,10 +531,13 @@ def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
             f"max {max(lam for _, lam in trajectory):.6g}"
         )
     else:
-        table_out = (
-            ["u", "v", "color", "sign"],
-            np.column_stack([*graph.edges(), np.ones(graph.num_edges, dtype=np.int64)]).tolist(),
-        )
+
+        def edge_rows():
+            # A generator, so the table is built only when CSV output reads it.
+            ones = np.ones(graph.num_edges, dtype=np.int64)
+            yield from np.column_stack([*graph.edges(), ones]).tolist()
+
+        table_out = (["u", "v", "color", "sign"], edge_rows())
     passed = all(checks)
     report["passed"] = passed
     print("PASS" if passed else "FAIL")

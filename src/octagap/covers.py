@@ -21,12 +21,10 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import DomainError, MemoryGuardError, SetupError, check_count
 
@@ -66,12 +64,15 @@ NUM_COLORS = 4
 REPLACEMENT_SPECTRAL_RADIUS = 1.0 + math.sqrt(5.0 + 2.0 * math.sqrt(3.0))
 
 _MAX_REPLACEMENT_RADIUS = 14
-_DENSE_EIGEN_CUTOFF = 2000
-_EIGSH_TOL = 1e-9
-#: ARPACK's default Lanczos basis for the few eigenvalues taken here.  On a
-#: graph no larger than it the Krylov space is the whole space and ARPACK
-#: fails ("starting vector is zero"), so such graphs stay on LAPACK.
-_LANCZOS_BASIS = 20
+#: Graphs with at most this many vertices take their eigenvalues from LAPACK
+#: on the dense adjacency, which costs less there than a Lanczos run.
+_DENSE_VERTICES = 20
+#: Lanczos stops once its top Ritz value moves by at most this much between
+#: two checks; every operator solved here has norm at most 4.
+_RITZ_TOL = 1e-13
+#: Lanczos steps after which the solve is given up.  Random covers need about
+#: 300 steps at 6,000 vertices and 900 at 200,000.
+_LANCZOS_MAX_STEPS = 3000
 #: Largest dense V x V float64 matrix ``adjacency_matrix`` will allocate.
 _DENSE_MATRIX_BYTES = 1 << 30
 #: Neighbour entries one batch of tangle-free BFS roots may gather per level.
@@ -92,7 +93,7 @@ class Matching:
         perm = np.asarray(self.perm)
         if not np.issubdtype(perm.dtype, np.integer):
             raise DomainError(f"matching entries must be integers, got dtype {perm.dtype}")
-        perm = perm.astype(np.int64, copy=False)
+        perm = perm.astype(np.int64)
         if perm.ndim != 1 or perm.size == 0 or perm.size % 2 != 0:
             raise DomainError(
                 f"matching needs a 1-d array over an even point set, got shape {perm.shape}"
@@ -156,7 +157,12 @@ class DualGraph:
     matchings: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.matchings)
+        try:
+            rows = np.asarray(self.matchings)
+        except ValueError:
+            raise DomainError(
+                f"a dual graph needs {NUM_COLORS} matchings of equal size, got ragged rows"
+            ) from None
         if rows.ndim != 2 or len(rows) != NUM_COLORS:
             raise DomainError(
                 f"a dual graph needs {NUM_COLORS} matchings of equal size, got shape {rows.shape}"
@@ -178,6 +184,17 @@ class DualGraph:
         color, u = np.nonzero(self.matchings > np.arange(self.num_vertices))
         return u, self.matchings[color, u], color + 1
 
+    @cached_property
+    def _mu2(self) -> float:
+        """Second largest adjacency eigenvalue, with multiplicity; exactly 4
+        when the graph is disconnected.  Solved once per graph, since both
+        ``graph_lambda1`` and ``switching_walk`` need it."""
+        if not is_connected(self):
+            return 4.0
+        if self.num_vertices <= _DENSE_VERTICES:
+            return float(np.linalg.eigvalsh(adjacency_matrix(self))[-2])
+        return _lanczos_top(self.matchings, deflate=True)
+
 
 @dataclass(frozen=True, eq=False)
 class Signing:
@@ -196,7 +213,7 @@ class Signing:
             raise DomainError(f"signing entries must be integers, got dtype {values.dtype}")
         if not np.all((values == 1) | (values == -1)):
             raise DomainError("signing entries must be +1 or -1")
-        values = values.astype(np.int8, copy=False)
+        values = values.astype(np.int8)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -259,73 +276,98 @@ def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.nda
     return matrix
 
 
-def _sparse_adjacency(
-    num_vertices: int,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    signs: np.ndarray | None = None,
-) -> csr_matrix:
-    """Symmetric CSR adjacency of the edges (u, v), each weighted by its sign
-    if given; parallel edges sum."""
-    rows = np.concatenate([edge_u, edge_v])
-    cols = np.concatenate([edge_v, edge_u])
-    weights = np.ones(rows.size) if signs is None else np.tile(signs.astype(float), 2)
-    return csr_matrix((weights, (rows, cols)), shape=(num_vertices, num_vertices))
-
-
 def is_connected(graph: DualGraph) -> bool:
-    """Whether the dual graph is connected (components of the sparse adjacency)."""
-    adjacency = _sparse_adjacency(graph.num_vertices, *graph.edges()[:2])
-    return connected_components(adjacency, directed=False, return_labels=False) == 1
+    """Whether the dual graph is connected: a breadth-first search from
+    vertex 0 over the four matchings reaches every vertex."""
+    reached = np.zeros(graph.num_vertices, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        neighbors = graph.matchings[:, frontier].ravel()
+        frontier = np.unique(neighbors[~reached[neighbors]])
+        reached[frontier] = True
+    return bool(reached.all())
 
 
-def _top_eigenvalues(matrix, k: int) -> np.ndarray:
-    """The k largest eigenvalues of a symmetric matrix, ascending.
+def _lanczos_top(
+    neighbors: np.ndarray, weights: np.ndarray | None = None, *, deflate: bool = False
+) -> float:
+    """Largest eigenvalue of the symmetric operator x -> sum_k weights[k] * x[neighbors[k]].
 
-    A dense array goes to LAPACK ``eigvalsh``.  A sparse matrix goes to
-    ARPACK ``eigsh`` (largest algebraic, tolerance 1e-9, started from a
-    fixed-seed Gaussian vector); if ARPACK does not converge this raises
-    SetupError with the eigenvalues that did.  The start vector is fixed so
-    that results repeat bit for bit: the constant vector is the exact top
-    eigenvector of a regular graph, and from it ARPACK restarts from its own
-    random seed, which advances from call to call.
+    ``neighbors`` and ``weights`` are (d, V) arrays: row k gives each vertex
+    one neighbour and the weight of that edge (1 throughout when ``weights``
+    is None).  With ``deflate`` the mean is taken out of the start vector and
+    of every product, which on a regular graph leaves out the constant
+    eigenvector, so the result is the second largest eigenvalue.
+
+    Plain Lanczos without reorthogonalization, from a fixed-seed Gaussian
+    start vector.  Lost orthogonality only repeats Ritz values that have
+    converged, so the top Ritz value still converges to the top eigenvalue
+    (Paige 1976; Parlett, *The Symmetric Eigenvalue Problem*, ch. 13).  At
+    step 10, and then every max(10, k // 10) steps, the top eigenvalue of the
+    tridiagonal T_k comes from LAPACK.  The run stops once that value has
+    moved by at most ``_RITZ_TOL`` since the previous check, once beta_k, a
+    bound on the residual of every Ritz pair, is that small, or once k
+    reaches the dimension of the space.  Inner products are numpy's
+    pairwise sums, not BLAS calls, and LAPACK's reduction of an already
+    tridiagonal matrix is exact, so the result repeats bit for bit at any
+    thread count.  Raises SetupError after ``_LANCZOS_MAX_STEPS`` steps.
     """
-    if isinstance(matrix, np.ndarray):
-        return np.linalg.eigvalsh(matrix)[-k:]
-    nv = matrix.shape[0]
-    start = np.random.default_rng(0).standard_normal(nv)
-    try:
-        top = eigsh(matrix, k=k, which="LA", tol=_EIGSH_TOL, v0=start, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        converged = np.sort(exc.eigenvalues) if exc.eigenvalues is not None else []
-        raise SetupError(
-            f"eigensolver did not converge to tolerance {_EIGSH_TOL} on {nv} vertices; "
-            f"converged eigenvalues {list(map(float, converged))}"
-        ) from exc
-    return np.sort(top)
+    nv = neighbors.shape[1]
+    dimension = nv - 1 if deflate else nv
+    total = np.add.reduce
+    vector = np.random.default_rng(0).standard_normal(nv)
+    if deflate:
+        vector -= total(vector) / nv
+    vector /= np.sqrt(total(vector * vector))
+    previous = np.zeros(nv)
+    alphas, betas = [], []
+    beta = 0.0
+    top, check = -np.inf, 10
+    for step in range(1, _LANCZOS_MAX_STEPS + 1):
+        product = vector[neighbors]
+        if weights is not None:
+            product *= weights
+        product = total(product)
+        if deflate:
+            product -= total(product) / nv
+        alpha = total(product * vector)
+        product -= alpha * vector
+        product -= beta * previous
+        beta = np.sqrt(total(product * product))
+        alphas.append(alpha)
+        betas.append(beta)
+        done = step >= dimension or beta <= _RITZ_TOL
+        if done or step == check:
+            off = betas[:-1]
+            tridiagonal = np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1)
+            ritz = float(np.linalg.eigvalsh(tridiagonal)[-1])
+            if done or ritz - top <= _RITZ_TOL:
+                return ritz
+            top, check = ritz, step + max(10, step // 10)
+        previous, vector = vector, product / beta
+    raise SetupError(
+        f"Lanczos did not converge in {_LANCZOS_MAX_STEPS} steps on {nv} vertices; "
+        f"top Ritz value {top!r}"
+    )
 
 
 def graph_lambda1(graph: DualGraph) -> float:
     """Adjacency spectral gap 4 - mu2 of a 4-regular graph.
 
     mu2 is the second largest adjacency eigenvalue with multiplicity; the
-    top eigenvalue of a 4-regular graph is 4, so the gap vanishes exactly
-    when the graph is disconnected.  Tiny negative rounding is clamped.
-    Below 2000 vertices every eigenvalue of ``adjacency_matrix`` is taken
-    densely; from 2000 up, ARPACK's ``eigsh`` runs on a CSR matrix built
-    straight from the edge arrays, so no V x V matrix is ever allocated.
+    top eigenvalue of a 4-regular graph is 4, so the gap vanishes when the
+    graph is disconnected, and a breadth-first search then makes it exactly
+    0.  Tiny negative rounding is clamped.  Graphs of at most 20 vertices
+    take every eigenvalue of ``adjacency_matrix`` from LAPACK; larger ones
+    run Lanczos on the matchings with the constant vector deflated, so no
+    V x V matrix is ever allocated.  mu2 is solved once per graph and shared
+    with ``switching_walk``.
     """
-    nv = graph.num_vertices
-    if nv < _DENSE_EIGEN_CUTOFF:
-        matrix = adjacency_matrix(graph)
-    else:
-        matrix = _sparse_adjacency(nv, *graph.edges()[:2])
-    return max(0.0, 4.0 - float(_top_eigenvalues(matrix, 2)[0]))
+    return max(0.0, 4.0 - graph._mu2)
 
 
 def _graph_data(graph) -> tuple[int, np.ndarray, np.ndarray]:
-    if isinstance(graph, DualGraph):
-        return (graph.num_vertices, *graph.edges()[:2])
     try:
         num_vertices, edge_seq = graph
     except (TypeError, ValueError):
@@ -344,6 +386,18 @@ def _graph_data(graph) -> tuple[int, np.ndarray, np.ndarray]:
     return num_vertices, ends[:, 0], ends[:, 1]
 
 
+def _adjacency_lists(
+    num_vertices: int, edge_u: np.ndarray, edge_v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)``: the neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``,
+    one entry per edge end, so a parallel edge is listed once per copy."""
+    ends = np.concatenate([edge_u, edge_v])
+    order = np.argsort(ends, kind="stable")
+    indices = np.concatenate([edge_v, edge_u])[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=num_vertices))])
+    return indptr, indices
+
+
 def _sorted_contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Membership of each of ``keys`` in the sorted array ``sorted_keys``."""
     if sorted_keys.size == 0:
@@ -352,7 +406,9 @@ def _sorted_contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[at] == keys
 
 
-def _first_tangle_depth(adjacency: csr_matrix, roots: np.ndarray, depth_cut: int) -> int:
+def _first_tangle_depth(
+    indptr: np.ndarray, indices: np.ndarray, roots: np.ndarray, depth_cut: int
+) -> int:
     """Smallest depth t <= depth_cut at which some root's ball has cycle rank above 1.
 
     Returns depth_cut + 1 when there is none.  The roots' breadth-first
@@ -362,14 +418,13 @@ def _first_tangle_depth(adjacency: csr_matrix, roots: np.ndarray, depth_cut: int
     lies at depth t - 1, t or t + 1, so the last two depths tell the three
     apart.  The edges that join the ball at depth t are those from depth t
     back to t - 1 and those inside depth t (seen from both ends), counted
-    with their multiplicity, the CSR entry.
+    with their multiplicity, one adjacency entry per copy.
     """
-    nv = adjacency.shape[0]
-    indptr, indices, weights = adjacency.indptr, adjacency.indices, adjacency.data
+    nv = indptr.size - 1
     slots = roots.size
     level = np.arange(slots, dtype=np.int64) * nv + roots
     previous = np.empty(0, dtype=np.int64)
-    rank = np.ones(slots)
+    rank = np.ones(slots, dtype=np.int64)
     for depth in range(depth_cut + 1):
         owner, vertex = np.divmod(level, nv)
         starts = indptr[vertex]
@@ -380,9 +435,8 @@ def _first_tangle_depth(adjacency: csr_matrix, roots: np.ndarray, depth_cut: int
         keys = owner_of * nv + indices[positions]
         back = _sorted_contains(previous, keys)
         inside = _sorted_contains(level, keys)
-        weight = weights[positions]
-        rank += np.bincount(owner_of[back], weight[back], slots)
-        rank += np.bincount(owner_of[inside], weight[inside], slots) / 2
+        rank += np.bincount(owner_of[back], minlength=slots)
+        rank += np.bincount(owner_of[inside], minlength=slots) // 2
         rank -= np.bincount(owner, minlength=slots)
         if np.any(rank > 1):
             return depth
@@ -413,26 +467,32 @@ def tangle_free_radius(graph, *, max_radius: int | None = None) -> int:
     measured too.  Cycle free graphs return ``max_radius``, which defaults
     to the vertex count (every ball has saturated by then).
 
-    Each root runs a breadth-first search over the sparse adjacency that
-    stops at the running answer: a ball deeper than it can no longer lower
-    it.  Roots go in batches whose neighbour entries per depth stay under
-    2**20, so memory grows with the balls searched, not with V * V.
+    Each root runs a breadth-first search over adjacency lists (a
+    DualGraph's are the columns of its matchings) that stops at the running
+    answer: a ball deeper than it can no longer lower it.  Roots go in
+    batches whose neighbour entries per depth stay under 2**20, so memory
+    grows with the balls searched, not with V * V.
     """
-    num_vertices, edge_u, edge_v = _graph_data(graph)
+    if isinstance(graph, DualGraph):
+        num_vertices = graph.num_vertices
+        indptr = np.arange(0, NUM_COLORS * num_vertices + 1, NUM_COLORS)
+        indices = graph.matchings.T.ravel()
+    else:
+        num_vertices, edge_u, edge_v = _graph_data(graph)
+        indptr, indices = _adjacency_lists(num_vertices, edge_u, edge_v)
     if max_radius is None:
         max_radius = num_vertices
     max_radius = check_count("max_radius", max_radius, 0)
-    if edge_u.size == 0:
+    if indices.size == 0:
         return max_radius
-    adjacency = _sparse_adjacency(num_vertices, edge_u, edge_v)
-    max_degree = int(np.diff(adjacency.indptr).max())
+    max_degree = int(np.diff(indptr).max())
     best = max_radius
     start = 0
     while best > 0 and start < num_vertices:
-        batch = _BFS_BATCH_ENTRIES // _ball_entries(max_degree, best, adjacency.nnz)
+        batch = _BFS_BATCH_ENTRIES // _ball_entries(max_degree, best, indices.size)
         stop = min(num_vertices, start + max(1, batch))
         roots = np.arange(start, stop, dtype=np.int64)
-        best = min(best, _first_tangle_depth(adjacency, roots, best) - 1)
+        best = min(best, _first_tangle_depth(indptr, indices, roots, best) - 1)
         start = stop
     return best
 
@@ -517,10 +577,11 @@ def switching_walk(
     The two-cover's spectrum is the base spectrum together with the signed
     spectrum, and the base's top eigenvalue is 4, so each gap is
     4 - max(mu2_old, mu1_new): mu2_old is the base graph's second eigenvalue,
-    taken once, and mu1_new the top eigenvalue of the signed adjacency, one
-    ARPACK solve per step on a CSR matrix from a fixed start vector, so a
-    step's value depends on its signing alone.  No V x V matrix is built
-    except on graphs of at most 20 vertices, which go to LAPACK.
+    solved once per graph and shared with ``graph_lambda1``, and mu1_new the
+    top eigenvalue of the signed adjacency, one Lanczos solve per step on the
+    matchings with the signs laid out as a (4, V) array, from a fixed start
+    vector, so a step's value depends on its signing alone.  No V x V matrix
+    is built except on graphs of at most 20 vertices, which go to LAPACK.
     """
     steps = check_count("steps", steps, 1)
     if seed is None:
@@ -531,17 +592,18 @@ def switching_walk(
         raise DomainError(
             f"start signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
         )
-    nv = graph.num_vertices
-    edge_u, edge_v, _ = graph.edges()
-
-    def top(signs: np.ndarray | None, k: int) -> np.ndarray:
-        matrix = _sparse_adjacency(nv, edge_u, edge_v, signs)
-        return _top_eigenvalues(matrix.toarray() if nv <= _LANCZOS_BASIS else matrix, k)
-
-    mu2_old = float(top(None, 2)[0])
+    edge_u, edge_v, color = graph.edges()
+    mu2_old = graph._mu2
 
     def gap(current: Signing) -> float:
-        return max(0.0, 4.0 - max(mu2_old, float(top(current.values, 1)[0])))
+        if graph.num_vertices <= _DENSE_VERTICES:
+            mu1_new = float(np.linalg.eigvalsh(adjacency_matrix(graph, current))[-1])
+        else:
+            signs = np.empty(graph.matchings.shape)
+            signs[color - 1, edge_u] = current.values
+            signs[color - 1, edge_v] = current.values
+            mu1_new = _lanczos_top(graph.matchings, signs)
+        return max(0.0, 4.0 - max(mu2_old, mu1_new))
 
     trajectory = [(signing_hash(signing), gap(signing))]
     for _ in range(steps):
@@ -667,12 +729,21 @@ def dirichlet_rho(ball: ReplacementBall) -> float:
     if nv == 1:
         return 0.0
     edge_u, edge_v = np.array(ball.edges, dtype=np.int64).T
-    if nv < _DENSE_EIGEN_CUTOFF:
+    if nv <= _DENSE_VERTICES:
         matrix = np.zeros((nv, nv))
         matrix[edge_u, edge_v] = matrix[edge_v, edge_u] = 1.0
-    else:
-        matrix = _sparse_adjacency(nv, edge_u, edge_v)
-    return float(_top_eigenvalues(matrix, 1)[0])
+        return float(np.linalg.eigvalsh(matrix)[-1])
+    # Lay the adjacency lists out as a (max degree, V) table for Lanczos,
+    # padding short lists with weight-0 entries.
+    indptr, indices = _adjacency_lists(nv, edge_u, edge_v)
+    degree = np.diff(indptr)
+    owner = np.repeat(np.arange(nv), degree)
+    slot = np.arange(indices.size) - indptr[owner]
+    neighbors = np.tile(np.arange(nv), (int(degree.max()), 1))
+    weights = np.zeros(neighbors.shape)
+    neighbors[slot, owner] = indices
+    weights[slot, owner] = 1.0
+    return _lanczos_top(neighbors, weights)
 
 
 def export_edges_csv(graph: DualGraph, path, signing: Signing | None = None) -> None:

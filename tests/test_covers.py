@@ -1,6 +1,10 @@
 """Tests for random matching covers, dual graphs, signings, and the replacement ball."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.linalg import eigsh
 
 from octagap import covers
 from octagap.covers import (
@@ -42,6 +47,9 @@ from octagap.errors import DomainError, MemoryGuardError
 
 REPLACEMENT_SPHERES = (1, 4, 6, 12, 18, 36, 54, 108, 162, 324, 486, 972, 1458)
 RHO_AT_RADIUS_12 = 3.8644306520169893
+#: lambda1 of ``dual_graph(sample_cover(3000, 7))``, as the benchmark's
+#: reference records it (ARPACK ``eigsh``, tolerance 1e-9).
+LAMBDA1_N3000_SEED7 = 0.5380668087719562
 
 
 def _two_vertex_graph():
@@ -51,6 +59,11 @@ def _two_vertex_graph():
 
 def _disjoint_pair_graph():
     return DualGraph(np.array([[1, 0, 3, 2]] * NUM_COLORS))
+
+
+def _disjoint_union(first, second):
+    """The two dual graphs side by side, the second's vertices shifted past the first's."""
+    return DualGraph(np.hstack([first.matchings, second.matchings + first.num_vertices]))
 
 
 def _edge_triples(graph):
@@ -89,6 +102,19 @@ def _adjacency_twin(num_vertices, edges, signs):
         matrix[u, v] += float(sign)
         matrix[v, u] += float(sign)
     return matrix
+
+
+def _arpack_lambda1(graph):
+    """CSR and ARPACK twin of ``graph_lambda1``: k=2 ``eigsh`` (largest
+    algebraic, tolerance 1e-9) on the sparse adjacency built from the edges."""
+    edge_u, edge_v, _ = graph.edges()
+    rows = np.concatenate([edge_u, edge_v])
+    cols = np.concatenate([edge_v, edge_u])
+    nv = graph.num_vertices
+    adjacency = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(nv, nv))
+    start = np.random.default_rng(0).standard_normal(nv)
+    top = eigsh(adjacency, k=2, which="LA", tol=1e-9, v0=start, return_eigenvectors=False)
+    return max(0.0, 4.0 - float(np.sort(top)[0]))
 
 
 def _all_pairs_tangle_free_radius(num_vertices, pairs, max_radius=None):
@@ -182,6 +208,14 @@ def test_matching_array_is_immutable():
         m.perm[0] = 0
 
 
+def test_matching_leaves_the_callers_array_writable():
+    perm = np.array([1, 0])
+    m = Matching(perm)
+    assert perm.flags.writeable
+    perm[0] = 0
+    assert m.perm.tolist() == [1, 0]
+
+
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_sample_cover_draws_valid_presentations(n, seed):
     cover = sample_cover(n, seed)
@@ -264,6 +298,9 @@ def test_dual_graph_validation():
         DualGraph(np.array([matched] * 4, dtype=float))
     with pytest.raises(DomainError):
         DualGraph(np.array([matched] * 4, dtype=bool))
+    # ragged rows
+    with pytest.raises(DomainError):
+        DualGraph([matched, matched, matched, [1, 0, 3, 2]])
 
 
 def test_dual_graph_stores_one_read_only_array():
@@ -329,6 +366,11 @@ def test_connectivity_detection():
 
 def test_lambda1_vanishes_exactly_on_disconnected_graphs():
     assert graph_lambda1(_disjoint_pair_graph()) == 0.0
+    union = _disjoint_union(dual_graph(sample_cover(20, 1)), dual_graph(sample_cover(30, 2)))
+    assert union.num_vertices == 100
+    assert not is_connected(union)
+    assert graph_lambda1(union) == 0.0
+    assert all(gap == 0.0 for _, gap in switching_walk(union, 3, seed=1))
     assert graph_lambda1(_two_vertex_graph()) == pytest.approx(8.0, abs=1e-12)
     graph = dual_graph(sample_cover(30, 11))
     if is_connected(graph):
@@ -336,28 +378,61 @@ def test_lambda1_vanishes_exactly_on_disconnected_graphs():
 
 
 def test_lambda1_sparse_path_matches_the_dense_path():
-    graph = dual_graph(sample_cover(1100, 4))
-    sparse = graph_lambda1(graph)
-    mu2 = float(np.linalg.eigvalsh(adjacency_matrix(graph).astype(float))[-2])
-    assert sparse == pytest.approx(max(0.0, 4.0 - mu2), abs=1e-7)
+    """Lanczos on the matchings against every eigenvalue of the dense adjacency."""
+    for n, seed in ((30, 2), (300, 7), (1100, 4)):
+        graph = dual_graph(sample_cover(n, seed))
+        mu2 = float(np.linalg.eigvalsh(adjacency_matrix(graph))[-2])
+        assert abs(graph_lambda1(graph) - max(0.0, 4.0 - mu2)) < 1e-12
+
+
+def test_lambda1_matches_the_arpack_twin_on_the_bench_cover():
+    graph = dual_graph(sample_cover(3000, 7))
+    assert abs(graph_lambda1(graph) - LAMBDA1_N3000_SEED7) < 1e-9
+    assert abs(_arpack_lambda1(graph) - LAMBDA1_N3000_SEED7) < 1e-9
 
 
 def test_lambda1_repeats_bit_for_bit_on_the_sparse_path():
-    graph = dual_graph(sample_cover(1000, 1))
-    assert graph.num_vertices >= 2000
-    values = {graph_lambda1(graph).hex() for _ in range(3)}
+    """A fresh graph each time, since a graph keeps its solved mu2."""
+    values = {graph_lambda1(dual_graph(sample_cover(1000, 1))).hex() for _ in range(3)}
     assert len(values) == 1
 
 
+def test_lambda1_and_the_walk_repeat_bit_for_bit_at_any_thread_count():
+    script = (
+        "from octagap.covers import dual_graph, graph_lambda1, sample_cover, switching_walk\n"
+        "graph = dual_graph(sample_cover(1000, 3))\n"
+        "print(graph_lambda1(graph).hex(), *(g.hex() for _, g in switching_walk(graph, 3, 5)))\n"
+    )
+    src = str(Path(covers.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
+
+
 def test_large_cover_path_never_builds_a_dense_matrix(monkeypatch):
-    """From 2000 vertices up, lambda1, connectivity, the radius and the walk stay sparse."""
+    """Above 20 vertices, lambda1, connectivity, the radius and the walk form no V x V matrix."""
     graph = dual_graph(sample_cover(1100, 4))
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense adjacency built on the sparse path")
 
+    def refuse_size(solver):
+        def guarded(matrix, *args, **kwargs):
+            if len(matrix) >= graph.num_vertices:
+                raise AssertionError(f"{len(matrix)} x {len(matrix)} eigenproblem")
+            return solver(matrix, *args, **kwargs)
+
+        return guarded
+
     monkeypatch.setattr(covers, "adjacency_matrix", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse_size(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", refuse_size(np.linalg.eigh))
     assert 0.0 < graph_lambda1(graph) < 8.0
     assert is_connected(graph)
     assert tangle_free_radius(graph) >= 0
@@ -571,9 +646,10 @@ def test_switching_walk_matches_the_dense_two_cover_step_by_step(n, seed):
 
 
 def test_switching_walk_repeats_bit_for_bit_on_the_sparse_path():
-    graph = dual_graph(sample_cover(1000, 2))
-    assert graph.num_vertices >= 2000
-    series = {tuple(gap.hex() for _, gap in switching_walk(graph, 4, seed=5)) for _ in range(3)}
+    series = {
+        tuple(gap.hex() for _, gap in switching_walk(dual_graph(sample_cover(1000, 2)), 4, seed=5))
+        for _ in range(3)
+    }
     assert len(series) == 1
 
 
@@ -629,6 +705,14 @@ def test_signing_rejects_non_integer_and_out_of_range_values():
     with pytest.raises(DomainError):
         Signing(np.array([True, True]))
     assert Signing(np.array([1, -1], dtype=np.int64)).values.dtype == np.int8
+
+
+def test_signing_leaves_the_callers_array_writable():
+    values = np.array([1, -1], dtype=np.int8)
+    signing = Signing(values)
+    assert values.flags.writeable
+    values[0] = -1
+    assert signing.values.tolist() == [1, -1]
 
 
 def test_single_switch_moves_lambda1_continuously():

@@ -49,10 +49,14 @@ def test_import_leaves_heavy_modules_out(statements, absent):
         (["delta", "--group", "inf", "--word-length", "6", "--window", "1,4"], {"scipy"}),
         (
             ["cover", "--n", "3", "--seed", "1"],
-            {"scipy.integrate", "octagap.geometry", "octagap.spectral"},
+            {"scipy", "octagap.geometry", "octagap.spectral"},
+        ),
+        (
+            ["cover", "--n", "3", "--walk-steps", "2", "--seed", "1"],
+            {"scipy", "octagap.geometry", "octagap.spectral"},
         ),
     ],
-    ids=["verify-group", "scattering", "delta", "cover"],
+    ids=["verify-group", "scattering", "delta", "cover", "cover-walk"],
 )
 def test_command_loads_only_its_layers(argv, absent):
     code, modules = _fresh_run(f"from octagap.cli import main\ncode = main({argv!r})")
