@@ -43,7 +43,7 @@ from octagap.covers import (
     walk_summary,
 )
 from octagap.cli import EXIT_OK, main
-from octagap.errors import DomainError, MemoryGuardError
+from octagap.errors import DomainError, MemoryGuardError, SetupError
 
 REPLACEMENT_SPHERES = (1, 4, 6, 12, 18, 36, 54, 108, 162, 324, 486, 972, 1458)
 RHO_AT_RADIUS_12 = 3.8644306520169893
@@ -413,6 +413,13 @@ def test_lambda1_and_the_walk_repeat_bit_for_bit_at_any_thread_count():
         assert result.returncode == 0, result.stderr
         outputs.add(result.stdout)
     assert len(outputs) == 1
+
+
+def test_lanczos_past_its_step_cap_raises_setup_error(monkeypatch):
+    graph = dual_graph(sample_cover(300, 7))
+    monkeypatch.setattr(covers, "_LANCZOS_MAX_STEPS", 15)
+    with pytest.raises(SetupError):
+        graph_lambda1(graph)
 
 
 def test_large_cover_path_never_builds_a_dense_matrix(monkeypatch):
