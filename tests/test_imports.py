@@ -49,11 +49,11 @@ def test_import_leaves_heavy_modules_out(statements, absent):
         (["delta", "--group", "inf", "--word-length", "6", "--window", "1,4"], {"scipy"}),
         (
             ["cover", "--n", "3", "--seed", "1"],
-            {"scipy", "octagap.geometry", "octagap.spectral"},
+            {"scipy", "numpy.ma", "octagap.geometry", "octagap.spectral"},
         ),
         (
             ["cover", "--n", "3", "--walk-steps", "2", "--seed", "1"],
-            {"scipy", "octagap.geometry", "octagap.spectral"},
+            {"scipy", "numpy.ma", "octagap.geometry", "octagap.spectral"},
         ),
     ],
     ids=["verify-group", "scattering", "delta", "cover", "cover-walk"],
