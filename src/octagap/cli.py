@@ -14,9 +14,10 @@ flag (None for a config-only key).  The parser is built from it, and flag
 strings and config values pass through the same strict caster.  Range checks
 that the library already makes are left to the library's ``DomainError``.
 
-Each handler imports the layers it runs, so a command loads no numpy, scipy
-or library module it does not use.  Handlers call the layers through their
-modules (``covers.graph_lambda1(...)``), which the benchmark's tracer wraps.
+Each handler imports the layers it runs, so a command loads no numpy or
+library module it does not use, and no command loads scipy.  Handlers call
+the layers through their modules (``covers.graph_lambda1(...)``), which the
+benchmark's tracer wraps.
 
 Exit codes: 0 when all checks of the subcommand pass, 1 for a computational
 failure or a failed check, 2 for invalid input.  Output files are written

@@ -268,6 +268,33 @@ def test_bounds_and_budgets_csv_is_the_cap_sweep(tmp_path):
     assert len(lines) == 1 + 6 * 3
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"cap_radii": [400]},
+        {"cap_radii": [354], "cap_separations": [0.5]},
+        {"cap_radii": ["nan"]},
+        {"cap_radii": ["-inf"]},
+        {"cap_separations": ["inf"]},
+    ],
+    ids=[
+        "overflowing-radius",
+        "overflowing-bound",
+        "nan-radius",
+        "infinite-radius",
+        "infinite-separation",
+    ],
+)
+def test_bounds_and_budgets_rejects_non_finite_and_overflowing_caps(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "bounds.json"
+    args = ["bounds-and-budgets", "--config", str(path), "--seed", "3", "--out", str(out)]
+    assert main(args + ["--horoball-samples", "500"]) == EXIT_USAGE
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # -- shared behavior ----------------------------------------------------------------
 
 

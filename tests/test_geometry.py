@@ -3,8 +3,10 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -243,6 +245,82 @@ def test_ball_volume_closed_form():
         )
 
 
+@pytest.mark.parametrize("radius", [1e-8, 1e-6, 1e-3, 0.3, 0.4999, 0.5, 0.5001, 354.0])
+def test_ball_volume_matches_mpmath(radius):
+    with mpmath.workdps(50):
+        T = mpmath.mpf(radius)
+        exact = mpmath.pi * (mpmath.sinh(2 * T) - 2 * T)
+    assert ball_volume(radius) == pytest.approx(float(exact), rel=1e-14, abs=0)
+
+
+def _cap_volume_mpmath(radius, separation):
+    """Oracle: 50 significant digits of the closed-form cap volume.
+
+    On r in [|T - delta|, T] the cap integrand sinh^2 r (1 - q) has the
+    antiderivative F(r) / sinh delta with F(r) = cosh T cosh r - cosh(2r - delta) / 4
+    - r sinh delta / 2.  F(T) - F(|T - delta|) cancels up to 45 digits at
+    T = 1e-6, so the form runs with 100 and with 120 working digits, and the
+    two must agree to 50.
+    """
+
+    def closed_form(dps):
+        with mpmath.workdps(dps):
+            T, delta = mpmath.mpf(radius), mpmath.mpf(separation)
+            inner = max(T - delta, 0)
+            full = mpmath.pi * (mpmath.sinh(2 * inner) - 2 * inner)
+
+            def F(r):
+                cosh_term = mpmath.cosh(T) * mpmath.cosh(r) - mpmath.cosh(2 * r - delta) / 4
+                return cosh_term - r * mpmath.sinh(delta) / 2
+
+            return full + 2 * mpmath.pi * (F(T) - F(abs(T - delta))) / mpmath.sinh(delta)
+
+    value, check = closed_form(100), closed_form(120)
+    assert abs(value - check) <= abs(check) * mpmath.mpf(10) ** -50
+    return value
+
+
+def _cap_volume_quad(radius, separation):
+    """Twin: the route cap_volume took before, scipy's quad over the clamped cap fraction.
+
+    Its epsabs of 1e-12 limits it where the lens is small: up to 1.5e-8
+    relative at delta = 1.99 T, no digits at 1.9999 T.  The cosh products of
+    q cancel at small T (2e-4 relative at T = 1e-6), and from T = 50 up quad
+    misses most of the lens.  So it runs on the middle of the grid only.
+    """
+    T, delta = float(radius), float(separation)
+    inner = max(0.0, T - delta)
+    full = math.pi * (math.sinh(2.0 * inner) - 2.0 * inner)
+
+    def integrand(r):
+        if r <= 0.0:
+            return 0.0
+        q = (math.cosh(r) * math.cosh(delta) - math.cosh(T)) / (math.sinh(r) * math.sinh(delta))
+        return math.sinh(r) ** 2 * min(max(1.0 - q, 0.0), 2.0)
+
+    lens, _ = scipy.integrate.quad(integrand, inner, T, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return full + 2.0 * math.pi * lens
+
+
+_CAP_FRACTIONS = (1e-8, 0.5, 1.0, 1.5, 1.99, 1.9999)
+
+
+@pytest.mark.parametrize("radius", [1e-6, 1e-3, 0.05, 0.3, 1.0, 2.0, 3.0, 8.0, 50.0, 300.0])
+def test_cap_volume_matches_mpmath(radius):
+    for fraction in _CAP_FRACTIONS:
+        separation = fraction * radius
+        exact = float(_cap_volume_mpmath(radius, separation))
+        assert cap_volume(radius, separation) == pytest.approx(exact, rel=1e-12, abs=0), fraction
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.3, 1.0, 2.0, 3.0, 8.0])
+def test_cap_volume_matches_the_quadrature_twin(radius):
+    for fraction in _CAP_FRACTIONS[:-1]:
+        separation = fraction * radius
+        twin = _cap_volume_quad(radius, separation)
+        assert cap_volume(radius, separation) == pytest.approx(twin, rel=1e-7, abs=0), fraction
+
+
 def test_cap_volume_degenerates_correctly():
     assert cap_volume(2.0, 0.0) == pytest.approx(ball_volume(2.0), rel=1e-12)
     assert cap_volume(2.0, 4.0) == 0.0
@@ -273,6 +351,35 @@ def test_cap_volume_rejects_bad_arguments():
         cap_volume(-1.0, 0.0)
     with pytest.raises(DomainError):
         cap_volume(2.0, -0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_volumes_reject_non_finite_arguments(value):
+    calls = [
+        lambda: ball_volume(value),
+        lambda: cap_volume(value, 1.0),
+        lambda: cap_volume(1.0, value),
+        lambda: cap_volume_bound(value, 1.0),
+        lambda: cap_volume_bound(1.0, value),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_volumes_reject_radii_that_overflow():
+    for radius in (355.0, 400.0):
+        with pytest.raises(DomainError):
+            ball_volume(radius)
+        with pytest.raises(DomainError):
+            cap_volume(radius, 1.0)
+    for radius, separation in ((354.0, 0.5), (400.0, 1.0), (1e6, 0.0)):
+        with pytest.raises(DomainError):
+            cap_volume_bound(radius, separation)
+    assert math.isfinite(ball_volume(354.0))
+    assert math.isfinite(cap_volume(354.0, 1e-6))
+    assert math.isfinite(cap_volume_bound(354.0, 2.0))
+    assert cap_volume_bound(400.0, 800.0) == pytest.approx(8 * math.pi)
 
 
 # -- orbit balls and the critical exponent ------------------------------------------

@@ -55,8 +55,12 @@ def test_import_leaves_heavy_modules_out(statements, absent):
             ["cover", "--n", "3", "--walk-steps", "2", "--seed", "1"],
             {"scipy", "numpy.ma", "octagap.geometry", "octagap.spectral"},
         ),
+        (
+            ["bounds-and-budgets", "--seed", "3", "--horoball-samples", "500"],
+            {"scipy", "numpy.ma", "octagap.covers"},
+        ),
     ],
-    ids=["verify-group", "scattering", "delta", "cover", "cover-walk"],
+    ids=["verify-group", "scattering", "delta", "cover", "cover-walk", "bounds-and-budgets"],
 )
 def test_command_loads_only_its_layers(argv, absent):
     code, modules = _fresh_run(f"from octagap.cli import main\ncode = main({argv!r})")
