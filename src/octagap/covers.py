@@ -12,6 +12,12 @@ graphs on four vertices glued along a 4-regular tree) supplies the comparison
 graph whose spectral radius 1 + sqrt(5 + 2 sqrt(3)) calibrates the limiting
 spectral gap 3 - sqrt(5 + 2 sqrt(3)).
 
+Every solve and search runs on one graph form, a (d, V) neighbour table
+whose row k gives each vertex one neighbour: a dual graph's table is its
+four matchings, a replacement ball's its four Cayley neighbours (-1 for
+those outside the ball).  Eigenvalues come from LAPACK on the dense matrix
+up to 20 vertices and from Lanczos on the table above that.
+
 Vertices are indexed 0 .. 2n-1 and colors run 1 .. 4.
 """
 
@@ -191,9 +197,7 @@ class DualGraph:
         ``graph_lambda1`` and ``switching_walk`` need it."""
         if not _reaches_every_vertex(self.matchings):
             return 4.0
-        if self.num_vertices <= _DENSE_VERTICES:
-            return float(np.linalg.eigvalsh(adjacency_matrix(self))[-2])
-        return _lanczos_top(self.matchings, deflate=True)
+        return _top_eigenvalue(self.matchings, deflate=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,11 +256,11 @@ def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.nda
     """Dense adjacency matrix, entries multiplied by edge signs if given.
 
     Parallel edges add, and sums of +-1 are exact.  The dense V x V float64
-    matrix is for the exact eigvalsh paths (the two-cover spectra and small
-    graphs' lambda1).  It raises
-    MemoryGuardError, before allocating, when V * V * 8 bytes would exceed
-    1 GiB (above about 11,585 vertices); ``graph_lambda1``, ``is_connected``,
-    ``tangle_free_radius`` and ``switching_walk`` on large graphs never call it.
+    matrix is for the exact two-cover spectra and the tests' dense twins.
+    It raises MemoryGuardError, before allocating, when V * V * 8 bytes
+    would exceed 1 GiB (above about 11,585 vertices).  No other function
+    here calls it; small graphs' eigenvalues take the same matrix from
+    ``_dense``, and larger graphs never form one.
     """
     if signing is not None and signing.num_edges != graph.num_edges:
         raise DomainError(
@@ -268,11 +272,27 @@ def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.nda
             f"a dense adjacency matrix on {graph.num_vertices} vertices needs "
             f"{nbytes / 2**30:.1f} GiB, over the {_DENSE_MATRIX_BYTES / 2**30:g} GiB limit"
         )
-    edge_u, edge_v, _ = graph.edges()
-    weights = np.ones(edge_u.size) if signing is None else signing.values.astype(float)
-    matrix = np.zeros((graph.num_vertices, graph.num_vertices))
-    np.add.at(matrix, (edge_u, edge_v), weights)
-    np.add.at(matrix, (edge_v, edge_u), weights)
+    signs = None if signing is None else signing.values[_edge_ids(graph)]
+    return _dense(graph.matchings, signs)
+
+
+def _edge_ids(graph: DualGraph) -> np.ndarray:
+    """(4, V) table beside the matchings: entry (c, u) is the index, in edge
+    order, of u's color c + 1 edge, so ``signing.values[ids]`` gives the
+    sign of every matching entry."""
+    edge_u, edge_v, color = graph.edges()
+    ids = np.empty(graph.matchings.shape, dtype=np.int64)
+    ids[color - 1, edge_u] = ids[color - 1, edge_v] = np.arange(edge_u.size)
+    return ids
+
+
+def _dense(neighbors: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """The operator of ``_top_eigenvalue`` as a dense V x V matrix: row v
+    adds weights[k, v] at column neighbors[k, v], so parallel edges add."""
+    nv = neighbors.shape[1]
+    matrix = np.zeros((nv, nv))
+    rows = np.broadcast_to(np.arange(nv), neighbors.shape)
+    np.add.at(matrix, (rows, neighbors), 1.0 if weights is None else weights)
     return matrix
 
 
@@ -296,6 +316,17 @@ def _reaches_every_vertex(matchings: np.ndarray) -> bool:
     return bool(reached.all())
 
 
+def _top_eigenvalue(
+    neighbors: np.ndarray, weights: np.ndarray | None = None, *, deflate: bool = False
+) -> float:
+    """Largest eigenvalue of the operator of ``_lanczos_top`` (the second
+    largest with ``deflate``): LAPACK on ``_dense`` up to ``_DENSE_VERTICES``
+    vertices, where it costs less than a Lanczos run, and Lanczos above."""
+    if neighbors.shape[1] > _DENSE_VERTICES:
+        return _lanczos_top(neighbors, weights, deflate=deflate)
+    return float(np.linalg.eigvalsh(_dense(neighbors, weights))[-2 if deflate else -1])
+
+
 def _lanczos_top(
     neighbors: np.ndarray, weights: np.ndarray | None = None, *, deflate: bool = False
 ) -> float:
@@ -303,9 +334,10 @@ def _lanczos_top(
 
     ``neighbors`` and ``weights`` are (d, V) arrays: row k gives each vertex
     one neighbour and the weight of that edge (1 throughout when ``weights``
-    is None).  With ``deflate`` the mean is taken out of the start vector and
-    of every product, which on a regular graph leaves out the constant
-    eigenvector, so the result is the second largest eigenvalue.
+    is None; an entry of weight 0 adds nothing, whatever it indexes).  With
+    ``deflate`` the mean is taken out of the start vector and of every
+    product, which on a regular graph leaves out the constant eigenvector,
+    so the result is the second largest eigenvalue.
 
     Plain Lanczos without reorthogonalization, from a fixed-seed Gaussian
     start vector.  Lost orthogonality only repeats Ritz values that have
@@ -366,43 +398,12 @@ def graph_lambda1(graph: DualGraph) -> float:
     top eigenvalue of a 4-regular graph is 4, so the gap vanishes when the
     graph is disconnected, and a breadth-first search then makes it exactly
     0.  Tiny negative rounding is clamped.  Graphs of at most 20 vertices
-    take every eigenvalue of ``adjacency_matrix`` from LAPACK; larger ones
+    take every eigenvalue of the dense adjacency from LAPACK; larger ones
     run Lanczos on the matchings with the constant vector deflated, so no
     V x V matrix is ever allocated.  mu2 is solved once per graph and shared
     with ``switching_walk``.
     """
     return max(0.0, 4.0 - graph._mu2)
-
-
-def _graph_data(graph) -> tuple[int, np.ndarray, np.ndarray]:
-    try:
-        num_vertices, edge_seq = graph
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"expected a DualGraph or a (num_vertices, edges) pair, got {graph!r}"
-        ) from None
-    num_vertices = check_count("num_vertices", num_vertices, 1)
-    pairs = []
-    for edge in edge_seq:
-        u = check_count("edge endpoint", edge[0], 0)
-        v = check_count("edge endpoint", edge[1], 0)
-        if not (u < num_vertices and v < num_vertices and u != v):
-            raise DomainError(f"edge {edge!r} is not a pair of distinct vertices")
-        pairs.append((u, v))
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return num_vertices, ends[:, 0], ends[:, 1]
-
-
-def _adjacency_lists(
-    num_vertices: int, edge_u: np.ndarray, edge_v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)``: the neighbours of v are ``indices[indptr[v]:indptr[v + 1]]``,
-    one entry per edge end, so a parallel edge is listed once per copy."""
-    ends = np.concatenate([edge_u, edge_v])
-    order = np.argsort(ends, kind="stable")
-    indices = np.concatenate([edge_v, edge_u])[order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=num_vertices))])
-    return indptr, indices
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -422,12 +423,11 @@ def _sorted_contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[at] == keys
 
 
-def _first_tangle_depth(
-    indptr: np.ndarray, indices: np.ndarray, roots: np.ndarray, depth_cut: int
-) -> int:
+def _first_tangle_depth(adjacency: np.ndarray, roots: np.ndarray, depth_cut: int) -> int:
     """Smallest depth t <= depth_cut at which some root's ball has cycle rank above 1.
 
-    Returns depth_cut + 1 when there is none.  The roots' breadth-first
+    Returns depth_cut + 1 when there is none.  ``adjacency`` is the (V, 4)
+    array whose row v lists v's four neighbours.  The roots' breadth-first
     searches run side by side, one depth per step.  A (root, vertex) pair is
     the key slot * V + vertex, where slot is the root's place in ``roots``,
     and each depth is a sorted key array.  A neighbour of a depth-t vertex
@@ -436,19 +436,15 @@ def _first_tangle_depth(
     back to t - 1 and those inside depth t (seen from both ends), counted
     with their multiplicity, one adjacency entry per copy.
     """
-    nv = indptr.size - 1
+    nv = adjacency.shape[0]
     slots = roots.size
     level = np.arange(slots, dtype=np.int64) * nv + roots
     previous = np.empty(0, dtype=np.int64)
     rank = np.ones(slots, dtype=np.int64)
     for depth in range(depth_cut + 1):
         owner, vertex = np.divmod(level, nv)
-        starts = indptr[vertex]
-        counts = indptr[vertex + 1] - starts
-        offsets = starts - np.cumsum(counts) + counts
-        positions = np.arange(counts.sum()) + np.repeat(offsets, counts)
-        owner_of = np.repeat(owner, counts)
-        keys = owner_of * nv + indices[positions]
+        keys = (adjacency[vertex] + (owner * nv)[:, None]).ravel()
+        owner_of = np.repeat(owner, NUM_COLORS)
         back = _sorted_contains(previous, keys)
         inside = _sorted_contains(level, keys)
         rank += np.bincount(owner_of[back], minlength=slots)
@@ -464,51 +460,43 @@ def _first_tangle_depth(
     return depth_cut + 1
 
 
-def _ball_entries(max_degree: int, depth: int, total: int) -> int:
-    """Upper bound on the neighbour entries one root gathers up to ``depth``."""
-    if max_degree == 1:
-        ball = depth + 1
-    else:
-        ball = (max_degree ** (min(depth, 64) + 1) - 1) // (max_degree - 1)
-    return min(total, ball * max_degree)
+def _ball_entries(depth: int, total: int) -> int:
+    """Upper bound on the neighbour entries one root gathers up to ``depth``:
+    four per vertex of the radius-``depth`` ball in the 4-regular tree."""
+    ball = (NUM_COLORS ** (min(depth, 64) + 1) - 1) // (NUM_COLORS - 1)
+    return min(total, ball * NUM_COLORS)
 
 
-def tangle_free_radius(graph, *, max_radius: int | None = None) -> int:
-    """Largest T such that every radius-T ball has at most one cycle.
+def tangle_free_radius(graph: DualGraph, *, max_radius: int | None = None) -> int:
+    """Largest T such that every radius-T ball of a dual graph has at most one cycle.
 
     The ball around a vertex is the subgraph induced by vertices within
     graph distance T; its cycle rank is edges - vertices + 1 (balls are
-    connected), counting parallel edges.  ``graph`` may be a DualGraph or
-    a plain ``(num_vertices, edges)`` pair, so pruned subgraphs can be
-    measured too.  Cycle free graphs return ``max_radius``, which defaults
-    to the vertex count (every ball has saturated by then).
+    connected), counting parallel edges.  ``graph`` must be a DualGraph;
+    anything else raises DomainError.  The answer is capped at
+    ``max_radius``, which defaults to the vertex count (every ball has
+    saturated by then).
 
-    Each root runs a breadth-first search over adjacency lists (a
-    DualGraph's are the columns of its matchings) that stops at the running
+    Each root runs a breadth-first search over the rows of ``matchings.T``,
+    copied once as a contiguous (V, 4) array, that stops at the running
     answer: a ball deeper than it can no longer lower it.  Roots go in
     batches whose neighbour entries per depth stay under 2**20, so memory
     grows with the balls searched, not with V * V.
     """
-    if isinstance(graph, DualGraph):
-        num_vertices = graph.num_vertices
-        indptr = np.arange(0, NUM_COLORS * num_vertices + 1, NUM_COLORS)
-        indices = graph.matchings.T.ravel()
-    else:
-        num_vertices, edge_u, edge_v = _graph_data(graph)
-        indptr, indices = _adjacency_lists(num_vertices, edge_u, edge_v)
+    if not isinstance(graph, DualGraph):
+        raise DomainError(f"expected a DualGraph, got {type(graph).__name__}")
+    num_vertices = graph.num_vertices
     if max_radius is None:
         max_radius = num_vertices
     max_radius = check_count("max_radius", max_radius, 0)
-    if indices.size == 0:
-        return max_radius
-    max_degree = int(np.diff(indptr).max())
+    adjacency = np.ascontiguousarray(graph.matchings.T)
     best = max_radius
     start = 0
     while best > 0 and start < num_vertices:
-        batch = _BFS_BATCH_ENTRIES // _ball_entries(max_degree, best, indices.size)
+        batch = _BFS_BATCH_ENTRIES // _ball_entries(best, adjacency.size)
         stop = min(num_vertices, start + max(1, batch))
         roots = np.arange(start, stop, dtype=np.int64)
-        best = min(best, _first_tangle_depth(indptr, indices, roots, best) - 1)
+        best = min(best, _first_tangle_depth(adjacency, roots, best) - 1)
         start = stop
     return best
 
@@ -608,17 +596,11 @@ def switching_walk(
         raise DomainError(
             f"start signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
         )
-    edge_u, edge_v, color = graph.edges()
+    ids = _edge_ids(graph)
     mu2_old = graph._mu2
 
     def gap(current: Signing) -> float:
-        if graph.num_vertices <= _DENSE_VERTICES:
-            mu1_new = float(np.linalg.eigvalsh(adjacency_matrix(graph, current))[-1])
-        else:
-            signs = np.empty(graph.matchings.shape)
-            signs[color - 1, edge_u] = current.values
-            signs[color - 1, edge_v] = current.values
-            mu1_new = _lanczos_top(graph.matchings, signs)
+        mu1_new = _top_eigenvalue(graph.matchings, current.values[ids].astype(float))
         return max(0.0, 4.0 - max(mu2_old, mu1_new))
 
     trajectory = [(signing_hash(signing), gap(signing))]
@@ -659,14 +641,18 @@ class ReplacementBall:
     """A radius-T ball of the infinite replacement-product graph.
 
     Vertices are indexed in breadth-first order from the root (index 0);
-    ``distances[j]`` is the graph distance of vertex j from the root, and
-    ``edges`` lists the induced undirected edges.
+    ``distances[j]`` is the graph distance of vertex j from the root.
+    ``neighbors`` is a read-only (4, V) int64 array whose column j lists
+    vertex j's Cayley neighbours under x, x^2, x^3 and y, with -1 for those
+    outside the ball, and ``edges`` lists the induced undirected edges
+    (u, v), u < v, in ascending order.
     """
 
     radius: int
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     distances: np.ndarray
+    neighbors: np.ndarray
 
     def sphere_sizes(self) -> list[int]:
         """Vertex counts at each distance 0 .. radius."""
@@ -707,30 +693,32 @@ def replacement_ball(radius: int) -> ReplacementBall:
         raise DomainError(
             f"radius must be at most {_MAX_REPLACEMENT_RADIUS}, got {radius}"
         )
-    root: tuple = ()
-    index = {root: 0}
+    index: dict[tuple, int] = {(): 0}
     distances = [0]
-    frontier = [root]
+    rows = []
+    frontier: list[tuple] = [()]
     for depth in range(1, radius + 1):
         next_frontier = []
         for word in frontier:
-            for neighbor in _replacement_neighbors(word):
+            rows.append(_replacement_neighbors(word))
+            for neighbor in rows[-1]:
                 if neighbor not in index:
                     index[neighbor] = len(index)
                     distances.append(depth)
                     next_frontier.append(neighbor)
         frontier = next_frontier
-    edges = set()
-    for word, u in index.items():
-        for neighbor in _replacement_neighbors(word):
-            v = index.get(neighbor)
-            if v is not None and v != u:
-                edges.add((min(u, v), max(u, v)))
+    rows.extend(_replacement_neighbors(word) for word in frontier)
+    table = [[index.get(word, -1) for word in row] for row in rows]
+    neighbors = np.array(table, dtype=np.int64).T.copy()
+    neighbors.setflags(write=False)
+    owner = np.broadcast_to(np.arange(len(index)), neighbors.shape)
+    keep = neighbors > owner
     return ReplacementBall(
         radius=radius,
         num_vertices=len(index),
-        edges=tuple(sorted(edges)),
+        edges=tuple(sorted(zip(owner[keep].tolist(), neighbors[keep].tolist()))),
         distances=np.array(distances, dtype=np.int64),
+        neighbors=neighbors,
     )
 
 
@@ -739,27 +727,11 @@ def dirichlet_rho(ball: ReplacementBall) -> float:
 
     Restricting to a finite ball only loses mass, so this is a lower bound
     for the infinite graph's spectral radius REPLACEMENT_SPECTRAL_RADIUS,
-    nondecreasing in the ball radius.
+    nondecreasing in the ball radius.  The ball's ``neighbors`` table is the
+    operator, each -1 entry weighted 0.
     """
-    nv = ball.num_vertices
-    if nv == 1:
-        return 0.0
-    edge_u, edge_v = np.array(ball.edges, dtype=np.int64).T
-    if nv <= _DENSE_VERTICES:
-        matrix = np.zeros((nv, nv))
-        matrix[edge_u, edge_v] = matrix[edge_v, edge_u] = 1.0
-        return float(np.linalg.eigvalsh(matrix)[-1])
-    # Lay the adjacency lists out as a (max degree, V) table for Lanczos,
-    # padding short lists with weight-0 entries.
-    indptr, indices = _adjacency_lists(nv, edge_u, edge_v)
-    degree = np.diff(indptr)
-    owner = np.repeat(np.arange(nv), degree)
-    slot = np.arange(indices.size) - indptr[owner]
-    neighbors = np.tile(np.arange(nv), (int(degree.max()), 1))
-    weights = np.zeros(neighbors.shape)
-    neighbors[slot, owner] = indices
-    weights[slot, owner] = 1.0
-    return _lanczos_top(neighbors, weights)
+    weights = (ball.neighbors >= 0).astype(float)
+    return _top_eigenvalue(ball.neighbors, weights)
 
 
 def export_edges_csv(graph: DualGraph, path, signing: Signing | None = None) -> None:

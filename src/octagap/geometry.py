@@ -410,18 +410,14 @@ class CuspDatum:
         return cls(rank=0)
 
 
-def cusp_height_standard(
-    p: Point3, reps: Iterable[ProjIsom], lattice: CuspDatum | None = None
-) -> float:
+def cusp_height_standard(p: Point3, reps: Iterable[ProjIsom]) -> float:
     """Height of p at the cusp at infinity, maximized over the supplied orbit.
 
     The honest height is a supremum over the whole group; this restricts the
     maximum to a finite representative set, which is how every caller uses
-    it.  The optional lattice is validated (the cusp at infinity has rank
-    two) but does not affect the value: horizontal translations preserve t.
+    it.  Horizontal translations preserve t, so the cusp's translation
+    lattice does not enter.
     """
-    if lattice is not None and lattice.rank != 2:
-        raise DomainError("the cusp at infinity has rank two")
     best = p.t
     for g in reps:
         best = max(best, apply_isom(g, p).t)
@@ -616,8 +612,8 @@ def spectral_gap_bounds(
     upper bound pushes the free subgroup's critical exponent through the
     kernel bound delta >= 2 - delta_free / 2 and the spectral formula.
     """
-    if mu <= 0:
-        raise DomainError("comparison constant mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise DomainError(f"comparison constant mu must be positive and finite, got {mu}")
     gap = REPLACEMENT_GRAPH_GAP
     lower = mu * gap / (16.0 * 4.0 + mu * gap)
     delta_kernel = 2.0 - delta_free / 2.0

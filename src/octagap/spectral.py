@@ -34,7 +34,7 @@ class SpectralParams:
     ``lam`` is the eigenvalue under study, ``lam0`` the reference bass note
     it must stay below, ``eps`` a positive slack, ``tangle_radius`` the
     scale on which short loops are controlled, and ``truncation`` the kernel
-    truncation radius.
+    truncation radius.  All five must be finite.
     """
 
     lam: float
@@ -50,12 +50,16 @@ class SpectralParams:
             raise DomainError(f"reference eigenvalue must lie in (0, 1), got {self.lam0}")
         if not self.lam < self.lam0:
             raise DomainError(f"eigenvalue {self.lam} must be below the reference {self.lam0}")
-        if not self.eps > 0.0:
-            raise DomainError(f"slack must be positive, got {self.eps}")
-        if not self.tangle_radius > 0.0:
-            raise DomainError(f"tangle radius must be positive, got {self.tangle_radius}")
-        if not self.truncation >= 1.0:
-            raise DomainError(f"truncation radius must be at least 1, got {self.truncation}")
+        if not 0.0 < self.eps < math.inf:
+            raise DomainError(f"slack must be positive and finite, got {self.eps}")
+        if not 0.0 < self.tangle_radius < math.inf:
+            raise DomainError(
+                f"tangle radius must be positive and finite, got {self.tangle_radius}"
+            )
+        if not 1.0 <= self.truncation < math.inf:
+            raise DomainError(
+                f"truncation radius must be finite and at least 1, got {self.truncation}"
+            )
 
     @property
     def s(self) -> float:
@@ -477,6 +481,31 @@ def cusp_kernel_growth(
     return total
 
 
+def _radius_terms(L: float, lam: float, lam0: float, eps: float) -> tuple[float, float, float]:
+    """E = e^(-2 L sqrt(1 - lam)), G = e^(L (sqrt(1 - lam0) + eps)) and
+    S = sinh(L/2) at tangle radius L, after validating the parameters.
+
+    Raises DomainError naming the tangle radius when G or S overflows; G
+    bounds e^(L sqrt(1 - lam0)) from above, so that cannot overflow either.
+    """
+    SpectralParams(lam, lam0, eps, L)  # raises DomainError on an invalid parameter
+    try:
+        growth = math.exp(L * (math.sqrt(1.0 - lam0) + eps))
+        half = math.sinh(L / 2.0)
+    except OverflowError:
+        raise DomainError(
+            f"tangle radius {L:g} is too large: e^(L (sqrt(1 - lam0) + eps)) or "
+            f"sinh(L/2) overflows"
+        ) from None
+    return math.exp(-2.0 * L * math.sqrt(1.0 - lam)), growth, half
+
+
+def _check_finite(value: float, what: str, L: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} overflows at tangle radius {L:g}")
+    return value
+
+
 def tangle_delocalization_bound(
     tangle_radius: float,
     lam: float,
@@ -491,20 +520,19 @@ def tangle_delocalization_bound(
     + R) where R collects the kernel growth terms of ``cusps`` plus, for each
     cover-level rank-two cusp (height, area), the term (height^2 / area)
     log(height sinh(L/2) / area) with the height to the first power inside
-    the log.
+    the log.  Raises DomainError naming the tangle radius when an
+    exponential or the bound overflows.
     """
     L = float(tangle_radius)
-    SpectralParams(lam, lam0, eps, L)  # raises DomainError on an invalid parameter
+    damping, main, half = _radius_terms(L, lam, lam0, eps)
     growth = cusp_kernel_growth(cusps, L)
-    half = math.sinh(L / 2.0)
     for height, area in cover_cusps:
         if height < 1.0:
             continue
         if not area > 0.0:
             raise DomainError(f"cusp area must be positive, got {area}")
         growth += height * height / area * max(math.log(height * half / area), 0.0)
-    main = math.exp(L * (math.sqrt(1.0 - lam0) + eps))
-    return (1.0 - lam) * math.exp(-2.0 * L * math.sqrt(1.0 - lam)) * (main + growth)
+    return _check_finite((1.0 - lam) * damping * (main + growth), "the bound", L)
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +652,11 @@ def flattening_budget(
 
     where C is ``decay_exponent``, by default 2 sqrt(1 - lam0) (the decay
     rate of the constant cusp mode).  Log factors are clamped below at zero.
+    Raises DomainError naming the tangle radius when an exponential or the
+    budget overflows.
     """
     L = float(tangle_radius)
-    SpectralParams(lam, lam0, eps, L)  # raises DomainError on an invalid parameter
+    damping, growth, half = _radius_terms(L, lam, lam0, eps)
     if decay_exponent is None:
         decay_exponent = 2.0 * math.sqrt(1.0 - lam0)
     if not decay_exponent > 0.0:
@@ -642,9 +672,6 @@ def flattening_budget(
         face_areas.append(triple)  # type: ignore[arg-type]
 
     floor = math.exp(math.sqrt(1.0 - lam0) * L)
-    damping = math.exp(-2.0 * L * math.sqrt(1.0 - lam))
-    growth = math.exp(L * (math.sqrt(1.0 - lam0) + eps))
-    half = math.sinh(L / 2.0)
 
     taus: list[tuple[float, float, float]] = []
     e1 = e2 = e3 = 0.0
@@ -663,6 +690,7 @@ def flattening_budget(
             )
         e2 += damping * (growth + face_e2_sum)
         e3 += norm_loss
+    _check_finite(e1 + e2 + e3, "the flattening budget", L)
     return FlatteningBudget(
         areas=tuple(face_areas), tau=tuple(taus), e1=e1, e2=e2, e3=e3
     )

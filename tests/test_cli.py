@@ -295,6 +295,32 @@ def test_bounds_and_budgets_rejects_non_finite_and_overflowing_caps(tmp_path, ca
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _bounds_and_budgets_error(tmp_path, capsys, config) -> str:
+    """Run bounds-and-budgets on a config that must fail with exit code 2,
+    writing no report; return its one stderr line."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "bounds.json"
+    args = ["bounds-and-budgets", "--config", str(path), "--seed", "3", "--out", str(out)]
+    assert main(args + ["--horoball-samples", "500"]) == EXIT_USAGE
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_bounds_and_budgets_rejects_a_non_finite_slack(tmp_path, capsys, eps):
+    """An infinite slack used to end FAIL with Infinity and NaN in the report."""
+    assert "slack" in _bounds_and_budgets_error(tmp_path, capsys, {"eps": eps})
+
+
+def test_bounds_and_budgets_rejects_an_overflowing_budget_length(tmp_path, capsys):
+    """A tangle radius of 1e6 used to die with an OverflowError traceback."""
+    error = _bounds_and_budgets_error(tmp_path, capsys, {"budget_lengths": [10.0, 1e6]})
+    assert "tangle radius" in error
+
+
 # -- shared behavior ----------------------------------------------------------------
 
 

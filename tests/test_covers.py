@@ -61,9 +61,28 @@ def _disjoint_pair_graph():
     return DualGraph(np.array([[1, 0, 3, 2]] * NUM_COLORS))
 
 
-def _disjoint_union(first, second):
-    """The two dual graphs side by side, the second's vertices shifted past the first's."""
-    return DualGraph(np.hstack([first.matchings, second.matchings + first.num_vertices]))
+def _complete_bipartite_graph():
+    """K_{4,4}: color c joins i and 4 + (i + c) % 4 for i < 4."""
+    left = np.arange(4)
+    rows = [np.concatenate([4 + (left + c) % 4, (left - c) % 4]) for c in range(NUM_COLORS)]
+    return DualGraph(np.array(rows))
+
+
+def _octahedron_graph():
+    """K_{2,2,2}: K_6 less the matching {0, 5}, {1, 4}, {2, 3}, colored by
+    the other four matchings of the standard 1-factorization of K_6."""
+    return DualGraph(
+        np.array([[2, 5, 0, 4, 3, 1], [4, 3, 5, 1, 0, 2], [1, 0, 4, 5, 2, 3], [3, 2, 1, 0, 5, 4]])
+    )
+
+
+def _disjoint_union(first, *rest):
+    """The dual graphs side by side, each one's vertices shifted past the previous ones'."""
+    blocks, offset = [], 0
+    for graph in (first, *rest):
+        blocks.append(graph.matchings + offset)
+        offset += graph.num_vertices
+    return DualGraph(np.hstack(blocks))
 
 
 def _edge_triples(graph):
@@ -160,16 +179,36 @@ def _pairs(graph):
     return [(u, v) for u, v, _ in _edge_triples(graph)]
 
 
-#: Handmade (num_vertices, edges) graphs: four parallel edges, a 6-cycle, a
-#: bowtie, a subdivided theta (two 2-cycles joined by a 20-edge path), a
-#: path, and a triangle next to a square with a pendant vertex.
+def _replacement_edges_twin(radius):
+    """Two-pass twin of ``replacement_ball(radius).edges``: a breadth-first
+    search numbers the words, then every word's neighbours are looked up."""
+    index = {(): 0}
+    frontier = [()]
+    for _ in range(radius):
+        next_frontier = []
+        for word in frontier:
+            for neighbor in covers._replacement_neighbors(word):
+                if neighbor not in index:
+                    index[neighbor] = len(index)
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    edges = set()
+    for word, u in index.items():
+        for neighbor in covers._replacement_neighbors(word):
+            v = index.get(neighbor)
+            if v is not None and v != u:
+                edges.add((min(u, v), max(u, v)))
+    return tuple(sorted(edges))
+
+
+#: Handmade dual graphs: four parallel edges, two copies of them, the
+#: octahedron, K_{4,4}, and K_{4,4} beside the octahedron.
 HANDMADE_GRAPHS = (
-    (2, [(0, 1)] * 4),
-    (6, [(k, (k + 1) % 6) for k in range(6)]),
-    (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
-    (23, [(k, k + 1) for k in range(20)] + [(0, 21), (21, 0), (20, 22), (22, 20)]),
-    (7, [(0, 1), (1, 2), (2, 3)]),
-    (10, [(0, 1), (1, 2), (2, 0), (5, 6), (6, 7), (7, 8), (8, 5), (8, 9)]),
+    _two_vertex_graph(),
+    _disjoint_pair_graph(),
+    _octahedron_graph(),
+    _complete_bipartite_graph(),
+    _disjoint_union(_complete_bipartite_graph(), _octahedron_graph()),
 )
 
 
@@ -438,6 +477,7 @@ def test_large_cover_path_never_builds_a_dense_matrix(monkeypatch):
         return guarded
 
     monkeypatch.setattr(covers, "adjacency_matrix", refuse)
+    monkeypatch.setattr(covers, "_dense", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse_size(np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", refuse_size(np.linalg.eigh))
     assert 0.0 < graph_lambda1(graph) < 8.0
@@ -476,22 +516,17 @@ def test_dense_adjacency_of_a_large_cover_fails_before_allocating(monkeypatch):
 
 
 def test_tangle_free_radius_on_known_graphs():
+    """Parallel edges and the octahedron's triangles tangle the radius-1
+    balls; K_{4,4}'s radius-1 balls are stars and its radius-2 ball is the
+    whole graph, of cycle rank 9."""
     assert tangle_free_radius(_two_vertex_graph()) == 0
-    cycle = (6, [(k, (k + 1) % 6) for k in range(6)])
-    assert tangle_free_radius(cycle) == 6
-    assert tangle_free_radius(cycle, max_radius=3) == 3
-    bowtie = (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
-    assert tangle_free_radius(bowtie) == 0
-
-
-def test_tangle_free_radius_of_a_long_subdivided_theta():
-    """Two cycles joined by a long path stay tangle free below half the path."""
-    path = [(k, k + 1) for k in range(20)]
-    left = [(0, 21), (21, 0)]
-    right = [(20, 22), (22, 20)]
-    graph = (23, path + left + right)
-    radius = tangle_free_radius(graph)
-    assert 1 <= radius < 20
+    assert tangle_free_radius(_disjoint_pair_graph()) == 0
+    assert tangle_free_radius(_octahedron_graph()) == 0
+    k44 = _complete_bipartite_graph()
+    assert tangle_free_radius(k44) == 1
+    assert tangle_free_radius(k44, max_radius=0) == 0
+    assert tangle_free_radius(_disjoint_union(k44, k44)) == 1
+    assert tangle_free_radius(_disjoint_union(k44, _two_vertex_graph())) == 0
 
 
 def test_tangle_free_radius_matches_on_sampled_covers():
@@ -503,11 +538,12 @@ def test_tangle_free_radius_matches_on_sampled_covers():
 
 
 @pytest.mark.parametrize("max_radius", [None, 0, 1, 2, 3, 5, 11, 100])
-@pytest.mark.parametrize("graph", HANDMADE_GRAPHS, ids=lambda g: f"V{g[0]}E{len(g[1])}")
+@pytest.mark.parametrize(
+    "graph", HANDMADE_GRAPHS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
+)
 def test_tangle_free_radius_matches_the_all_pairs_twin_on_handmade_graphs(graph, max_radius):
-    num_vertices, pairs = graph
     assert tangle_free_radius(graph, max_radius=max_radius) == _all_pairs_tangle_free_radius(
-        num_vertices, pairs, max_radius
+        graph.num_vertices, _pairs(graph), max_radius
     )
 
 
@@ -529,23 +565,26 @@ def test_tangle_free_radius_matches_the_all_pairs_twin_on_sampled_covers():
 def test_tangle_free_radius_matches_the_all_pairs_twin_on_random_multigraphs(
     monkeypatch, batch_entries
 ):
-    """Irregular degrees, parallel edges, trees and several components; with
-    a tiny batch budget the roots run one or a few at a time."""
+    """Sampled covers, which carry parallel edges, and disjoint unions of two
+    or three of them, so several components; with a tiny batch budget the
+    roots run one or a few at a time."""
     if batch_entries is not None:
         monkeypatch.setattr(covers, "_BFS_BATCH_ENTRIES", batch_entries)
     rng = np.random.default_rng(7)
-    for _ in range(60):
-        num_vertices = int(rng.integers(2, 40))
-        num_edges = int(rng.integers(0, 2 * num_vertices))
-        pairs = []
-        while len(pairs) < num_edges:
-            u, v = (int(x) for x in rng.integers(num_vertices, size=2))
-            if u != v:
-                pairs.append((u, v))
+    radii = set()
+    for _ in range(40):
+        parts = [
+            dual_graph(sample_cover(int(rng.integers(1, 60)), int(rng.integers(2**32))))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        graph = _disjoint_union(*parts)
         for max_radius in (None, 1, 4):
-            assert tangle_free_radius(
-                (num_vertices, pairs), max_radius=max_radius
-            ) == _all_pairs_tangle_free_radius(num_vertices, pairs, max_radius)
+            radius = tangle_free_radius(graph, max_radius=max_radius)
+            assert radius == _all_pairs_tangle_free_radius(
+                graph.num_vertices, _pairs(graph), max_radius
+            ), (graph.num_vertices, max_radius)
+            radii.add(radius)
+    assert {0, 1} <= radii
 
 
 def test_tangle_free_radius_rejects_bad_arguments():
@@ -555,23 +594,21 @@ def test_tangle_free_radius_rejects_bad_arguments():
     with pytest.raises(DomainError):
         tangle_free_radius(graph, max_radius=-1)
     with pytest.raises(DomainError):
-        tangle_free_radius((True, []))
-    with pytest.raises(DomainError):
-        tangle_free_radius((3, [(0, 0)]))
-    with pytest.raises(DomainError):
-        tangle_free_radius((3, [(0, 3)]))
+        tangle_free_radius(graph, max_radius=2.0)
 
 
-def test_tangle_free_radius_rejects_non_integer_endpoints():
-    """A float endpoint is not truncated and True is not vertex 1."""
+def test_tangle_free_radius_rejects_every_graph_form_but_a_dual_graph():
+    """A (num_vertices, edges) pair, even a valid one, the bare matchings
+    and a cover presentation all raise DomainError."""
+    cover = sample_cover(5, 1)
+    graph = dual_graph(cover)
+    for other in ((graph.num_vertices, _pairs(graph)), (3, [(0, 1), (1, 2), (2, 0)]), (2, [])):
+        with pytest.raises(DomainError):
+            tangle_free_radius(other)
     with pytest.raises(DomainError):
-        tangle_free_radius((3, [(0.5, 1), (1, 2)]))
+        tangle_free_radius(graph.matchings)
     with pytest.raises(DomainError):
-        tangle_free_radius((3, [(0, 1), (1, 2.0)]))
-    with pytest.raises(DomainError):
-        tangle_free_radius((3, [(0, True), (1, 2)]))
-    cycle = [(np.int64(0), np.int32(1)), (1, 2), (2, 0)]
-    assert tangle_free_radius((3, cycle)) == tangle_free_radius((3, [(0, 1), (1, 2), (2, 0)]))
+        tangle_free_radius(cover)
 
 
 # -- signings and two-covers ---------------------------------------------------------
@@ -740,6 +777,24 @@ def test_replacement_sphere_sizes_follow_the_growth_series():
     assert ball.num_vertices == sum(REPLACEMENT_SPHERES) == 3641
     for k in range(3, len(REPLACEMENT_SPHERES)):
         assert REPLACEMENT_SPHERES[k] == 3 * REPLACEMENT_SPHERES[k - 2]
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 5, 12])
+def test_replacement_ball_neighbors_are_symmetric_and_give_the_edges(radius):
+    """Every entry is -1 or a vertex that lists its owner back, only the
+    outermost sphere reaches outside, and the edges match the two-pass twin."""
+    ball = replacement_ball(radius)
+    neighbors = ball.neighbors
+    assert neighbors.shape == (4, ball.num_vertices) and neighbors.dtype == np.int64
+    with pytest.raises(ValueError):
+        neighbors[0, 0] = 0
+    for u, row in enumerate(neighbors.T.tolist()):
+        for v in row:
+            assert v == -1 or u in neighbors[:, v].tolist(), (u, v)
+    outside = np.any(neighbors < 0, axis=0)
+    assert np.all(ball.distances[outside] == radius)
+    assert ball.edges == _replacement_edges_twin(radius)
+    assert 2 * len(ball.edges) == int(np.sum(neighbors >= 0))
 
 
 def test_replacement_rho_increases_to_the_frozen_value():

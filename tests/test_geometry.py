@@ -230,11 +230,6 @@ def test_cusp_height_maximizes_over_the_representatives():
     assert height == pytest.approx(max(apply_isom(g, p).t for g in reps), abs=1e-12)
 
 
-def test_cusp_height_validates_the_lattice_rank():
-    with pytest.raises(DomainError):
-        cusp_height_standard(point(0.3, 0.4, 0.9), [], lattice=CuspDatum.rank1(1.0 + 0.0j))
-
-
 # -- volumes ----------------------------------------------------------------------
 
 
@@ -636,3 +631,6 @@ def test_spectral_gap_bounds_structure():
     assert spectral_gap_bounds(mu=0.5).lower < spectral_gap_bounds(mu=1.0).lower
     with pytest.raises(DomainError):
         spectral_gap_bounds(mu=0.0)
+    for mu in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            spectral_gap_bounds(mu=mu)

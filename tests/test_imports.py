@@ -32,8 +32,9 @@ def _fresh_run(statements: str) -> tuple[int, set[str]]:
         ("import octagap.cli", {"numpy", "scipy"}),
         ("import octagap.geometry", {"scipy"}),
         ("import octagap.spectral", {"scipy"}),
+        ("import octagap.covers", {"scipy", "numpy.ma"}),
     ],
-    ids=["cli", "geometry", "spectral"],
+    ids=["cli", "geometry", "spectral", "covers"],
 )
 def test_import_leaves_heavy_modules_out(statements, absent):
     code, modules = _fresh_run(statements)

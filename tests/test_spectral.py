@@ -381,6 +381,18 @@ def test_flattening_budget_validates_parameters():
         flattening_budget([(1.0, 1.0, 1.0)], 10.0, 0.4, 0.8, 0.0)
 
 
+@pytest.mark.parametrize(
+    "length, lam0",
+    [(1e6, 0.8), (2000.0, 0.8), (1500.0, 0.99999), (800.0, 0.8)],
+    ids=["exp-overflow", "growth-overflow", "sinh-overflow", "log-overflow"],
+)
+def test_flattening_budget_names_the_tangle_radius_on_overflow(length, lam0):
+    """e^(L sqrt(1 - lam0)), e^(L (sqrt(1 - lam0) + eps)), sinh(L/2) or the
+    budget itself overflowing is a DomainError, not an OverflowError or NaN."""
+    with pytest.raises(DomainError, match="tangle radius"):
+        flattening_budget([(1.0, 1.0, 1.0)], length, 0.4, lam0, 0.01)
+
+
 def test_flattening_budget_with_no_faces_costs_nothing():
     budget = flattening_budget([], 10.0, 0.4, 0.8, 0.01)
     assert budget.total == 0.0
@@ -439,9 +451,15 @@ def test_tangle_delocalization_skips_low_cover_cusps():
         (10.0, 0.9, 0.8, 0.01),
         (10.0, 0.4, 0.8, 0.0),
         (10.0, 0.4, 0.8, -0.01),
+        (math.inf, 0.4, 0.8, 0.01),
+        (math.nan, 0.4, 0.8, 0.01),
+        (10.0, 0.4, 0.8, math.inf),
+        (1e6, 0.4, 0.8, 0.01),
+        (1500.0, 0.4, 0.99999, 0.01),
     ],
 )
 def test_tangle_delocalization_validates_parameters(length, lam, lam0, eps):
+    """Non-finite input and radii whose exponentials overflow raise too."""
     with pytest.raises(DomainError):
         tangle_delocalization_bound(length, lam, lam0, eps)
 
@@ -462,3 +480,10 @@ def test_spectral_params_validate_their_ranges():
         SpectralParams(lam=1.5)
     with pytest.raises(DomainError):
         SpectralParams(lam=0.9)
+
+
+@pytest.mark.parametrize("field", ["eps", "tangle_radius", "truncation"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_spectral_params_reject_non_finite_values(field, value):
+    with pytest.raises(DomainError):
+        SpectralParams(lam=0.4, **{field: value})
