@@ -76,6 +76,14 @@ def _octahedron_graph():
     )
 
 
+def _theta_lift_graph(length, voltages):
+    """The Z_length lift of the two-vertex graph along one voltage per color:
+    color c joins left vertex i to right vertex length + (i + voltages[c]) % length."""
+    left = np.arange(length)
+    rows = [np.concatenate([length + (left + s) % length, (left - s) % length]) for s in voltages]
+    return DualGraph(np.array(rows))
+
+
 def _disjoint_union(first, *rest):
     """The dual graphs side by side, each one's vertices shifted past the previous ones'."""
     blocks, offset = [], 0
@@ -529,6 +537,21 @@ def test_tangle_free_radius_on_known_graphs():
     assert tangle_free_radius(_disjoint_union(k44, _two_vertex_graph())) == 0
 
 
+def test_tangle_free_radius_of_a_long_subdivided_theta():
+    """The two-vertex graph is a theta with four arcs; its Z_m lift unrolls
+    it into a long chain.  With voltages 0, 1, 3, 7, whose differences are
+    distinct, the chain has no 4-cycle and every radius-2 ball stays a tree
+    or a single cycle, so the radius is 2 however long the chain; repeating
+    a difference (voltages 0, 1, 2, 3) closes 4-cycles and it drops to 1."""
+    for length in (15, 30, 200):
+        graph = _theta_lift_graph(length, (0, 1, 3, 7))
+        assert tangle_free_radius(graph) == 2
+    graph = _theta_lift_graph(30, (0, 1, 3, 7))
+    assert tangle_free_radius(graph) == _all_pairs_tangle_free_radius(60, _pairs(graph))
+    assert tangle_free_radius(graph, max_radius=1) == 1
+    assert tangle_free_radius(_theta_lift_graph(30, (0, 1, 2, 3))) == 1
+
+
 def test_tangle_free_radius_matches_on_sampled_covers():
     graph = dual_graph(sample_cover(200, 13))
     radius = tangle_free_radius(graph)
@@ -609,6 +632,23 @@ def test_tangle_free_radius_rejects_every_graph_form_but_a_dual_graph():
         tangle_free_radius(graph.matchings)
     with pytest.raises(DomainError):
         tangle_free_radius(cover)
+
+
+def test_tangle_free_radius_rejects_non_integer_endpoints():
+    """A float endpoint is not truncated and True is not vertex 1: the dual
+    graph refuses such matchings, and numpy integer dtypes give the same
+    radius as int64."""
+    rows = _complete_bipartite_graph().matchings
+    with pytest.raises(DomainError):
+        tangle_free_radius(DualGraph(rows + 0.5))
+    with pytest.raises(DomainError):
+        tangle_free_radius(DualGraph(rows.astype(float)))
+    with pytest.raises(DomainError):
+        tangle_free_radius(DualGraph(np.array([[True, False]] * NUM_COLORS)))
+    for dtype in (np.int32, np.uint8):
+        assert tangle_free_radius(DualGraph(rows.astype(dtype))) == tangle_free_radius(
+            DualGraph(rows)
+        )
 
 
 # -- signings and two-covers ---------------------------------------------------------
