@@ -8,34 +8,39 @@ through these two functions; the walker needs displacements only, and takes
 them from Gram vectors instead.
 
 ``ball_displacements`` walks the ShortLex normal-form automaton of
-``words.shortlex_automaton_masks`` restricted to a subset of the letters,
-carrying complex128 matrix entries in numpy arrays instead of materializing
-word tuples, which is what makes orbit balls of tens of millions of elements
-feasible.  The face letters r1..r4 pairwise do not commute, so restricted to
-them the automaton accepts exactly the reduced words of their free product;
-on all eight letters it accepts the normal forms of the reflection group.
-Each level's size is checked against the group's growth series.
+``words.shortlex_automaton_masks`` restricted to the letters of an orbit
+group (``_WALKS``), carrying four floats per element in numpy arrays instead
+of materializing word tuples, which is what makes orbit balls of tens of
+millions of elements feasible.  The face letters r1..r4 pairwise do not
+commute, so restricted to them the automaton accepts exactly the reduced
+words of their free product; on all eight letters it accepts the normal
+forms of the reflection group.  Each level's size is checked against the
+group's growth series.
 
-Displacements come from the parent level.  With h = [[sqrt t0, z0 / sqrt t0],
-[0, 1 / sqrt t0]], which carries j = (0, 1) to x0 = (z0, t0), an element of
-matrix M with |det M| = 1 moves x0 by cosh d = |h^-1 M h'|_F^2 / 2
-(Elstrodt, Grunewald and Mennicke, *Groups Acting on Hyperbolic Space*,
-ch. 1), where h' conjugates z0 if the element does.  So the cosh of every
-child M G' is the inner product of the parent's Gram vector (``_gram``) with a
-fixed weight vector per letter and parity (``_letter_weights``).  Each level
-works in slices of ``_CHUNK`` parents: their Gram vectors times the weights
-give the cosh of all their children at once, masked by the automaton's free
-letters.  Child matrices are formed only for levels that get extended, so the
-last sphere never forms one.  The stored levels keep exact Gaussian-integer
-entries, which grow like 4^L, far inside double range for the guarded
-lengths; Gram vectors are recomputed from them at every level rather than
-carried along, which would accumulate rounding.
+Each element M, of unit determinant modulus, is carried as its Gram vector:
+the row (S11, S22, Re S12, Im S12) of S = Q* Q, Q = h^-1 M, where
+h = [[sqrt t0, z0 / sqrt t0], [0, 1 / sqrt t0]] carries j = (0, 1) to
+x0 = (z0, t0).  Appending a letter G' maps S to G'* S G', which is
+real-linear, so a child's row is its parent's row times a fixed real 4x4 map
+per letter and parent parity (``_letter_maps``).  The element moves x0 by
+cosh d = |h^-1 M h'|_F^2 / 2 (Elstrodt, Grunewald and Mennicke, *Groups
+Acting on Hyperbolic Space*, ch. 1), where h' conjugates z0 if the element
+does: the row dotted with one readout vector per conjugation bit
+(``_frame``).  Each level works in slices of ``_CHUNK`` parents: their rows
+times the weights (each letter's map times its children's readout) give the
+cosh of all their children at once, masked by the automaton's free letters.
+Child rows are formed only for levels that get extended, so the last sphere
+never forms one.  The rows carry their rounding from level to level: at the
+guarded lengths (free 15, full and kernel 10), at the default base point and
+at (0.35 + 0.38i, 0.95), the displacements stay within 6.7e-14 of those from
+Gram vectors recomputed at every level from the exact Gaussian-integer
+matrices.
 
 The kernel walk never forms a child whose perp image is longer than the
 letters left, since such a prefix can never return to the trivial image, and
-takes Gram vectors only of the parents whose image has at most one letter,
-the only ones with a child of trivial image.  The growth check still covers
-the dropped prefixes: their accepted continuations are counted over the
+reads out only the parents whose image has at most one letter, the only
+ones with a child of trivial image.  The growth check still covers the
+dropped prefixes: their accepted continuations are counted over the
 automaton states (``_continuations``) and added to the kept ones.
 
 All generators carry the conjugation bit, so an element of word length L
@@ -46,7 +51,7 @@ right-multiply by the entrywise conjugate of the letter's matrix.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -63,15 +68,14 @@ _CHUNK = 1 << 16
 MAX_FREE_LEN = 15
 MAX_RACG_LEN = 10
 
-#: Letter subsets the walker accepts, as positions in GENERATOR_NAMES: the
-#: face letters r1..r4 and all eight letters.
-FACE_LETTERS = (0, 2, 4, 6)
-ALL_LETTERS = tuple(range(8))
-
-#: Per letter subset: the length guard and the sphere count each level must hit.
+#: Per orbit group: its letters, as positions in GENERATOR_NAMES (the face
+#: letters r1..r4, or all eight); whether only the kernel of the perp
+#: retraction is kept; the length guard; and the sphere count each level of
+#: the walk must hit.
 _WALKS = {
-    FACE_LETTERS: (MAX_FREE_LEN, free_sphere_count),
-    ALL_LETTERS: (MAX_RACG_LEN, racg_sphere_count),
+    "free": ((0, 2, 4, 6), False, MAX_FREE_LEN, free_sphere_count),
+    "full": (tuple(range(8)), False, MAX_RACG_LEN, racg_sphere_count),
+    "kernel": (tuple(range(8)), True, MAX_RACG_LEN, racg_sphere_count),
 }
 
 
@@ -103,7 +107,7 @@ def act(
         t' = t / D,          D = |c z + d|^2 + |c|^2 t^2.
 
     The orbit walker does not call it: it needs displacements only, and
-    takes them from Gram vectors (``_gram``, ``_letter_weights``).
+    carries Gram vectors for them (``_letter_maps``, ``_frame``).
     """
     a, b, c, d = mats
     z = np.where(conj, np.conj(z), z)
@@ -119,101 +123,56 @@ def distance(z1, t1, z0, t0) -> np.ndarray:
     return np.arccosh(np.maximum(coshd, 1.0))
 
 
-def _gram(mats: Sequence[np.ndarray], z0: complex, t0: float) -> np.ndarray:
-    """Gram vectors of Q = h^-1 M, one (n, 4) row per matrix M of ``mats``.
+@lru_cache(maxsize=None)
+def _letter_maps() -> np.ndarray:
+    """The (2, 8, 4, 4) maps of the Gram rows: row(M G') = row(M) @ maps[p, g].
 
-    h = [[sqrt t0, z0 / sqrt t0], [0, 1 / sqrt t0]] carries j = (0, 1) to
-    x0 = (z0, t0).  A row is (|q11|^2 + |q21|^2, |q12|^2 + |q22|^2, Re c,
-    Im c) with c = conj(q11) q12 + conj(q21) q22: the entries of Q* Q.
+    G' is the matrix of the letter GENERATOR_NAMES[g], conjugated when the
+    parent's parity p is odd.  Row j of a map is the row of G'* B_j G' for
+    the Hermitian basis matrix B_j whose own row is the j-th unit vector.
     """
-    a, b, c, d = mats
-    rt = np.sqrt(t0)
-    q11 = z0 * c
-    np.subtract(a, q11, out=q11)
-    q12 = z0 * d
-    np.subtract(b, q12, out=q12)
-    # scale through the float views: numpy multiplies a complex array by a
-    # real scalar as by a complex one, four products per entry
-    q11.view(np.float64)[:] *= 1 / rt
-    q12.view(np.float64)[:] *= 1 / rt
-    q21 = c * rt
-    q22 = d * rt
-    out = np.empty((a.shape[0], 4))
-    out[:, 0] = _norm2(q11) + _norm2(q21)
-    out[:, 1] = _norm2(q12) + _norm2(q22)
-    np.conj(q11, out=q11)
-    q11 *= q12
-    np.conj(q21, out=q21)
-    q21 *= q22
-    q11 += q21
-    out[:, 2] = q11.real
-    out[:, 3] = q11.imag
-    return out
+    table, _ = isom_table([STANDARD_GENERATORS[name] for name in GENERATOR_NAMES])
+    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+    maps = np.empty((2, 8, 4, 4))
+    for p, gmats in enumerate((table, np.conj(table))):
+        g = gmats.T.reshape(8, 1, 2, 2)
+        image = np.conj(np.swapaxes(g, 2, 3)) @ basis @ g
+        s12 = image[..., 0, 1]
+        maps[p] = np.stack([image[..., 0, 0].real, image[..., 1, 1].real, s12.real, s12.imag], -1)
+    maps.setflags(write=False)
+    return maps
 
 
-def _norm2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
+def _frame(z0: complex, t0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The identity's Gram row and the (2, 4) readout vectors at x0 = (z0, t0).
 
-
-def _letter_weights(gmats: np.ndarray, z0: complex, t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per parent parity p, a (4, k) array W with cosh d(x0, M G' x0) = gram(M) @ W.
-
-    ``gmats`` holds the (4, k) entries of the letters, of unit determinant
-    modulus.  A parent of parity p appends the letter G' (G conjugated when
-    p is odd) and its child conjugates iff p is even, so the child's
-    displacement is cosh d = |h^-1 M G' h'|_F^2 / 2, with h' = h of conj(z0)
-    when p is even.  That is <S, w> for S = gram(M) and, with
-    R = (G' h')(G' h')*, w = (R11 / 2, R22 / 2, Re R12, Im R12).
+    cosh d(x0, M x0) = row(M) @ readout[s] for an element whose conjugation
+    bit is s: readout[s] = ((t0 + |z0|^2 / t0) / 2, 1 / (2 t0), Re z / t0,
+    Im z / t0), with z = z0 for s = 0 and conj(z0) for s = 1.
     """
-    rt = np.sqrt(t0)
-    weights = []
-    for p in (0, 1):
-        ga, gb, gc, gd = np.conj(gmats) if p else gmats
-        zq = np.conj(z0) if p == 0 else z0
-        b11, b12 = ga * rt, (ga * zq + gb) / rt
-        b21, b22 = gc * rt, (gc * zq + gd) / rt
-        r12 = b11 * np.conj(b21) + b12 * np.conj(b22)
-        weights.append(np.array([
-            (_norm2(b11) + _norm2(b12)) / 2, (_norm2(b21) + _norm2(b22)) / 2, r12.real, r12.imag,
-        ]))
-    return weights[0], weights[1]
+    r2 = abs(z0) ** 2 / t0
+    start = np.array([1 / t0, r2 + t0, -z0.real / t0, -z0.imag / t0])
+    readout = np.array(
+        [[(t0 + r2) / 2, 0.5 / t0, z.real / t0, z.imag / t0] for z in (z0, z0.conjugate())]
+    )
+    return start, readout
 
 
 def _child_displacements(
-    mats: Sequence[np.ndarray], hit: np.ndarray, weights: np.ndarray, z0: complex, t0: float,
-    rows: np.ndarray | None = None,
+    grams: np.ndarray, hit: np.ndarray, weights: np.ndarray, rows: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Displacements of the children hit[i, k] of parent i by letter k, in slices of parents.
 
-    The parents are the rows of ``mats``, or those listed in ``rows``.  The
-    product runs in ``einsum``, not in BLAS: a threaded BLAS wakes its
-    threads for every slice, which costs more than the product itself.
+    The parents are the Gram rows ``grams``, or those listed in ``rows``.
+    The product runs in ``einsum``, not in BLAS: a threaded BLAS wakes its
+    threads for every slice, which costs more than the product itself, and
+    this way the values repeat at any thread count.
     """
     for i in range(0, hit.shape[0], _CHUNK):
         s = slice(i, i + _CHUNK)
-        parents = [m[s] if rows is None else m[rows[s]] for m in mats]
-        coshd = np.einsum("ij,jk->ik", _gram(parents, z0, t0), weights)[hit[s]]
+        parents = grams[s] if rows is None else grams[rows[s]]
+        coshd = np.einsum("ij,jk->ik", parents, weights)[hit[s]]
         yield np.arccosh(np.maximum(coshd, 1.0, out=coshd), out=coshd)
-
-
-def _times(
-    mats: Sequence[np.ndarray], rows: np.ndarray, g: np.ndarray, out: Sequence[np.ndarray]
-) -> None:
-    """Write the rows of the matrices ``mats`` times the letter matrix g, on the right, to out.
-
-    A row (x, y) of M becomes (x ga + y gc, x gb + y gd); the terms with a
-    zero letter entry, half of them for these generators, are skipped.
-    """
-    ga, gb, gc, gd = g
-    for x, y, ox, oy in ((mats[0], mats[1], out[0], out[1]), (mats[2], mats[3], out[2], out[3])):
-        x, y = x[rows], y[rows]
-        for o, gx, gy in ((ox, ga, gc), (oy, gb, gd)):
-            if gx == 0:
-                np.multiply(y, gy, out=o)
-                continue
-            np.multiply(x, gx, out=o)
-            if gy != 0:
-                o += y * gy
 
 
 @lru_cache(maxsize=None)
@@ -243,41 +202,38 @@ def _perp_step(
     return np.where(pop, popped, pushed), np.where(pop, plen - 1, plen + 1)
 
 
-def ball_displacements(
-    z0: complex, t0: float, max_len: int, letters: tuple[int, ...], kernel_only: bool
-) -> np.ndarray:
-    """Displacements d(x0, g x0) over a word-length ball of a letter subgroup.
+def ball_displacements(z0: complex, t0: float, max_len: int, group: str) -> np.ndarray:
+    """Displacements d(x0, g x0) over a word-length ball of an orbit group.
 
-    ``letters`` is FACE_LETTERS (the free product on r1..r4) or ALL_LETTERS
-    (the full reflection group).  Returns one float per element of geodesic
-    length <= max_len (the identity included), unsorted.  With kernel_only,
-    elements are kept only when their image in the free product on the perp
-    letters is trivial (the ball of the normal closure of the face letters,
-    intersected with the word-length ball).
+    ``group`` is a key of ``_WALKS``: "free" (the free product on r1..r4),
+    "full" (the whole reflection group) or "kernel" (the elements with
+    trivial image in the free product on the perp letters: the ball of the
+    normal closure of the face letters, intersected with the word-length
+    ball).  Returns one float per element of geodesic length <= max_len (the
+    identity included), unsorted.
     """
-    max_guard, sphere_count = _WALKS[letters]
+    max_guard = _WALKS[group][2]
     if max_len > max_guard:
         raise MemoryGuardError(
-            f"orbit ball of radius {max_len} on letters {letters} exceeds "
-            f"the memory guard ({max_guard})"
+            f"{group} orbit ball of radius {max_len} exceeds the memory guard ({max_guard})"
         )
-    return np.concatenate(
-        list(_sphere_displacements(z0, t0, max_len, letters, kernel_only, sphere_count))
-    )
+    return np.concatenate(list(_sphere_displacements(z0, t0, max_len, group)))
 
 
 def _sphere_displacements(
-    z0: complex, t0: float, max_len: int, letters: tuple[int, ...], kernel_only: bool,
-    sphere_count: Callable[[int], int],
+    z0: complex, t0: float, max_len: int, group: str
 ) -> Iterator[np.ndarray]:
     """Displacements of the walk, piece by piece, shortest words first.
 
     A generator, so that its spheres are freed before the caller joins the
     pieces.
     """
+    letters, kernel_only, _, sphere_count = _WALKS[group]
     keep_masks, set_masks = shortlex_automaton_masks()
-    table, _ = isom_table([STANDARD_GENERATORS[name] for name in GENERATOR_NAMES])
-    weights = _letter_weights(table[:, list(letters)], z0, t0)
+    maps = _letter_maps()[:, list(letters)]
+    start, readout = _frame(z0, t0)
+    # a parent of parity p has children of parity 1 - p
+    weights = [np.einsum("kij,j->ik", maps[p], readout[1 - p]) for p in (0, 1)]
     # free_table[s, k]: whether the automaton state s lets letter k follow
     shifts = np.array([2 * g for g in letters], dtype=np.uint16)
     free_table = (np.arange(1 << 16, dtype=np.uint16)[:, None] >> shifts) & np.uint16(3) == 0
@@ -286,13 +242,14 @@ def _sphere_displacements(
     perp_symbol = [(g // 2 + 1) if GENERATOR_NAMES[g].endswith("p") else 0 for g in range(8)]
     syms = np.array([perp_symbol[g] for g in letters], dtype=np.uint64)
     yield np.zeros(1)
-    mats = list(np.array([[1], [0], [0], [1]], dtype=np.complex128))
+    grams = start[None]
     state = np.zeros(1, dtype=np.uint16)
     pack = np.zeros(1, dtype=np.uint64)
     plen = np.zeros(1, dtype=np.int64)
     # missing[k]: words of length k + 1 that descend from pruned kernel prefixes
     missing = [0] * max_len
     for level in range(max_len):
+        parity = level % 2
         free = free_table[state]
         size = int(np.count_nonzero(free))
         if size + missing[level] != sphere_count(level + 1):
@@ -306,15 +263,13 @@ def _sphere_displacements(
             # its parent's image: in both cases the pack equals the symbol
             near = np.flatnonzero(plen <= 1)
             hit = free[near] & (pack[near, None] == syms)
-            yield from _child_displacements(mats, hit, weights[level % 2], z0, t0, near)
+            yield from _child_displacements(grams, hit, weights[parity], near)
         else:
-            yield from _child_displacements(mats, free, weights[level % 2], z0, t0)
+            yield from _child_displacements(grams, free, weights[parity])
         if level == max_len - 1:
             return
-        gmats = table if level % 2 == 0 else np.conj(table)
-        # the kernel walk fills only the first `off` rows: np.empty leaves
-        # the rest of each row untouched
-        nmats = list(np.empty((4, size), dtype=np.complex128))
+        # the kernel walk fills only the first `off` rows
+        ngrams = np.empty((size, 4))
         nstate = np.empty(size, dtype=np.uint16)
         if kernel_only:
             npack = np.empty(size, dtype=np.uint64)
@@ -333,10 +288,10 @@ def _sphere_displacements(
                 sel, cstate = sel[live], cstate[live]
                 npack[off:off + sel.size], nplen[off:off + sel.size] = cpack[live], cplen[live]
             view = slice(off, off + sel.size)
-            _times(mats, sel, gmats[:, g], [m[view] for m in nmats])
+            np.einsum("ij,jk->ik", grams[sel], maps[parity, k], out=ngrams[view])
             nstate[view] = cstate
             off += sel.size
-        mats, state = [m[:off] for m in nmats], nstate[:off]
+        grams, state = ngrams[:off], nstate[:off]
         if not kernel_only:
             continue
         pack, plen = npack[:off], nplen[:off]

@@ -462,14 +462,8 @@ class OrbitBall:
             fileobj.write(f"{format_word(w)},{dval:.12g}\r\n")
 
 
-#: Built-in orbit groups: the walker's letters and whether it keeps only the
-#: kernel of the perp retraction.
-_ORBIT_WALKS = {
-    "free": (_ballfast.FACE_LETTERS, False),
-    "full": (_ballfast.ALL_LETTERS, False),
-    "kernel": (_ballfast.ALL_LETTERS, True),
-}
-ORBIT_GROUPS = tuple(_ORBIT_WALKS)
+#: Built-in orbit groups, one per walk of the orbit walker.
+ORBIT_GROUPS = tuple(_ballfast._WALKS)
 
 
 def orbit_ball(
@@ -503,10 +497,9 @@ def orbit_ball(
             words=[words[k] for k in order],
             label="custom",
         )
-    if group not in _ORBIT_WALKS:
+    if group not in ORBIT_GROUPS:
         raise DomainError(f"unknown orbit group {group!r}; expected one of {ORBIT_GROUPS}")
-    letters, kernel_only = _ORBIT_WALKS[group]
-    disp = _ballfast.ball_displacements(base.z, base.t, max_len, letters, kernel_only)
+    disp = _ballfast.ball_displacements(base.z, base.t, max_len, group)
     disp.sort()
     return OrbitBall(
         base=base, word_length=max_len, displacements=disp, words=None, label=group

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -377,23 +377,41 @@ def scattering_pole_scan(
 # Selberg transform of the truncated ball kernel.
 
 
-def _validate_transform_args(truncation: float, lam: float) -> tuple[float, float]:
-    T, lam = float(truncation), float(lam)
-    if not T >= 1.0:
-        raise DomainError(f"truncation radius must be at least 1, got {T}")
-    if not 0.0 < lam <= 1.0:
-        raise DomainError(f"eigenvalue must lie in (0, 1], got {lam}")
-    return T, lam
+def _selberg_transform(
+    transform: Callable[[float, float], float]
+) -> Callable[[float, float], float]:
+    """Validate a transform's arguments, and raise DomainError naming the
+    truncation where its cosh(T) and sinh(T) terms overflow, in place of an
+    inf, a nan or a bare OverflowError."""
+
+    @wraps(transform)
+    def checked(truncation: float, lam: float) -> float:
+        T, lam = float(truncation), float(lam)
+        if not 1.0 <= T < math.inf:
+            raise DomainError(f"truncation radius must be finite and at least 1, got {T}")
+        if not 0.0 < lam <= 1.0:
+            raise DomainError(f"eigenvalue must lie in (0, 1], got {lam}")
+        try:
+            value = transform(T, lam)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(
+                f"truncation radius {T:g} is too large: the cosh(T) and sinh(T) terms overflow"
+            )
+        return value
+
+    return checked
 
 
-def selberg_h(truncation: float, lam: float) -> float:
+@_selberg_transform
+def selberg_h(T: float, lam: float) -> float:
     """Selberg transform of the kernel 1_[0,T] / sinh(T) at the eigenvalue.
 
     Closed form 2 pi (s cosh(sT) sinh(T) - sinh(sT) cosh(T)) / (s (s^2 - 1)
     sinh(T)) with s = sqrt(1 - lam).  The eigenvalue 1 takes the s -> 0 limit
     and a short expansion covers s near 1, where the closed form cancels.
     """
-    T, lam = _validate_transform_args(truncation, lam)
     if lam == 1.0:
         return 2.0 * math.pi * (T * math.cosh(T) - math.sinh(T)) / math.sinh(T)
     s = math.sqrt(1.0 - lam)
@@ -407,11 +425,11 @@ def selberg_h(truncation: float, lam: float) -> float:
     return 2.0 * math.pi * num / (s * (s * s - 1.0) * math.sinh(T))
 
 
-def selberg_h_quadrature(truncation: float, lam: float) -> float:
+@_selberg_transform
+def selberg_h_quadrature(T: float, lam: float) -> float:
     """Adaptive quadrature of the defining Selberg transform integral."""
     from scipy import integrate
 
-    T, lam = _validate_transform_args(truncation, lam)
     s = math.sqrt(1.0 - lam)
 
     def integrand(r: float) -> float:
@@ -460,9 +478,12 @@ def cusp_kernel_growth(
     term remains a valid upper bound.
     """
     T = float(truncation)
-    if not T > 0.0:
-        raise DomainError(f"truncation radius must be positive, got {T}")
-    half = math.sinh(T / 2.0)
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"truncation radius must be finite and positive, got {T}")
+    try:
+        half = math.sinh(T / 2.0)
+    except OverflowError:
+        raise DomainError(f"truncation radius {T:g} is too large: sinh(T/2) overflows") from None
     total = 0.0
     for rank, height, size in cusps:
         if rank not in (0, 1, 2):

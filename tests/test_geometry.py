@@ -50,6 +50,7 @@ from octagap.words import (
     evaluate_word,
     free_to_face_word,
     in_perp_kernel,
+    is_normal_form,
 )
 
 GAP_LOWER_BOUND = 0.0014149807552836344
@@ -473,22 +474,47 @@ def test_counting_function_matches_the_word_route_exactly(label, max_len):
     ]
 
 
+def _random_normal_form(rng, letters, length):
+    """A uniformly stepped random normal form on the letters: each letter is
+    drawn among those that keep the word a normal form."""
+    word = ()
+    for _ in range(length):
+        options = [name for name in letters if is_normal_form(word + (name,))]
+        word += (options[rng.integers(len(options))],)
+    return word
+
+
 @pytest.mark.parametrize("base", TWIN_BASE_POINTS, ids=["default", "second"])
-def test_gram_weights_give_the_child_displacements(base):
-    """<S, w> for every letter and both parent parities against act and distance."""
+def test_carried_gram_rows_give_the_displacements(base):
+    """The identity's row pushed through the letter maps one letter at a time,
+    then read out, against act and distance on the exact word matrix, up to
+    the guarded lengths of both letter sets."""
     rng = np.random.default_rng(11)
-    table, _ = _ballfast.isom_table([STANDARD_GENERATORS[name] for name in GENERATOR_NAMES])
-    weights = _ballfast._letter_weights(table, base.z, base.t)
-    for length in range(7):
-        for _ in range(4):
-            word = tuple(GENERATOR_NAMES[k] for k in rng.integers(8, size=length))
-            mats, conj = _ballfast.isom_table([evaluate_word(word)])
-            assert conj[0] == length % 2
-            fast = _ballfast._gram(mats, base.z, base.t) @ weights[length % 2]
-            children = [evaluate_word(word + (name,)) for name in GENERATOR_NAMES]
-            w, t = _ballfast.act(*_ballfast.isom_table(children), base.z, base.t)
-            slow = np.cosh(_ballfast.distance(w, t, base.z, base.t))
-            np.testing.assert_allclose(fast[0], slow, rtol=1e-12, atol=0)
+    maps = _ballfast._letter_maps()
+    start, readout = _ballfast._frame(base.z, base.t)
+    index = {name: k for k, name in enumerate(GENERATOR_NAMES)}
+    face = [name for name in GENERATOR_NAMES if not name.endswith("p")]
+    guards = ((face, _ballfast.MAX_FREE_LEN), (GENERATOR_NAMES, _ballfast.MAX_RACG_LEN))
+    for letters, guard in guards:
+        for length in range(guard + 1):
+            for _ in range(3):
+                word = _random_normal_form(rng, letters, length)
+                assert len(word) == length
+                row = start
+                for j, name in enumerate(word):
+                    row = row @ maps[j % 2, index[name]]
+                w, t = _ballfast.act(*_ballfast.isom_table([evaluate_word(word)]), base.z, base.t)
+                slow = np.cosh(_ballfast.distance(w, t, base.z, base.t))[0]
+                np.testing.assert_allclose(row @ readout[length % 2], slow, rtol=1e-12, atol=0)
+
+
+def test_letter_maps_of_the_two_parities_are_inverse():
+    """Every letter is an involution, so G conj(G) is a unit scalar and the
+    two parity maps of a letter undo each other."""
+    maps = _ballfast._letter_maps()
+    for g in range(len(GENERATOR_NAMES)):
+        np.testing.assert_allclose(maps[0, g] @ maps[1, g], np.eye(4), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(maps[1, g] @ maps[0, g], np.eye(4), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("error", [-1, 1])
@@ -497,11 +523,9 @@ def test_walker_growth_check_catches_a_wrong_sphere_count(monkeypatch, label, er
     """Off by one on the last sphere only: for the kernel, that sphere is
     checked through the continuation count of the pruned prefixes."""
     max_len = 6
-    letters = _ballfast.FACE_LETTERS if label == "free" else _ballfast.ALL_LETTERS
-    guard, count = _ballfast._WALKS[letters]
-    monkeypatch.setitem(
-        _ballfast._WALKS, letters, (guard, lambda n: count(n) + error * (n == max_len))
-    )
+    *head, count = _ballfast._WALKS[label]
+    wrong = (*head, lambda n: count(n) + error * (n == max_len))
+    monkeypatch.setitem(_ballfast._WALKS, label, wrong)
     with pytest.raises(AssertionError):
         orbit_ball(label, DEFAULT_BASE_POINT, max_len)
 

@@ -47,7 +47,10 @@ def test_import_leaves_heavy_modules_out(statements, absent):
     [
         (["verify-group"], {"numpy", "scipy"}),
         (["scattering", "--oracle-radius", "20", "--tolerance", "0.01"], {"scipy"}),
-        (["delta", "--group", "inf", "--word-length", "6", "--window", "1,4"], {"scipy"}),
+        (
+            ["delta", "--group", "inf", "--word-length", "6", "--window", "1,4"],
+            {"scipy", "numpy.ma", "octagap.covers", "octagap.spectral"},
+        ),
         (
             ["cover", "--n", "3", "--seed", "1"],
             {"scipy", "numpy.ma", "octagap.geometry", "octagap.spectral"},

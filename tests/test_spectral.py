@@ -1,6 +1,7 @@
 """Tests for zeta values, scattering coefficients, and spectral bound terms."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -282,6 +283,29 @@ def test_selberg_rejects_bad_arguments():
         selberg_h(2.0, 1.5)
     with pytest.raises(DomainError):
         selberg_h(2.0, -0.1)
+    for transform in (selberg_h, selberg_h_quadrature):
+        for truncation in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                transform(truncation, 0.4)
+
+
+def test_selberg_transforms_name_the_truncation_where_they_overflow():
+    """Past T = 355 some branch of the closed form overflows or cancels to
+    nan, and past T = 710 every one does; each must raise a DomainError,
+    not return inf or nan or let a bare OverflowError out."""
+    for truncation in (700.0, 1e6):
+        for transform in (selberg_h, selberg_h_quadrature):
+            message = re.escape(f"truncation radius {truncation:g} is")
+            with pytest.raises(DomainError, match=message):
+                transform(truncation, 0.4)
+    for truncation in (400.0, 700.0, 720.0):
+        for lam in (0.4, 1.0, 1e-11, 0.999):
+            try:
+                value = selberg_h(truncation, lam)
+            except DomainError as err:
+                assert f"truncation radius {truncation:g} is too large" in str(err)
+            else:
+                assert math.isfinite(value) and value > 0
 
 
 # -- cusp decay ratios ----------------------------------------------------------------
@@ -347,6 +371,11 @@ def test_kernel_growth_validates_ranks_and_truncation():
         cusp_kernel_growth([(3, 1.0, 1.0)], 4.0)
     with pytest.raises(DomainError):
         cusp_kernel_growth([(2, 1.0, 1.0)], 0.0)
+    with pytest.raises(DomainError, match="finite"):
+        cusp_kernel_growth([(2, 2.0, 1.0)], math.inf)
+    with pytest.raises(DomainError, match="truncation radius 1e[+]06 is too large"):
+        cusp_kernel_growth([(2, 2.0, 1.0)], 1e6)
+    assert math.isfinite(cusp_kernel_growth([(2, 2.0, 1.0)], 1400.0))
 
 
 def test_flattening_budget_frozen_totals_decrease_in_the_tangle_radius():
