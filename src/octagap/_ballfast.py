@@ -7,15 +7,17 @@ takes.  Every use of the action formula outside the orbit walker goes
 through these two functions; the walker needs displacements only, and takes
 them from Gram vectors instead.
 
-``ball_displacements`` walks the ShortLex normal-form automaton of
+``_sphere_displacements`` walks the ShortLex normal-form automaton of
 ``words.shortlex_automaton_masks`` restricted to the letters of an orbit
 group (``_WALKS``), carrying four floats per element in numpy arrays instead
 of materializing word tuples, which is what makes orbit balls of tens of
-millions of elements feasible.  The face letters r1..r4 pairwise do not
-commute, so restricted to them the automaton accepts exactly the reduced
-words of their free product; on all eight letters it accepts the normal
-forms of the reflection group.  Each level's size is checked against the
-group's growth series.
+millions of elements feasible.  It yields the displacements one slice at a
+time and never holds the whole ball: ``geometry.orbit_ball`` bins each slice
+into counts on a fixed grid as it arrives.  The face letters r1..r4 pairwise
+do not commute, so restricted to them the automaton accepts exactly the
+reduced words of their free product; on all eight letters it accepts the
+normal forms of the reflection group.  Each level's size is checked against
+the group's growth series.
 
 Each element M, of unit determinant modulus, is carried as its Gram vector:
 the row (S11, S22, Re S12, Im S12) of S = Q* Q, Q = h^-1 M, where
@@ -202,33 +204,25 @@ def _perp_step(
     return np.where(pop, popped, pushed), np.where(pop, plen - 1, plen + 1)
 
 
-def ball_displacements(z0: complex, t0: float, max_len: int, group: str) -> np.ndarray:
-    """Displacements d(x0, g x0) over a word-length ball of an orbit group.
+def _sphere_displacements(
+    z0: complex, t0: float, max_len: int, group: str
+) -> Iterator[np.ndarray]:
+    """Displacements d(x0, g x0) over a word-length ball of an orbit group, in slices.
 
     ``group`` is a key of ``_WALKS``: "free" (the free product on r1..r4),
     "full" (the whole reflection group) or "kernel" (the elements with
     trivial image in the free product on the perp letters: the ball of the
     normal closure of the face letters, intersected with the word-length
-    ball).  Returns one float per element of geodesic length <= max_len (the
-    identity included), unsorted.
+    ball).  Yields one float per element of geodesic length <= max_len (the
+    identity first), shortest words first but unsorted within a sphere.  The
+    length guard raises MemoryGuardError at the first slice asked for,
+    before the walk allocates anything.
     """
-    max_guard = _WALKS[group][2]
+    letters, kernel_only, max_guard, sphere_count = _WALKS[group]
     if max_len > max_guard:
         raise MemoryGuardError(
             f"{group} orbit ball of radius {max_len} exceeds the memory guard ({max_guard})"
         )
-    return np.concatenate(list(_sphere_displacements(z0, t0, max_len, group)))
-
-
-def _sphere_displacements(
-    z0: complex, t0: float, max_len: int, group: str
-) -> Iterator[np.ndarray]:
-    """Displacements of the walk, piece by piece, shortest words first.
-
-    A generator, so that its spheres are freed before the caller joins the
-    pieces.
-    """
-    letters, kernel_only, _, sphere_count = _WALKS[group]
     keep_masks, set_masks = shortlex_automaton_masks()
     maps = _letter_maps()[:, list(letters)]
     start, readout = _frame(z0, t0)

@@ -411,18 +411,20 @@ def selberg_h(T: float, lam: float) -> float:
     Closed form 2 pi (s cosh(sT) sinh(T) - sinh(sT) cosh(T)) / (s (s^2 - 1)
     sinh(T)) with s = sqrt(1 - lam).  The eigenvalue 1 takes the s -> 0 limit
     and a short expansion covers s near 1, where the closed form cancels.
+    Every branch divides by sinh(T) before it multiplies, so no intermediate
+    outgrows the value: it stays finite while cosh(T) and cosh(sT) do.
     """
+    coth = 1.0 / math.tanh(T)
     if lam == 1.0:
-        return 2.0 * math.pi * (T * math.cosh(T) - math.sinh(T)) / math.sinh(T)
+        return 2.0 * math.pi * (T * coth - 1.0)
     s = math.sqrt(1.0 - lam)
     if abs(s - 1.0) < 1e-5:
-        u = s - 1.0
-        c1 = math.cosh(T) * math.sinh(T) - T
-        c2 = T * math.sinh(T) ** 2
-        c3 = (3.0 * T * T * math.cosh(T) * math.sinh(T) - T ** 3) / 6.0
-        return 2.0 * math.pi * (c1 + c2 * u + c3 * u * u) / (s * (s + 1.0) * math.sinh(T))
-    num = s * math.cosh(s * T) * math.sinh(T) - math.sinh(s * T) * math.cosh(T)
-    return 2.0 * math.pi * num / (s * (s * s - 1.0) * math.sinh(T))
+        uT = (s - 1.0) * T
+        cosh, ratio = math.cosh(T), T / math.sinh(T)
+        series = cosh - ratio + uT * math.sinh(T) + uT * uT * (3.0 * cosh - ratio) / 6.0
+        return 2.0 * math.pi * series / (s * (s + 1.0))
+    num = s * math.cosh(s * T) - math.sinh(s * T) * coth
+    return 2.0 * math.pi * num / (s * (s * s - 1.0))
 
 
 @_selberg_transform
@@ -448,8 +450,9 @@ def ball_delocalization_bound(ball: OrbitBall, truncation: float, lam: float) ->
     """Pre-trace sup-norm bound from an orbit ball at truncation radius T.
 
     Evaluates (1 - lam) / sinh^2(T sqrt(1 - lam)) times the sum of e^(-d)
-    over orbit displacements d <= T.  The ball must extend at least to T so
-    no displacement inside the truncation window is missing.
+    over orbit displacements d <= T, walking the ball's slices again, so T
+    need not lie on the ball's counting grid.  The ball must extend at least
+    to T so no displacement inside the truncation window is missing.
     """
     T = float(truncation)
     if not T > 0.0:
@@ -460,8 +463,7 @@ def ball_delocalization_bound(ball: OrbitBall, truncation: float, lam: float) ->
         raise TruncationError(
             f"truncation {T} exceeds the enumerated radius {ball.radius:.6f}"
         )
-    inside = ball.displacements[: np.searchsorted(ball.displacements, T, side="right")]
-    total = float(np.exp(-inside).sum())
+    total = sum(float(np.exp(-d[d <= T]).sum()) for d in ball.slices())
     root = math.sqrt(1.0 - lam)
     return (1.0 - lam) / math.sinh(T * root) ** 2 * total
 
@@ -475,7 +477,8 @@ def cusp_kernel_growth(
     translation lattice as size, rank one its translation length, rank zero
     contributes nothing.  Heights below one sit outside the unit horoball
     region and are skipped; log factors are clamped below at zero so every
-    term remains a valid upper bound.
+    term remains a valid upper bound.  A cusp whose weight, log argument or
+    term overflows (or is NaN) raises DomainError naming it.
     """
     T = float(truncation)
     if not 0.0 < T < math.inf:
@@ -485,20 +488,25 @@ def cusp_kernel_growth(
     except OverflowError:
         raise DomainError(f"truncation radius {T:g} is too large: sinh(T/2) overflows") from None
     total = 0.0
-    for rank, height, size in cusps:
+    for index, (rank, height, size) in enumerate(cusps):
         if rank not in (0, 1, 2):
             raise DomainError(f"cusp rank must be 0, 1 or 2, got {rank}")
         if rank == 0 or height < 1.0:
             continue
-        if not size > 0.0:
-            raise DomainError(f"cusp size must be positive, got {size}")
+        if not 0.0 < size < math.inf:
+            raise DomainError(f"cusp size must be positive and finite, got {size}")
         if rank == 2:
             weight = height * height / size
             arg = height * height * half / size
         else:
             weight = height / size
             arg = height * half / size
-        total += weight * max(math.log(arg), 0.0)
+        total += weight * (math.log(arg) if arg > 1.0 else 0.0)
+        if not math.isfinite(total):
+            raise DomainError(
+                f"cusp {index} (rank {rank}, height {height:g}, size {size:g}): its kernel "
+                f"growth term overflows at truncation radius {T:g}"
+            )
     return total
 
 

@@ -15,10 +15,12 @@ from octagap.errors import DomainError, InsufficientDataError, MemoryGuardError,
 from octagap.geometry import (
     DEFAULT_BASE_POINT,
     FREE_SUBGROUP_CRITICAL_EXPONENT,
+    GRID_STEP,
     IDEAL_VERTICES,
     OCTA_CENTER,
     ORBIT_GROUPS,
     CuspDatum,
+    OrbitBall,
     Point3,
     apply_isom,
     ball_volume,
@@ -399,11 +401,16 @@ def test_vectorized_reflection_group_balls_match_the_word_route(label, keep, cou
     slow = orbit_ball(words, DEFAULT_BASE_POINT, 4)
     fast = orbit_ball(label, DEFAULT_BASE_POINT, 4)
     assert slow.count == fast.count == count
-    assert max(abs(a - b) for a, b in zip(slow.displacements, fast.displacements)) < 1e-9
+    assert max(abs(a - b) for a, b in zip(slow.displacements, _walked(fast))) < 1e-9
 
 
 #: The twins' base points: the default one and one off its symmetry lines.
 TWIN_BASE_POINTS = (DEFAULT_BASE_POINT, point(0.35, 0.38, 0.95))
+
+
+def _walked(ball):
+    """The displacements of the ball's slices, joined and sorted."""
+    return np.sort(np.concatenate(list(ball.slices())))
 
 
 def _face_word(word):
@@ -440,7 +447,7 @@ _TWIN_GROUPS = [("free", _face_word), ("full", None), ("kernel", in_perp_kernel)
 def _assert_walk_matches_the_word_route(label, keep, max_len):
     words = _twin_words(max_len, keep)
     for base in TWIN_BASE_POINTS:
-        fast = orbit_ball(label, base, max_len).displacements
+        fast = _walked(orbit_ball(label, base, max_len))
         slow = _word_route_displacements(words, base)
         assert fast.size == slow.size
         assert np.max(np.abs(fast - slow)) < 1e-9
@@ -472,6 +479,54 @@ def test_counting_function_matches_the_word_route_exactly(label, max_len):
     assert [ball.counting_function(t) for t in grid] == [
         int(np.searchsorted(slow, t, side="right")) for t in grid
     ]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("label, max_len", [("free", 8), ("full", 6), ("kernel", 6)])
+def test_grid_counts_are_searchsorted_over_the_walked_slices(monkeypatch, label, max_len, chunk):
+    """The streamed bins against the sorted join of the same slices, also
+    with seven-row walker slices."""
+    if chunk is not None:
+        monkeypatch.setattr(_ballfast, "_CHUNK", chunk)
+    ball = orbit_ball(label, DEFAULT_BASE_POINT, max_len)
+    walked = _walked(ball)
+    grid = np.arange(ball.grid_counts.size) * GRID_STEP
+    assert ball.grid_counts.tolist() == np.searchsorted(walked, grid, side="right").tolist()
+    assert ball.count == walked.size
+    assert ball.radius == walked[-1]
+
+
+def test_grid_bins_are_exact_at_and_next_to_the_grid_points():
+    """Zero, every k GRID_STEP up to 20 and its neighbours on both sides,
+    split over unsorted slices of several sizes."""
+    grid = np.arange(201) * GRID_STEP
+    values = np.concatenate(
+        [[0.0], grid, np.nextafter(grid[1:], 0.0), np.nextafter(grid, np.inf)]
+    )
+    shuffled = np.random.default_rng(5).permutation(values)
+    pieces = np.split(shuffled, [1, 8, 300])
+    ball = OrbitBall(DEFAULT_BASE_POINT, 0, lambda: iter(pieces))
+    ordered = np.sort(values)
+    assert ball.count == values.size
+    assert ball.radius == ordered[-1] == np.nextafter(20.0, np.inf)
+    expected = np.searchsorted(ordered, grid, side="right")
+    assert [ball.counting_function(t) for t in grid] == expected.tolist()
+    assert ball.grid_counts.tolist() == np.searchsorted(
+        ordered, np.arange(ball.grid_counts.size) * GRID_STEP, side="right"
+    ).tolist()
+    assert ball.counting_function(ball.radius) == ball.count
+    assert ball.counting_function(-GRID_STEP) == 0
+
+
+def test_counting_function_is_defined_on_the_grid_and_past_the_radius():
+    ball = orbit_ball("free", DEFAULT_BASE_POINT, 6)
+    assert ball.counting_function(3 * GRID_STEP) == int(ball.grid_counts[3])
+    # 0.3 is not the float 3 * 0.1 = 0.30000000000000004
+    for t in (0.05, 0.3, np.nextafter(3 * GRID_STEP, 1.0), ball.radius - 1e-9, math.nan, -math.inf):
+        with pytest.raises(DomainError, match="multiples"):
+            ball.counting_function(t)
+    for t in (ball.radius, ball.radius + 0.05, math.inf):
+        assert ball.counting_function(t) == ball.count
 
 
 def _random_normal_form(rng, letters, length):
@@ -559,13 +614,22 @@ def test_orbit_ball_rejects_a_non_finite_base_point(base):
 
 
 def test_orbit_ball_displacements_are_sorted_from_zero():
-    ball = orbit_ball("free", DEFAULT_BASE_POINT, 5)
+    """The word route keeps its displacements sorted; the walker yields the
+    identity's first.  Both count one point at 0 and all at the radius."""
+    def words(max_len):
+        return (free_to_face_word(w) for w in enumerate_free_ball(max_len))
+
+    ball = orbit_ball(words, DEFAULT_BASE_POINT, 5)
     d = ball.displacements
     assert d[0] == 0.0
     assert all(a <= b for a, b in zip(d, d[1:]))
     assert ball.radius == d[-1]
-    assert ball.counting_function(0.0) == 1
-    assert ball.counting_function(ball.radius) == ball.count
+    walk = orbit_ball("free", DEFAULT_BASE_POINT, 5)
+    assert next(iter(walk.slices())).tolist() == [0.0]
+    assert walk.radius == _walked(walk)[-1]
+    for b in (ball, walk):
+        assert b.counting_function(0.0) == 1
+        assert b.counting_function(b.radius) == b.count
 
 
 def test_orbit_ball_callable_route_matches_the_vectorized_route():
@@ -576,7 +640,7 @@ def test_orbit_ball_callable_route_matches_the_vectorized_route():
     fast = orbit_ball("free", DEFAULT_BASE_POINT, 4)
     assert slow.count == fast.count
     assert slow.words is not None
-    assert max(abs(a - b) for a, b in zip(slow.displacements, fast.displacements)) < 1e-9
+    assert max(abs(a - b) for a, b in zip(slow.displacements, _walked(fast))) < 1e-9
 
 
 def test_orbit_ball_csv_has_one_row_per_point():

@@ -290,14 +290,19 @@ def test_selberg_rejects_bad_arguments():
 
 
 def test_selberg_transforms_name_the_truncation_where_they_overflow():
-    """Past T = 355 some branch of the closed form overflows or cancels to
-    nan, and past T = 710 every one does; each must raise a DomainError,
-    not return inf or nan or let a bare OverflowError out."""
-    for truncation in (700.0, 1e6):
-        for transform in (selberg_h, selberg_h_quadrature):
-            message = re.escape(f"truncation radius {truncation:g} is")
-            with pytest.raises(DomainError, match=message):
-                transform(truncation, 0.4)
+    """The closed form is finite wherever its value is, up to T near 710;
+    the quadrature's integrand overflows from T = 355.  Where either
+    overflows it must raise a DomainError, not return inf or nan or let a
+    bare OverflowError out."""
+    for transform, truncation in (
+        (selberg_h, 1e6),
+        (selberg_h_quadrature, 700.0),
+        (selberg_h_quadrature, 1e6),
+    ):
+        message = re.escape(f"truncation radius {truncation:g} is")
+        with pytest.raises(DomainError, match=message):
+            transform(truncation, 0.4)
+    assert selberg_h(700.0, 0.4) == pytest.approx(_selberg_h_mp(700.0, 0.4), rel=1e-12)
     for truncation in (400.0, 700.0, 720.0):
         for lam in (0.4, 1.0, 1e-11, 0.999):
             try:
@@ -306,6 +311,26 @@ def test_selberg_transforms_name_the_truncation_where_they_overflow():
                 assert f"truncation radius {truncation:g} is too large" in str(err)
             else:
                 assert math.isfinite(value) and value > 0
+
+
+def _selberg_h_mp(truncation, lam):
+    """The closed form of selberg_h in 50-digit arithmetic, with the s -> 0
+    limit at lam = 1."""
+    with mpmath.workdps(50):
+        T, lam = mpmath.mpf(truncation), mpmath.mpf(lam)
+        if lam == 1:
+            return float(2 * mpmath.pi * (T * mpmath.coth(T) - 1))
+        s = mpmath.sqrt(1 - lam)
+        num = s * mpmath.cosh(s * T) * mpmath.sinh(T) - mpmath.sinh(s * T) * mpmath.cosh(T)
+        return float(2 * mpmath.pi * num / (s * (s * s - 1) * mpmath.sinh(T)))
+
+
+@pytest.mark.parametrize("truncation", [350.0, 360.0, 400.0, 700.0])
+@pytest.mark.parametrize("lam", [0.4, 1.0, 1e-11, 0.999])
+def test_selberg_h_matches_a_50_digit_closed_form_at_large_truncations(truncation, lam):
+    """Each branch (general, s near 1, lam = 1) where cosh(T) sinh(T) and
+    T^2 cosh(T) would overflow although the transform does not."""
+    assert selberg_h(truncation, lam) == pytest.approx(_selberg_h_mp(truncation, lam), rel=1e-12)
 
 
 # -- cusp decay ratios ----------------------------------------------------------------
@@ -378,6 +403,28 @@ def test_kernel_growth_validates_ranks_and_truncation():
     assert math.isfinite(cusp_kernel_growth([(2, 2.0, 1.0)], 1400.0))
 
 
+@pytest.mark.parametrize(
+    "cusp",
+    [
+        (2, 1e200, 1.0),  # the weight height^2 / size overflows
+        (1, 1e300, 1e-10),  # so does height / size
+        (2, 1e154, 1.0),  # the weight is finite, its log argument is not
+        (1, 1e307, 1.0),  # both finite, their product is not
+        (2, math.inf, 1.0),
+        (1, math.nan, 1.0),
+    ],
+)
+def test_kernel_growth_names_a_cusp_that_overflows(cusp):
+    with pytest.raises(DomainError, match=re.escape(f"cusp 1 (rank {cusp[0]}, height")):
+        cusp_kernel_growth([(2, 2.0, 1.0), cusp], 4.0)
+
+
+@pytest.mark.parametrize("size", [0.0, -1.0, math.inf, math.nan])
+def test_kernel_growth_needs_a_positive_finite_size(size):
+    with pytest.raises(DomainError, match="size"):
+        cusp_kernel_growth([(2, 2.0, size)], 4.0)
+
+
 def test_flattening_budget_frozen_totals_decrease_in_the_tangle_radius():
     totals = [
         flattening_budget([(1.0, 1.0, 1.0)], float(length), 0.4, 0.8, 0.01).total
@@ -432,16 +479,18 @@ def test_flattening_budget_with_no_faces_costs_nothing():
 
 
 def test_ball_delocalization_matches_a_direct_sum():
+    """On the counting grid and off it: the bound walks the slices again."""
     ball = orbit_ball("free", DEFAULT_BASE_POINT, 6)
-    truncation, lam = 4.0, 0.4
-    bound = ball_delocalization_bound(ball, truncation, lam)
-    d = np.asarray(ball.displacements)
-    expected = (
-        (1.0 - lam)
-        / math.sinh(truncation * math.sqrt(1.0 - lam)) ** 2
-        * float(np.exp(-d[d <= truncation]).sum())
-    )
-    assert bound == pytest.approx(expected, rel=1e-12)
+    lam = 0.4
+    d = np.sort(np.concatenate(list(ball.slices())))
+    for truncation in (4.0, 3.97):
+        bound = ball_delocalization_bound(ball, truncation, lam)
+        expected = (
+            (1.0 - lam)
+            / math.sinh(truncation * math.sqrt(1.0 - lam)) ** 2
+            * float(np.exp(-d[d <= truncation]).sum())
+        )
+        assert bound == pytest.approx(expected, rel=1e-12)
 
 
 def test_ball_delocalization_needs_a_big_enough_ball():
