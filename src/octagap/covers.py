@@ -644,13 +644,12 @@ class ReplacementBall:
     ``distances[j]`` is the graph distance of vertex j from the root.
     ``neighbors`` is a read-only (4, V) int64 array whose column j lists
     vertex j's Cayley neighbours under x, x^2, x^3 and y, with -1 for those
-    outside the ball, and ``edges`` lists the induced undirected edges
-    (u, v), u < v, in ascending order.
+    outside the ball; each induced undirected edge appears in both its
+    endpoints' columns.
     """
 
     radius: int
     num_vertices: int
-    edges: tuple[tuple[int, int], ...]
     distances: np.ndarray
     neighbors: np.ndarray
 
@@ -711,12 +710,9 @@ def replacement_ball(radius: int) -> ReplacementBall:
     table = [[index.get(word, -1) for word in row] for row in rows]
     neighbors = np.array(table, dtype=np.int64).T.copy()
     neighbors.setflags(write=False)
-    owner = np.broadcast_to(np.arange(len(index)), neighbors.shape)
-    keep = neighbors > owner
     return ReplacementBall(
         radius=radius,
         num_vertices=len(index),
-        edges=tuple(sorted(zip(owner[keep].tolist(), neighbors[keep].tolist()))),
         distances=np.array(distances, dtype=np.int64),
         neighbors=neighbors,
     )

@@ -64,10 +64,11 @@ def dist(p: Point3, q: Point3) -> float:
 #: on every intermediate of cap_volume.
 _MAX_RADIUS = 0.5 * math.log(sys.float_info.max / math.pi)
 
-#: Gauss-Legendre nodes for cap_volume's lens integral.  Its integrand grows
-#: like e^u over an interval up to T long; 48 nodes leave 1e-12 relative error
-#: at T = 300, 64 stay within 1e-13 up to _MAX_RADIUS.
-_LENS_NODES = 64
+#: Gauss-Legendre nodes of the one fixed rule behind every library integral.
+#: cap_volume's lens integrand grows like e^u over an interval up to T long;
+#: 48 nodes leave 1e-12 relative error at T = 300, 64 stay within 1e-13 up
+#: to _MAX_RADIUS.
+_GAUSS_LEGENDRE_NODES = 64
 
 
 def _check_radius(radius: float) -> float:
@@ -92,13 +93,13 @@ def _sinh_minus_x(x: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _lens_rule() -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes on [0, 1] and their weights (summing to 1).
 
     Newton's method on P_n from Tricomi's first guess converges quadratically;
     four steps reach rounding level, five are taken.
     """
-    n = _LENS_NODES
+    n = _GAUSS_LEGENDRE_NODES
 
     def legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """P_n(x) and P_n'(x) by the three-term recurrence."""
@@ -151,7 +152,7 @@ def cap_volume(radius: float, separation: float) -> float:
         return ball_volume(T)
     if delta >= 2.0 * T:
         return 0.0
-    nodes, weights = _lens_rule()
+    nodes, weights = _gauss_legendre()
     if delta > T:
         span = 2.0 * T - delta
         u = span * nodes

@@ -188,8 +188,9 @@ def _pairs(graph):
 
 
 def _replacement_edges_twin(radius):
-    """Two-pass twin of ``replacement_ball(radius).edges``: a breadth-first
-    search numbers the words, then every word's neighbours are looked up."""
+    """Two-pass twin of the induced edges (u, v), u < v, of
+    ``replacement_ball(radius)`` in ascending order: a breadth-first search
+    numbers the words, then every word's neighbours are looked up."""
     index = {(): 0}
     frontier = [()]
     for _ in range(radius):
@@ -833,8 +834,11 @@ def test_replacement_ball_neighbors_are_symmetric_and_give_the_edges(radius):
             assert v == -1 or u in neighbors[:, v].tolist(), (u, v)
     outside = np.any(neighbors < 0, axis=0)
     assert np.all(ball.distances[outside] == radius)
-    assert ball.edges == _replacement_edges_twin(radius)
-    assert 2 * len(ball.edges) == int(np.sum(neighbors >= 0))
+    owner = np.broadcast_to(np.arange(ball.num_vertices), neighbors.shape)
+    keep = neighbors > owner
+    edges = tuple(sorted(zip(owner[keep].tolist(), neighbors[keep].tolist())))
+    assert edges == _replacement_edges_twin(radius)
+    assert 2 * len(edges) == int(np.sum(neighbors >= 0))
 
 
 def test_replacement_rho_increases_to_the_frozen_value():

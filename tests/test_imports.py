@@ -70,3 +70,41 @@ def test_command_loads_only_its_layers(argv, absent):
     code, modules = _fresh_run(f"from octagap.cli import main\ncode = main({argv!r})")
     assert code == 0
     assert not absent & modules
+
+
+def test_library_integrals_run_on_numpy_alone():
+    """Every public spectral function and cap_volume, called once, load no scipy."""
+    calls = {
+        "riemann_zeta": "(3.0)",
+        "dirichlet_beta": "(2.0)",
+        "dedekind_zeta_qi": "(2.0)",
+        "gaussian_lattice_zeta": "(2.0, 20.0)",
+        "scattering_coefficient": "(2.5)",
+        "scattering_lattice_sum": "(2.5, 1, 20.0)",
+        "scattering_oracle_value": "(2.5, 1, 20.0)",
+        "scattering_pole_scan": "(1, grid_points=20)",
+        "selberg_h": "(2.0, 0.5)",
+        "selberg_h_quadrature": "(2.0, 0.5)",
+        "ball_delocalization_bound": "(ball, 2.0, 0.5)",
+        "cusp_kernel_growth": "([(2, 2.0, 1.0)], 4.0)",
+        "tangle_delocalization_bound": "(4.0, 0.4, 0.8, 0.01)",
+        "cusp_decay_ratio_zeroth": "(0.5)",
+        "bessel_k": "(0.5, 1.0)",
+        "cusp_decay_ratio_bessel": "(0.6)",
+        "flattening_budget": "([(1.0, 1.0, 1.0)], 4.0, 0.4, 0.8, 0.01)",
+    }
+    statements = "\n".join(
+        [
+            "import inspect",
+            "from octagap import geometry, spectral",
+            "geometry.cap_volume(2.0, 1.0)",
+            "ball = geometry.orbit_ball('free', geometry.DEFAULT_BASE_POINT, 3)",
+            *(f"spectral.{name}{args}" for name, args in calls.items()),
+            "public = {name for name, f in inspect.getmembers(spectral, inspect.isfunction)",
+            "          if f.__module__ == spectral.__name__ and not name.startswith('_')}",
+            f"code = int(public != {set(calls)!r})",
+        ]
+    )
+    code, modules = _fresh_run(statements)
+    assert code == 0, "the calls above must cover every public spectral function"
+    assert "scipy" not in modules

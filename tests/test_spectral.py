@@ -333,6 +333,21 @@ def test_selberg_h_matches_a_50_digit_closed_form_at_large_truncations(truncatio
     assert selberg_h(truncation, lam) == pytest.approx(_selberg_h_mp(truncation, lam), rel=1e-12)
 
 
+def test_selberg_h_near_the_top_of_the_spectrum_matches_a_50_digit_closed_form():
+    """Small lam puts s = sqrt(1 - lam) near 1, where the closed form's
+    numerator and s^2 - 1 both vanish, down to lam = 1e-17, where s rounds
+    to 1; (712, 1e-2) stays finite although sinh(712) overflows."""
+    cases = [
+        (truncation, lam)
+        for truncation in (1.0, 2.0, 10.0, 50.0, 300.0, 700.0)
+        for lam in [*np.geomspace(1e-17, 0.4, 40).tolist(), 1.99e-5]
+    ]
+    for truncation, lam in [*cases, (712.0, 1e-2)]:
+        assert selberg_h(truncation, lam) == pytest.approx(
+            _selberg_h_mp(truncation, lam), rel=1e-12
+        ), (truncation, lam)
+
+
 # -- cusp decay ratios ----------------------------------------------------------------
 
 
@@ -344,6 +359,15 @@ def test_zeroth_mode_decay_ratio_closed_form(s):
 @pytest.mark.parametrize(("order", "x"), [(0.1, 0.5), (0.5, 0.1), (0.5, 5.0), (0.9, 20.0)])
 def test_bessel_k_matches_scipy(order, x):
     assert bessel_k(order, x) == pytest.approx(scipy.special.kv(order, x), rel=1e-10)
+
+
+def test_bessel_k_matches_scipy_across_orders_and_arguments():
+    """Down to x = 1e-300, where the integration range is about 700 long."""
+    orders = np.linspace(0.01, 0.99, 20)
+    arguments = np.concatenate([np.geomspace(1e-300, 1e-8, 8), np.geomspace(1e-6, 600.0, 24)])
+    values = [[bessel_k(order, x) for x in arguments] for order in orders]
+    expected = scipy.special.kv(orders[:, None], arguments)
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
 
 
 def test_bessel_k_only_covers_the_open_unit_order_interval():
@@ -364,6 +388,34 @@ def test_bessel_mode_decay_ratio_matches_direct_quadrature():
     assert cusp_decay_ratio_bessel(s, frequency, radius) == pytest.approx(
         window / tail, rel=1e-6
     )
+
+
+def _cusp_decay_ratio_mp(s, frequency, radius):
+    """The window-to-tail ratio over the library's tail cut in 40-digit
+    arithmetic.  The tail is split at 2R, 4R, 8R, ...: mpmath's quadrature
+    over it in one piece is not accurate enough."""
+    tail_cut = 2.0 * radius + (-math.log(1e-30) + 20.0) / (4.0 * math.pi * frequency)
+    with mpmath.workdps(40):
+        w = 2 * mpmath.pi * frequency
+
+        def integrand(t):
+            return mpmath.besselk(s, w * t) ** 2 / t
+
+        window = mpmath.quad(integrand, [radius, 2 * radius], method="gauss-legendre")
+        points = [2 * radius]
+        while 2 * points[-1] < tail_cut:
+            points.append(2 * points[-1])
+        tail = mpmath.quad(integrand, [*points, tail_cut], method="gauss-legendre")
+        return float(window / tail)
+
+
+def test_bessel_mode_decay_ratio_matches_a_40_digit_reference():
+    """At radius 0.01 the tail runs 350 times as far as its start, 0.02,
+    while the integrand falls like t^(-2.2)."""
+    for radius in (1.0, 2.0, 0.01):
+        assert cusp_decay_ratio_bessel(0.6, 1.0, radius) == pytest.approx(
+            _cusp_decay_ratio_mp(0.6, 1.0, radius), rel=1e-12
+        ), radius
 
 
 def test_bessel_mode_decay_ratio_grows_with_the_radius():
