@@ -580,16 +580,15 @@ def cusp_decay_ratio_zeroth(s: float) -> float:
 
 _INTEGRAND_FLOOR_LOG = -math.log(1e-30)
 
-#: Longest panel of bessel_k's rule.  The integration range U passes 19 only
-#: for x below 1e-6, where it grows like log(1/x) to about 700; one 64-node
-#: panel over all of it is off by 2% at x = 1e-300, panels of at most 15 stay
-#: within 1e-13 of scipy's kv down to there.
+#: Longest panel of bessel_k's rule.  The integration range U grows like
+#: log(1/x): past 15 below x = 8e-5, to about 700 at x = 1e-300, where one
+#: 64-node panel over all of it is off by 2%.  Panels at most 15 long stay
+#: within 1e-13 of scipy's kv for x from 1e-300 to 600.
 _BESSEL_PANEL = 15.0
 
 
 def _bessel_k(order: float, x: np.ndarray) -> np.ndarray:
-    """bessel_k at every entry of x, unchecked: the Gauss-Legendre rule on
-    equal panels of [0, U], as many as the largest U needs."""
+    """bessel_k at every entry of x, unchecked, on as many panels as the largest U needs."""
     from .geometry import _gauss_legendre
 
     nodes, weights = _gauss_legendre()
@@ -605,9 +604,8 @@ def bessel_k(order: float, x: float) -> float:
     """Modified Bessel function of the second kind by its integral form.
 
     Integrates e^(-x cosh u) cosh(order u) du over [0, U] with U chosen so
-    the integrand has fallen below 1e-30, by the fixed 64-node
-    Gauss-Legendre rule on panels at most 15 long.  Valid for real order in
-    (0, 1).
+    the integrand has fallen below 1e-30, by Gauss-Legendre panels at most
+    15 long.  Valid for real order in (0, 1).
     """
     order, x = float(order), float(x)
     if not 0.0 < order < 1.0:
@@ -623,9 +621,8 @@ def cusp_decay_ratio_bessel(s: float, frequency: float = 1.0, radius: float = 1.
     Computes the integral of K_s(2 pi frequency t)^2 / t over [R, 2R] divided
     by the same integral over [2R, oo), truncating the tail where the
     exponential Bessel decay drops the integrand below working precision.
-    The window and each tail panel [a, 2a] (the last one shorter) carry one
-    Gauss-Legendre rule over bessel_k's, a 64 x 64 array: the panels follow
-    the t^(-1-2s) fall of the integrand where frequency * radius is small.
+    Each of the panels [R, 2R], [2R, 4R], ... (the last ending at the cut)
+    carries one Gauss-Legendre rule over bessel_k's, a 64 x 64 array.
     """
     from .geometry import _gauss_legendre
 
