@@ -11,13 +11,23 @@ them from Gram vectors instead.
 ``words.shortlex_automaton_masks`` restricted to the letters of an orbit
 group (``_WALKS``), carrying four floats per element in numpy arrays instead
 of materializing word tuples, which is what makes orbit balls of tens of
-millions of elements feasible.  It yields the displacements one slice at a
-time and never holds the whole ball: ``geometry.orbit_ball`` bins each slice
-into counts on a fixed grid as it arrives.  The face letters r1..r4 pairwise
-do not commute, so restricted to them the automaton accepts exactly the
-reduced words of their free product; on all eight letters it accepts the
-normal forms of the reflection group.  Each level's size is checked against
-the group's growth series.
+millions of elements feasible.  The face letters r1..r4 pairwise do not
+commute, so restricted to them the automaton accepts exactly the reduced
+words of their free product; on all eight letters it accepts the normal
+forms of the reflection group.
+
+The walk is depth first over blocks of at most ``_CHUNK`` parents.  Normal
+forms are prefix closed, so a block's children are formed, read out as one
+slice and walked to the end, ``_CHUNK`` of them at a time, before the next
+block of their level starts.  Only one block per level is live, so memory is
+bounded by about 8 ``_CHUNK`` children per level times the depth, not by the
+widest sphere: building the full ball at L = 9 (4.4M elements) peaks at
+7.8 MB of numpy allocations under ``tracemalloc`` (numpy 2.4), where a walk
+that holds one whole level at a time peaks at 41.8 MB.  No slice holds more than 8 ``_CHUNK`` = 65,536 floats,
+and none is ever joined: ``geometry.orbit_ball`` bins each slice into counts
+on a fixed grid as it arrives.  The sizes of the levels are summed across
+blocks and checked against the group's growth series once the walk is
+exhausted.
 
 Each element M, of unit determinant modulus, is carried as its Gram vector:
 the row (S11, S22, Re S12, Im S12) of S = Q* Q, Q = h^-1 M, where
@@ -28,22 +38,24 @@ per letter and parent parity (``_letter_maps``).  The element moves x0 by
 cosh d = |h^-1 M h'|_F^2 / 2 (Elstrodt, Grunewald and Mennicke, *Groups
 Acting on Hyperbolic Space*, ch. 1), where h' conjugates z0 if the element
 does: the row dotted with one readout vector per conjugation bit
-(``_frame``).  Each level works in slices of ``_CHUNK`` parents: their rows
-times the weights (each letter's map times its children's readout) give the
-cosh of all their children at once, masked by the automaton's free letters.
-Child rows are formed only for levels that get extended, so the last sphere
-never forms one.  The rows carry their rounding from level to level: at the
-guarded lengths (free 15, full and kernel 10), at the default base point and
-at (0.35 + 0.38i, 0.95), the displacements stay within 6.7e-14 of those from
-Gram vectors recomputed at every level from the exact Gaussian-integer
-matrices.
+(``_frame``).  A block's rows times the weights (each letter's map times its
+children's readout) give the cosh of all its children at once, masked by
+the automaton's free letters, and its rows times the letters' maps side by
+side give all its children's rows.  Child rows are formed only for blocks
+that get extended, so the last sphere never forms one.  The rows carry
+their rounding from level to level: at the guarded lengths (free 15, full
+and kernel 10), at the default base point and at (0.35 + 0.38i, 0.95), the
+displacements stay within 6.7e-14 of those from Gram vectors recomputed at
+every level from the exact Gaussian-integer matrices.
 
 The kernel walk never forms a child whose perp image is longer than the
 letters left, since such a prefix can never return to the trivial image, and
 reads out only the parents whose image has at most one letter, the only
-ones with a child of trivial image.  The growth check still covers the
-dropped prefixes: their accepted continuations are counted over the
-automaton states (``_continuations``) and added to the kept ones.
+ones with a child of trivial image.  The pruning comes before the product:
+only the parents with a child left enter it.  The growth check still covers
+the dropped prefixes: their automaton states are counted per level, and
+their accepted continuations (``_continuations``) are added to the kept
+words.
 
 All generators carry the conjugation bit, so an element of word length L
 conjugates iff L is odd; appending a letter to an odd-length element must
@@ -52,6 +64,7 @@ right-multiply by the entrywise conjugate of the letter's matrix.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -65,7 +78,9 @@ from .words import (
     shortlex_automaton_masks,
 )
 
-_CHUNK = 1 << 16
+#: Parents per block of the walk.  A block has at most 8 _CHUNK children, so
+#: none of its arrays outgrows a few MB and every slice fits in cache.
+_CHUNK = 1 << 13
 
 MAX_FREE_LEN = 15
 MAX_RACG_LEN = 10
@@ -160,21 +175,15 @@ def _frame(z0: complex, t0: float) -> tuple[np.ndarray, np.ndarray]:
     return start, readout
 
 
-def _child_displacements(
-    grams: np.ndarray, hit: np.ndarray, weights: np.ndarray, rows: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
-    """Displacements of the children hit[i, k] of parent i by letter k, in slices of parents.
+def _child_displacements(grams: np.ndarray, hit: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Displacements of the children hit[i, k] of the parents with Gram rows grams[i], by letter k.
 
-    The parents are the Gram rows ``grams``, or those listed in ``rows``.
     The product runs in ``einsum``, not in BLAS: a threaded BLAS wakes its
-    threads for every slice, which costs more than the product itself, and
+    threads for every block, which costs more than the product itself, and
     this way the values repeat at any thread count.
     """
-    for i in range(0, hit.shape[0], _CHUNK):
-        s = slice(i, i + _CHUNK)
-        parents = grams[s] if rows is None else grams[rows[s]]
-        coshd = np.einsum("ij,jk->ik", parents, weights)[hit[s]]
-        yield np.arccosh(np.maximum(coshd, 1.0, out=coshd), out=coshd)
+    coshd = np.compress(hit.ravel(), np.einsum("ij,jk->ik", grams, weights))
+    return np.arccosh(np.maximum(coshd, 1.0, out=coshd), out=coshd)
 
 
 @lru_cache(maxsize=None)
@@ -191,17 +200,19 @@ def _continuations(letters: tuple[int, ...], state: int, depth: int) -> int:
 
 
 def _perp_step(
-    pack: np.ndarray, plen: np.ndarray, sym: int
+    pack: np.ndarray, plen: np.ndarray, sym: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Append a letter to packed perp-image words: push or pop sym (0 keeps them)."""
-    if sym == 0:
-        return pack, plen
+    """Append letters to packed perp-image words: push or pop sym (0 keeps the word).
+
+    The arguments broadcast: an (n, 1) column of words against a (k,) row of
+    symbols gives the (n, k) images of every word's children.
+    """
     top_shift = (3 * np.maximum(plen - 1, 0)).astype(np.uint64)
     top = (pack >> top_shift) & np.uint64(7)
     pop = (plen > 0) & (top == sym)
-    pushed = pack | (np.uint64(sym) << (3 * plen).astype(np.uint64))
+    pushed = pack | (sym << (3 * plen).astype(np.uint64))
     popped = pack & ~(np.uint64(7) << top_shift)
-    return np.where(pop, popped, pushed), np.where(pop, plen - 1, plen + 1)
+    return np.where(pop, popped, pushed), np.where(pop, plen - 1, plen + (sym != 0))
 
 
 def _sphere_displacements(
@@ -213,10 +224,13 @@ def _sphere_displacements(
     "full" (the whole reflection group) or "kernel" (the elements with
     trivial image in the free product on the perp letters: the ball of the
     normal closure of the face letters, intersected with the word-length
-    ball).  Yields one float per element of geodesic length <= max_len (the
-    identity first), shortest words first but unsorted within a sphere.  The
-    length guard raises MemoryGuardError at the first slice asked for,
-    before the walk allocates anything.
+    ball).  Yields one float per element of geodesic length <= max_len,
+    the identity's 0 first and then the rest in depth-first order over
+    blocks of at most ``_CHUNK`` parents, one slice of at most
+    8 ``_CHUNK`` floats per block.  The length guard raises
+    MemoryGuardError at the first slice asked for, before the walk
+    allocates anything; the growth check raises AssertionError once the
+    walk is exhausted.
     """
     letters, kernel_only, max_guard, sphere_count = _WALKS[group]
     if max_len > max_guard:
@@ -224,10 +238,14 @@ def _sphere_displacements(
             f"{group} orbit ball of radius {max_len} exceeds the memory guard ({max_guard})"
         )
     keep_masks, set_masks = shortlex_automaton_masks()
+    keep = np.array([keep_masks[g] for g in letters], dtype=np.uint16)
+    put = np.array([set_masks[g] for g in letters], dtype=np.uint16)
     maps = _letter_maps()[:, list(letters)]
     start, readout = _frame(z0, t0)
     # a parent of parity p has children of parity 1 - p
     weights = [np.einsum("kij,j->ik", maps[p], readout[1 - p]) for p in (0, 1)]
+    # stacked[p][:, 4 k:4 k + 4] is letter k's map
+    stacked = [np.hstack(maps[p]) for p in (0, 1)]
     # free_table[s, k]: whether the automaton state s lets letter k follow
     shifts = np.array([2 * g for g in letters], dtype=np.uint16)
     free_table = (np.arange(1 << 16, dtype=np.uint16)[:, None] >> shifts) & np.uint16(3) == 0
@@ -235,63 +253,60 @@ def _sphere_displacements(
     # or pops the symbol k on the reduced image word, packed 3 bits per symbol
     perp_symbol = [(g // 2 + 1) if GENERATOR_NAMES[g].endswith("p") else 0 for g in range(8)]
     syms = np.array([perp_symbol[g] for g in letters], dtype=np.uint64)
-    yield np.zeros(1)
-    grams = start[None]
-    state = np.zeros(1, dtype=np.uint16)
-    pack = np.zeros(1, dtype=np.uint64)
-    plen = np.zeros(1, dtype=np.int64)
-    # missing[k]: words of length k + 1 that descend from pruned kernel prefixes
-    missing = [0] * max_len
-    for level in range(max_len):
-        parity = level % 2
-        free = free_table[state]
-        size = int(np.count_nonzero(free))
-        if size + missing[level] != sphere_count(level + 1):
-            raise AssertionError(
-                f"sphere {level + 1}: {size} + {missing[level]} pruned "
-                f"!= {sphere_count(level + 1)}"
-            )
+    # sizes[n]: words of length n walked; dead[n]: the automaton states of the
+    # pruned kernel prefixes of length n, with their multiplicities
+    sizes = [0] * (max_len + 1)
+    dead = [Counter() for _ in range(max_len + 1)]
+
+    # Rows are gathered with np.take and np.compress, not with fancy or
+    # boolean indexing, which copies rows of a few bytes about ten times slower.
+    def walk(level, grams, state, *image):
+        """The slices of the block's children and of all their descendants."""
+        free = np.take(free_table, state, axis=0)
+        sizes[level + 1] += int(np.count_nonzero(free))
         if kernel_only:
             # a child has a trivial image iff a face letter (symbol 0) extends
             # an empty image (pack 0) or a perp letter pops the one symbol of
             # its parent's image: in both cases the pack equals the symbol
+            pack, plen = image
             near = np.flatnonzero(plen <= 1)
-            hit = free[near] & (pack[near, None] == syms)
-            yield from _child_displacements(grams, hit, weights[parity], near)
+            hit = np.take(free, near, axis=0) & (pack[near, None] == syms)
+            yield _child_displacements(np.take(grams, near, axis=0), hit, weights[level % 2])
         else:
-            yield from _child_displacements(grams, free, weights[parity])
-        if level == max_len - 1:
+            yield _child_displacements(grams, free, weights[level % 2])
+        if level + 1 == max_len:
             return
-        # the kernel walk fills only the first `off` rows
-        ngrams = np.empty((size, 4))
-        nstate = np.empty(size, dtype=np.uint16)
+        # the children in (parent, letter) order: live[i, k] keeps child k of parent i
+        live = free
+        cstate = (state[:, None] & keep) | put
         if kernel_only:
-            npack = np.empty(size, dtype=np.uint64)
-            nplen = np.empty(size, dtype=np.int64)
-            dead_states = []
-        off = 0
-        for k, g in enumerate(letters):
-            sel = np.flatnonzero(free[:, k])
-            cstate = (state[sel] & np.uint16(keep_masks[g])) | np.uint16(set_masks[g])
-            if kernel_only:
-                # a child whose image is longer than the letters left never
-                # returns to the trivial image: it is counted, not formed
-                cpack, cplen = _perp_step(pack[sel], plen[sel], perp_symbol[g])
-                live = cplen <= max_len - level - 1
-                dead_states.append(cstate[~live])
-                sel, cstate = sel[live], cstate[live]
-                npack[off:off + sel.size], nplen[off:off + sel.size] = cpack[live], cplen[live]
-            view = slice(off, off + sel.size)
-            np.einsum("ij,jk->ik", grams[sel], maps[parity, k], out=ngrams[view])
-            nstate[view] = cstate
-            off += sel.size
-        grams, state = ngrams[:off], nstate[:off]
-        if not kernel_only:
-            continue
-        pack, plen = npack[:off], nplen[:off]
-        # the growth check counts the accepted continuations of the dropped children
-        states, mult = np.unique(np.concatenate(dead_states), return_counts=True)
-        for k in range(level + 1, max_len):
-            missing[k] += sum(
-                int(m) * _continuations(letters, int(s), k - level) for s, m in zip(states, mult)
-            )
+            # a child whose image is longer than the letters left never
+            # returns to the trivial image: it is counted, not formed
+            cpack, cplen = _perp_step(pack[:, None], plen[:, None], syms)
+            live = free & (cplen <= max_len - level - 1)
+            states, mult = np.unique(cstate[free & ~live], return_counts=True)
+            dead[level + 1].update(dict(zip(states.tolist(), mult.tolist())))
+            image = (np.compress(live.ravel(), cpack), np.compress(live.ravel(), cplen))
+            # the recursion below holds only what the children need
+            del cpack, cplen
+            # only the parents with a child left enter the product
+            parents = live.any(axis=1)
+            grams, cstate, live = (np.compress(parents, a, axis=0) for a in (grams, cstate, live))
+        cstate = np.compress(live.ravel(), cstate)
+        product = np.einsum("ij,jk->ik", grams, stacked[level % 2]).reshape(-1, 4)
+        ngrams = np.compress(live.ravel(), product, axis=0)
+        del product
+        for i in range(0, cstate.size, _CHUNK):
+            s = slice(i, i + _CHUNK)
+            yield from walk(level + 1, ngrams[s], cstate[s], *(a[s] for a in image))
+
+    yield np.zeros(1)
+    image = (np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64)) if kernel_only else ()
+    yield from walk(0, start[None], np.zeros(1, dtype=np.uint16), *image)
+    for n in range(1, max_len + 1):
+        # the accepted continuations of the pruned prefixes
+        missing = sum(
+            m * _continuations(letters, s, n - j) for j in range(1, n) for s, m in dead[j].items()
+        )
+        if sizes[n] + missing != sphere_count(n):
+            raise AssertionError(f"sphere {n}: {sizes[n]} + {missing} pruned != {sphere_count(n)}")

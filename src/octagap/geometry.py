@@ -430,12 +430,6 @@ def cusp_height_standard(p: Point3, reps: Iterable[ProjIsom]) -> float:
 #: Spacing of the grid on which an orbit ball counts its points.
 GRID_STEP = 0.1
 
-#: Displacements binned at once.  Walker slices hold up to 460k floats; in
-#: pieces of this size the temporaries stay in cache, and binning the 22M
-#: displacements of the full ball at L=10 takes 0.17 s instead of 0.28 s
-#: (2-vCPU Xeon, numpy 2.4).
-_BIN_CHUNK = 1 << 16
-
 
 def _grid_counts(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
     """N(k GRID_STEP) for k = 0, 1, ..., j(r), and r, the largest displacement.
@@ -445,21 +439,20 @@ def _grid_counts(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
     since the quotient's rounding can put the ceil one bin off.  The products
     k * GRID_STEP are the floats the exponent fit reads at, so the cumulated
     bins equal searchsorted(sorted displacements, k * GRID_STEP, "right")
-    exactly.
+    exactly.  Each slice is binned whole: the walker's hold at most
+    8 ``_ballfast._CHUNK`` = 65,536 floats, so the temporaries stay in cache.
     """
     bins = np.zeros(1, dtype=np.int64)
     radius = 0.0
-    for piece in slices:
-        for i in range(0, piece.size, _BIN_CHUNK):
-            d = piece[i:i + _BIN_CHUNK]
-            j = np.ceil(d / GRID_STEP)
-            j -= (j - 1.0) * GRID_STEP >= d
-            j += j * GRID_STEP < d
-            counts = np.bincount(j.astype(np.intp))
-            if counts.size > bins.size:
-                bins, counts = counts, bins
-            bins[: counts.size] += counts
-            radius = max(radius, float(d.max()))
+    for d in slices:
+        j = np.ceil(d / GRID_STEP)
+        j -= (j - 1.0) * GRID_STEP >= d
+        j += j * GRID_STEP < d
+        counts = np.bincount(j.astype(np.intp))
+        if counts.size > bins.size:
+            bins, counts = counts, bins
+        bins[: counts.size] += counts
+        radius = float(d.max(initial=radius))
     return np.cumsum(bins), radius
 
 

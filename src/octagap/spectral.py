@@ -586,6 +586,11 @@ _INTEGRAND_FLOOR_LOG = -math.log(1e-30)
 #: within 1e-13 of scipy's kv for x from 1e-300 to 600.
 _BESSEL_PANEL = 15.0
 
+#: Least argument of bessel_k.  Below about 5e-304 the integrand's product
+#: U cosh(order u) overflows for orders near 1, and below 7.2e-307 so does
+#: U itself; 1e-300 keeps a margin and is where the tests meet scipy's kv.
+_BESSEL_MIN_ARG = 1e-300
+
 
 def _bessel_k(order: float, x: np.ndarray) -> np.ndarray:
     """bessel_k at every entry of x, unchecked, on as many panels as the largest U needs."""
@@ -605,13 +610,15 @@ def bessel_k(order: float, x: float) -> float:
 
     Integrates e^(-x cosh u) cosh(order u) du over [0, U] with U chosen so
     the integrand has fallen below 1e-30, by Gauss-Legendre panels at most
-    15 long.  Valid for real order in (0, 1).
+    15 long.  Valid for real order in (0, 1) and x >= 1e-300.
     """
     order, x = float(order), float(x)
     if not 0.0 < order < 1.0:
         raise DomainError(f"order must lie in (0, 1), got {order}")
     if not x > 0.0:
         raise DomainError(f"argument must be positive, got {x}")
+    if not x >= _BESSEL_MIN_ARG:
+        raise DomainError(f"argument must be at least {_BESSEL_MIN_ARG}, got {x}")
     return float(_bessel_k(order, x))
 
 
@@ -623,6 +630,10 @@ def cusp_decay_ratio_bessel(s: float, frequency: float = 1.0, radius: float = 1.
     exponential Bessel decay drops the integrand below working precision.
     Each of the panels [R, 2R], [2R, 4R], ... (the last ending at the cut)
     carries one Gauss-Legendre rule over bessel_k's, a 64 x 64 array.
+    Raises DomainError where 2 pi frequency R is below bessel_k's range,
+    where the window mass overflows (R below about 3e-141 at frequency 1)
+    and where the tail mass underflows to 0 (R above about 29 at
+    frequency 1).
     """
     from .geometry import _gauss_legendre
 
@@ -634,6 +645,11 @@ def cusp_decay_ratio_bessel(s: float, frequency: float = 1.0, radius: float = 1.
     if not radius > 0.0:
         raise DomainError(f"radius must be positive, got {radius}")
     w = 2.0 * math.pi * frequency
+    if not w * radius >= _BESSEL_MIN_ARG:
+        raise DomainError(
+            f"radius {radius} at frequency {frequency} puts the Bessel argument "
+            f"below {_BESSEL_MIN_ARG}"
+        )
     tail_cut = 2.0 * radius + (_INTEGRAND_FLOOR_LOG + 20.0) / (2.0 * w)
     edges = radius * 2.0 ** np.arange(math.ceil(math.log2(tail_cut / radius)) + 1.0)
     edges[-1] = tail_cut
@@ -641,8 +657,16 @@ def cusp_decay_ratio_bessel(s: float, frequency: float = 1.0, radius: float = 1.
     spans = np.diff(edges)
     t = edges[:-1, None] + spans[:, None] * nodes
     # One panel at a time, so no Bessel array outgrows 64 x 64 per bessel_k panel.
-    masses = spans * [float((_bessel_k(s, w * row) ** 2 / row) @ weights) for row in t]
-    return float(masses[0]) / float(masses[1:].sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = spans * [float((_bessel_k(s, w * row) ** 2 / row) @ weights) for row in t]
+    window, tail = float(masses[0]), float(masses[1:].sum())
+    if not (math.isfinite(window) and 0.0 < tail < math.inf):
+        raise DomainError(
+            f"radius {radius} at frequency {frequency} is out of range: window mass "
+            f"{window}, tail mass {tail} (K_s(2 pi frequency t)^2 / t overflows near "
+            f"t = 0 and underflows far out)"
+        )
+    return window / tail
 
 
 # ---------------------------------------------------------------------------

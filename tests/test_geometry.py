@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -494,6 +495,32 @@ def test_grid_counts_are_searchsorted_over_the_walked_slices(monkeypatch, label,
     assert ball.grid_counts.tolist() == np.searchsorted(walked, grid, side="right").tolist()
     assert ball.count == walked.size
     assert ball.radius == walked[-1]
+
+
+@pytest.mark.parametrize("label, max_len", [("free", 10), ("full", 7), ("kernel", 7)])
+def test_walker_slices_hold_at_most_one_block_of_children(label, max_len):
+    """A block of _CHUNK parents has at most eight children, so no slice
+    outgrows 65,536 floats; the identity's 0 comes first."""
+    walk = _ballfast._sphere_displacements(DEFAULT_BASE_POINT.z, DEFAULT_BASE_POINT.t, max_len, label)
+    sizes = [piece.size for piece in walk]
+    assert 8 * _ballfast._CHUNK == 1 << 16
+    assert sizes[0] == 1
+    assert max(sizes) <= 8 * _ballfast._CHUNK
+
+
+def test_orbit_ball_memory_is_bounded_by_the_blocks_of_the_walk():
+    """Peak of numpy's allocations, as tracemalloc sees them, while the full
+    ball of word length 9 (4.4M elements) is built: 7.8 MB for the
+    depth-first walk, 41.8 MB for the level-by-level walk before it, which
+    held the widest sphere.  The bound is their geometric mean."""
+    orbit_ball("full", DEFAULT_BASE_POINT, 3)
+    tracemalloc.start()
+    try:
+        orbit_ball("full", DEFAULT_BASE_POINT, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < math.sqrt(41.84e6 * 7.80e6)
 
 
 def test_grid_bins_are_exact_at_and_next_to_the_grid_points():

@@ -377,6 +377,27 @@ def test_bessel_k_only_covers_the_open_unit_order_interval():
         bessel_k(0.5, 0.0)
 
 
+@pytest.mark.parametrize("x", [1e-310, 5e-307, 1e-301])
+def test_bessel_k_rejects_arguments_below_its_range(x):
+    """Below 7.2e-307 the integration range overflows; below about 5e-304
+    the integrand does for orders near 1."""
+    for order in (0.5, 0.999999):
+        with pytest.raises(DomainError, match="at least"):
+            bessel_k(order, x)
+
+
+@pytest.mark.parametrize(
+    "frequency, radius",
+    [(1.0, 30.0), (1.0, 1e3), (2.0, 15.0), (1.0, 1e-200), (1.0, 1e-301), (1.0, 1e-320)],
+)
+def test_bessel_mode_decay_ratio_names_a_radius_out_of_range(frequency, radius):
+    """The tail mass underflows to 0 from radius 29 at frequency 1, and the
+    window mass overflows below radius 3e-141; both are usage errors, with
+    no warning on the way."""
+    with pytest.raises(DomainError, match=f"radius {radius}"):
+        cusp_decay_ratio_bessel(0.6, frequency, radius)
+
+
 def test_bessel_mode_decay_ratio_matches_direct_quadrature():
     s, frequency, radius = 0.6, 1.0, 1.0
 
