@@ -586,10 +586,9 @@ _INTEGRAND_FLOOR_LOG = -math.log(1e-30)
 #: within 1e-13 of scipy's kv for x from 1e-300 to 600.
 _BESSEL_PANEL = 15.0
 
-#: Least argument of bessel_k.  Below about 5e-304 the integrand's product
-#: U cosh(order u) overflows for orders near 1, and below 7.2e-307 so does
-#: U itself; 1e-300 keeps a margin and is where the tests meet scipy's kv.
-_BESSEL_MIN_ARG = 1e-300
+#: Least argument of bessel_k, about 7.2e-307: below it the cut's
+#: cosh U = (floor + 60) / x + 1 overflows.
+_BESSEL_MIN_ARG = (_INTEGRAND_FLOOR_LOG + 60.0) / np.finfo(np.float64).max
 
 
 def _bessel_k(order: float, x: np.ndarray) -> np.ndarray:
@@ -610,16 +609,21 @@ def bessel_k(order: float, x: float) -> float:
 
     Integrates e^(-x cosh u) cosh(order u) du over [0, U] with U chosen so
     the integrand has fallen below 1e-30, by Gauss-Legendre panels at most
-    15 long.  Valid for real order in (0, 1) and x >= 1e-300.
+    15 long.  Valid for real order in (0, 1) and x down to about 7.2e-307.
+    Just above that, for orders near 1, cosh(order u) overflows at the top
+    of the range (order 0.999999: below x = 2e-306), which raises
+    DomainError too.
     """
     order, x = float(order), float(x)
     if not 0.0 < order < 1.0:
         raise DomainError(f"order must lie in (0, 1), got {order}")
-    if not x > 0.0:
-        raise DomainError(f"argument must be positive, got {x}")
     if not x >= _BESSEL_MIN_ARG:
-        raise DomainError(f"argument must be at least {_BESSEL_MIN_ARG}, got {x}")
-    return float(_bessel_k(order, x))
+        raise DomainError(f"argument must be at least {_BESSEL_MIN_ARG:.4g}, got {x}")
+    with np.errstate(over="ignore"):
+        value = float(_bessel_k(order, x))
+    if not math.isfinite(value):
+        raise DomainError(f"the integrand of K_{order}({x}) overflows")
+    return value
 
 
 def cusp_decay_ratio_bessel(s: float, frequency: float = 1.0, radius: float = 1.0) -> float:
@@ -646,10 +650,7 @@ def cusp_decay_ratio_bessel(s: float, frequency: float = 1.0, radius: float = 1.
         raise DomainError(f"radius must be positive, got {radius}")
     w = 2.0 * math.pi * frequency
     if not w * radius >= _BESSEL_MIN_ARG:
-        raise DomainError(
-            f"radius {radius} at frequency {frequency} puts the Bessel argument "
-            f"below {_BESSEL_MIN_ARG}"
-        )
+        raise DomainError(f"radius {radius} puts the Bessel argument below {_BESSEL_MIN_ARG:.4g}")
     tail_cut = 2.0 * radius + (_INTEGRAND_FLOOR_LOG + 20.0) / (2.0 * w)
     edges = radius * 2.0 ** np.arange(math.ceil(math.log2(tail_cut / radius)) + 1.0)
     edges[-1] = tail_cut
@@ -662,9 +663,8 @@ def cusp_decay_ratio_bessel(s: float, frequency: float = 1.0, radius: float = 1.
     window, tail = float(masses[0]), float(masses[1:].sum())
     if not (math.isfinite(window) and 0.0 < tail < math.inf):
         raise DomainError(
-            f"radius {radius} at frequency {frequency} is out of range: window mass "
-            f"{window}, tail mass {tail} (K_s(2 pi frequency t)^2 / t overflows near "
-            f"t = 0 and underflows far out)"
+            f"radius {radius} is out of range at frequency {frequency}: "
+            f"window mass {window}, tail mass {tail}"
         )
     return window / tail
 

@@ -501,7 +501,8 @@ def test_grid_counts_are_searchsorted_over_the_walked_slices(monkeypatch, label,
 def test_walker_slices_hold_at_most_one_block_of_children(label, max_len):
     """A block of _CHUNK parents has at most eight children, so no slice
     outgrows 65,536 floats; the identity's 0 comes first."""
-    walk = _ballfast._sphere_displacements(DEFAULT_BASE_POINT.z, DEFAULT_BASE_POINT.t, max_len, label)
+    base = DEFAULT_BASE_POINT
+    walk = _ballfast._sphere_displacements(base.z, base.t, max_len, label)
     sizes = [piece.size for piece in walk]
     assert 8 * _ballfast._CHUNK == 1 << 16
     assert sizes[0] == 1
