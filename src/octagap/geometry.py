@@ -22,7 +22,6 @@ import numpy as np
 from . import _ballfast
 from .errors import DomainError, InsufficientDataError, SetupError, check_count
 from .group import GaussianInt, ProjIsom, octa_symmetry_group
-from .words import CoxeterWord, evaluate_word, format_word
 
 #: Critical exponent of the subgroup generated by the four face reflections
 #: (the Apollonian circle packing exponent), used as a pinned input constant.
@@ -195,20 +194,28 @@ def cap_volume_monte_carlo(
     volume weight) over the slab spanned by the Euclidean envelope of the
     lower ball, horizontal coordinates uniformly on the disk slicing that
     envelope, and the indicator of the two-ball intersection is averaged.
+    The envelope spans the heights e^(-T) to e^T, and its slice at height t
+    has squared radius (e^T - t)(t - e^(-T)), so nothing cancels at large T.
+    A point (z, t) lies within T of the center (0, h) when
+    (|z|/h)^2 + (t/h - 1)^2 <= 2 (t/h) (cosh T - 1), a form in which nothing
+    overflows for T up to _MAX_RADIUS.  The arguments are checked as in
+    cap_volume, and n_samples must be a positive integer.
     """
-    T, delta = float(radius), float(separation)
-    if T <= 0 or delta < 0:
-        raise DomainError("radius must be positive and separation nonnegative")
-    if n_samples <= 0:
-        raise DomainError("n_samples must be positive")
+    T = _check_radius(radius)
+    delta = float(separation)
+    if not 0.0 <= delta < math.inf:
+        raise DomainError(f"separation must be finite and nonnegative, got {separation}")
+    n_samples = check_count("n_samples", n_samples, 1)
     if delta >= 2.0 * T:
         return 0.0
     rng = np.random.default_rng(seed)
-    x = Point3(0.0 + 0.0j, 1.0)
-    y = Point3(0.0 + 0.0j, math.exp(delta))
-    # Euclidean envelope of B(x, T): center height cosh(T), radius sinh(T)
-    tc, re = math.cosh(T), math.sinh(T)
-    t1, t2 = tc - re, tc + re
+    reach = 2.0 * (math.cosh(T) - 1.0)
+
+    def within(rho2: np.ndarray, t: np.ndarray, h: float) -> np.ndarray:
+        q = t / h
+        return rho2 / h / h + (q - 1.0) ** 2 <= q * reach
+
+    t1, t2 = math.exp(-T), math.exp(T)
     inv1, inv2 = t1 ** -2.0, t2 ** -2.0
     w_total = 0.0
     chunk = 1 << 18
@@ -217,15 +224,13 @@ def cap_volume_monte_carlo(
         m = min(chunk, n_samples - done)
         u = rng.random(m)
         t = (inv1 - u * (inv1 - inv2)) ** -0.5
-        r_slice = np.sqrt(np.maximum(re * re - (t - tc) ** 2, 0.0))
+        r_slice = np.sqrt(np.maximum((t2 - t) * (t - t1), 0.0))
         phi = rng.random(m) * (2.0 * math.pi)
         rad = np.sqrt(rng.random(m)) * r_slice
         zx = rad * np.cos(phi)
         zy = rad * np.sin(phi)
         rho2 = zx * zx + zy * zy
-        coshd_x = 1.0 + (rho2 + (t - x.t) ** 2) / (2.0 * t * x.t)
-        coshd_y = 1.0 + (rho2 + (t - y.t) ** 2) / (2.0 * t * y.t)
-        inside = (coshd_x <= math.cosh(T)) & (coshd_y <= math.cosh(T))
+        inside = within(rho2, t, 1.0) & within(rho2, t, math.exp(delta))
         area = math.pi * r_slice ** 2
         w_total += float(np.sum(inside * area))
         done += m
@@ -239,18 +244,21 @@ def cap_volume_monte_carlo(
 #: the symmetry center of the octahedron.
 OCTA_CENTER = Point3(0.5 + 0.5j, math.sqrt(0.5))
 
+#: Slack of the corner and horoball membership tests, against rounding in the action.
+_TOL = 1e-9
 
-def in_fundamental_corner(p: Point3, tol: float = 1e-9) -> bool:
-    """Whether p lies in {0 <= x, y <= 1/2, x^2 + y^2 + t^2 >= 1} (with slack tol)."""
+
+def in_fundamental_corner(p: Point3) -> bool:
+    """Whether p lies in {0 <= x, y <= 1/2, x^2 + y^2 + t^2 >= 1} (with slack _TOL)."""
     x, y = p.z.real, p.z.imag
     return (
-        -tol <= x <= 0.5 + tol
-        and -tol <= y <= 0.5 + tol
-        and x * x + y * y + p.t * p.t >= 1.0 - tol
+        -_TOL <= x <= 0.5 + _TOL
+        and -_TOL <= y <= 0.5 + _TOL
+        and x * x + y * y + p.t * p.t >= 1.0 - _TOL
     )
 
 
-def move_to_corner(p: Point3, tol: float = 1e-9) -> tuple[ProjIsom, Point3]:
+def move_to_corner(p: Point3) -> tuple[ProjIsom, Point3]:
     """Find a symmetry of the octahedron carrying p into the fundamental corner.
 
     Returns the pair (g, g applied to p).  Raises SetupError when no symmetry
@@ -258,22 +266,22 @@ def move_to_corner(p: Point3, tol: float = 1e-9) -> tuple[ProjIsom, Point3]:
     """
     for g in octa_symmetry_group():
         q = apply_isom(g, p)
-        if in_fundamental_corner(q, tol):
+        if in_fundamental_corner(q):
             return g, q
     raise SetupError(f"no octahedral symmetry carries {p} into the corner")
 
 
-def in_standard_horoball(p: Point3, tol: float = 1e-9) -> bool:
-    """The truncated horoball piece {0 <= x, y <= 1, t >= 1/sqrt(2)}.
+def in_standard_horoball(p: Point3) -> bool:
+    """The truncated horoball piece {0 <= x, y <= 1, t >= 1/sqrt(2)} (with slack _TOL).
 
     The coordinates of p may also be numpy arrays; the answer is then a
     bool array.
     """
     x, y = p.z.real, p.z.imag
     return (
-        (-tol <= x) & (x <= 1.0 + tol)
-        & (-tol <= y) & (y <= 1.0 + tol)
-        & (p.t >= math.sqrt(0.5) - tol)
+        (-_TOL <= x) & (x <= 1.0 + _TOL)
+        & (-_TOL <= y) & (y <= 1.0 + _TOL)
+        & (p.t >= math.sqrt(0.5) - _TOL)
     )
 
 
@@ -314,6 +322,9 @@ def horoball_cover_maps() -> list[tuple[str, ProjIsom]]:
 #: Samples drawn and mapped at once by horoball_cover_check; bounds its memory.
 _HOROBALL_CHUNK = 4096
 
+#: Top of the heights horoball_cover_check draws in the fundamental corner.
+_HOROBALL_HEIGHT_CAP = 2.5
+
 
 @dataclass(frozen=True)
 class HoroballCoverReport:
@@ -325,26 +336,21 @@ class HoroballCoverReport:
 
 
 def horoball_cover_check(
-    n_samples: int,
-    seed: int,
-    exclusion_radius: float = 1e-3,
-    height_cap: float = 2.5,
+    n_samples: int, seed: int, exclusion_radius: float = 1e-3
 ) -> HoroballCoverReport:
     """Sample the octahedron and audit the six-horoball cover.
 
-    Points are drawn in the fundamental corner (heights up to height_cap) and
-    pushed around by random symmetries so the whole octahedron is exercised.
-    For each point the multiplicity counts how many of the six truncated
-    horoballs contain it.  Points within exclusion_radius (hyperbolic) of the
-    center, where all six pieces meet, are excluded from the multiplicity
-    tally but still counted for coverage; n_checked counts the rest, so the
-    radius must be finite (NaN or inf would exclude every point).  Points
-    are drawn and mapped in chunks of _HOROBALL_CHUNK.
+    Points are drawn in the fundamental corner (heights up to
+    _HOROBALL_HEIGHT_CAP) and pushed around by random symmetries so the whole
+    octahedron is exercised.  For each point the multiplicity counts how many
+    of the six truncated horoballs contain it.  Points within
+    exclusion_radius (hyperbolic) of the center, where all six pieces meet,
+    are excluded from the multiplicity tally but still counted for coverage;
+    n_checked counts the rest, so the radius must be finite (NaN or inf
+    would exclude every point).  Points are drawn and mapped in chunks of
+    _HOROBALL_CHUNK.  n_samples must be a positive integer.
     """
-    if n_samples <= 0:
-        raise DomainError("n_samples must be positive")
-    if height_cap <= 1.0:
-        raise DomainError("height_cap must exceed the corner floor")
+    n_samples = check_count("n_samples", n_samples, 1)
     if not 0.0 <= exclusion_radius < math.inf:
         raise DomainError(f"exclusion_radius must be finite and >= 0, got {exclusion_radius}")
     rng = np.random.default_rng(seed)
@@ -357,7 +363,7 @@ def horoball_cover_check(
         x = rng.random(m) * 0.5
         y = rng.random(m) * 0.5
         t_low = np.sqrt(np.maximum(1.0 - x * x - y * y, 0.0))
-        t = t_low + rng.random(m) * (height_cap - t_low)
+        t = t_low + rng.random(m) * (_HOROBALL_HEIGHT_CAP - t_low)
         pick = rng.integers(syms.shape[1], size=m)
         z, t = _ballfast.act(syms[:, pick], sym_conj[pick], x + 1j * y, t)
         mult = np.zeros(m, dtype=np.int64)
@@ -466,17 +472,13 @@ class OrbitBall:
     point at or past every displacement), ``count`` and ``radius`` (the
     largest displacement; the identity's is 0).  Readers that need more than
     the counts, such as ``spectral.ball_delocalization_bound``, walk the
-    source again.  ``words`` and ``displacements`` hold the words and their
-    sorted displacements when the ball was enumerated explicitly, for
-    ``to_csv``, and are None for the vectorized enumerations.
+    source again.  ``orbit_ball`` builds one from a walk of the orbit
+    walker; the ball keeps no words and no array of displacements.
     """
 
     base: Point3
     word_length: int
     slices: Callable[[], Iterable[np.ndarray]]
-    words: list[CoxeterWord] | None = None
-    displacements: np.ndarray | None = None
-    label: str = ""
     grid_counts: np.ndarray = field(init=False)
     radius: float = field(init=False)
     count: int = field(init=False)
@@ -502,61 +504,32 @@ class OrbitBall:
             )
         return int(self.grid_counts[k]) if k >= 0 else 0
 
-    def to_csv(self, fileobj) -> None:
-        """Write rows word,displacement.  Requires explicit words."""
-        if self.words is None:
-            raise DomainError("this ball was enumerated without words")
-        fileobj.write("word,displacement\r\n")
-        for w, dval in zip(self.words, self.displacements):
-            fileobj.write(f"{format_word(w)},{dval:.12g}\r\n")
-
 
 #: Built-in orbit groups, one per walk of the orbit walker.
 ORBIT_GROUPS = tuple(_ballfast._WALKS)
 
 
-def orbit_ball(
-    group: str | Callable[[int], Iterable[CoxeterWord]],
-    base: Point3,
-    max_len: int,
-) -> OrbitBall:
+def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
     """Orbit ball of a subgroup around a base point, as counts on the grid.
 
-    ``group`` selects a built-in vectorized enumeration: "free" for the
-    subgroup generated by the face letters r1..r4 (a free product of four
-    order-two groups), "full" for the whole reflection group, "kernel" for
-    the elements of the full ball with trivial image in the free product on
-    the perp letters.  Their walk streams its slices of displacements into
-    the ball's counts, so no array of all displacements is ever formed.  A
-    callable taking max_len and yielding words runs the exact word-by-word
-    path and keeps the words with their sorted displacements.
+    ``group`` names one of ORBIT_GROUPS, each a walk of the vectorized
+    walker: "free" for the subgroup generated by the face letters r1..r4 (a
+    free product of four order-two groups), "full" for the whole reflection
+    group, "kernel" for the elements of the full ball with trivial image in
+    the free product on the perp letters.  Any other value, a callable
+    included, raises DomainError.  The walk streams its slices of
+    displacements into the ball's counts, so no array of all displacements
+    is ever formed.
     """
     if not (cmath.isfinite(base.z) and 0 < base.t < math.inf):
         raise DomainError(f"base point must be finite with positive height, got {base}")
     max_len = check_count("max_len", max_len, 0)
-    if callable(group):
-        words = [tuple(w) for w in group(max_len)]
-        w, t = _ballfast.act(
-            *_ballfast.isom_table([evaluate_word(word) for word in words]), base.z, base.t
-        )
-        disp = _ballfast.distance(w, t, base.z, base.t)
-        order = np.argsort(disp, kind="stable")
-        disp = disp[order]
-        return OrbitBall(
-            base=base,
-            word_length=max_len,
-            slices=lambda: (disp,),
-            words=[words[k] for k in order],
-            displacements=disp,
-            label="custom",
-        )
     if group not in ORBIT_GROUPS:
         raise DomainError(f"unknown orbit group {group!r}; expected one of {ORBIT_GROUPS}")
     return OrbitBall(
         base=base,
         word_length=max_len,
         slices=lambda: _ballfast._sphere_displacements(base.z, base.t, max_len, group),
-        label=group,
     )
 
 
@@ -578,10 +551,12 @@ class ExponentFit:
         return self.exponent
 
 
+#: Distinct counts an exponent fit needs inside its window.
+_MIN_FIT_COUNTS = 10
+
+
 def estimate_critical_exponent(
-    ball: OrbitBall,
-    window: tuple[float, float] | None = None,
-    min_points: int = 10,
+    ball: OrbitBall, window: tuple[float, float] | None = None
 ) -> ExponentFit:
     """Estimate the orbital growth exponent from the counting function.
 
@@ -593,8 +568,8 @@ def estimate_critical_exponent(
     distances past the word length mostly measure that truncation rather
     than growth.  Windows reaching past 0.9 of the displacement radius are
     rejected outright.  Raises InsufficientDataError when fewer than
-    min_points bins carry distinct counts, which happens for balls too small
-    to show their growth rate.
+    _MIN_FIT_COUNTS bins carry distinct counts, which happens for balls too
+    small to show their growth rate.
     """
     if window is None:
         window = (0.3 * ball.word_length, 0.9 * ball.word_length)
@@ -609,9 +584,9 @@ def estimate_critical_exponent(
     ts = [k * GRID_STEP for k in range(k_lo, k_hi + 1)]
     counts = [ball.counting_function(t) for t in ts]
     keep = [(t, n) for t, n in zip(ts, counts) if n > 0]
-    if len({n for _, n in keep}) < min_points:
+    if len({n for _, n in keep}) < _MIN_FIT_COUNTS:
         raise InsufficientDataError(
-            f"only {len({n for _, n in keep})} distinct counts in window; need {min_points}"
+            f"only {len({n for _, n in keep})} distinct counts in window; need {_MIN_FIT_COUNTS}"
         )
     t_arr = np.array([t for t, _ in keep])
     n_arr = np.array([n for _, n in keep], dtype=float)

@@ -135,7 +135,7 @@ def riemann_zeta(s: float) -> float:
     on (0, 1) the alternating eta series divided by 1 - 2^(1-s) continues it.
     """
     s = float(s)
-    if s <= 0.0:
+    if not s > 0.0:
         raise DomainError(f"zeta argument must be positive, got {s}")
     if s == 1.0:
         raise PoleError("the zeta function has its pole at s = 1")
@@ -145,7 +145,7 @@ def riemann_zeta(s: float) -> float:
 def dirichlet_beta(s: float) -> float:
     """Dirichlet beta function (the L-series mod 4) for s > 0."""
     s = float(s)
-    if s <= 0.0:
+    if not s > 0.0:
         raise DomainError(f"beta argument must be positive, got {s}")
     return _beta(s)
 
@@ -153,7 +153,7 @@ def dirichlet_beta(s: float) -> float:
 def dedekind_zeta_qi(s: float) -> float:
     """Dedekind zeta of the Gaussian field for s > 1, as zeta(s) beta(s)."""
     s = float(s)
-    if s <= 1.0:
+    if not s > 1.0:
         raise DomainError(f"dedekind_zeta_qi requires s > 1, got {s}")
     return _zeta(s) * _beta(s)
 
@@ -165,9 +165,9 @@ def gaussian_lattice_zeta(s: float, radius: float = 300.0) -> float:
     Gaussian integer inside the radius, folded by the four units.
     """
     s = float(s)
-    if s <= 1.0:
+    if not s > 1.0:
         raise DomainError(f"the lattice sum needs s > 1, got {s}")
-    if radius < 1.0:
+    if not radius >= 1.0:
         raise DomainError(f"radius must be at least 1, got {radius}")
     if radius > 2000.0:
         raise MemoryGuardError(f"lattice radius {radius} exceeds the guard of 2000")
@@ -292,13 +292,24 @@ def _scattering_counts(level: int, norm_cut: int) -> tuple[np.ndarray, np.ndarra
     return norms, counts
 
 
-def scattering_lattice_sum(
-    s: float,
-    level: int = 1,
-    radius: float = 120.0,
-    *,
-    tail_correction: bool = False,
-) -> float:
+def _scattering_terms(s: float, level: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The class norms |c|^2 with |c| <= radius, sorted, and their terms
+    count / |c|^(2s), after validating the arguments."""
+    s = float(s)
+    check_count("level", level, 1)
+    if not s > 2.0:
+        raise DomainError(f"the counting sum converges for s > 2, got {s}")
+    if not radius >= 10.0:
+        raise DomainError(f"radius must be at least 10, got {radius}")
+    if radius > _ORACLE_RADIUS_GUARD:
+        raise MemoryGuardError(
+            f"radius {radius} exceeds the cost guard of {_ORACLE_RADIUS_GUARD}"
+        )
+    norms, counts = _scattering_counts(level, int(radius * radius + 1e-9))
+    return norms, counts * norms.astype(np.float64) ** -s
+
+
+def scattering_lattice_sum(s: float, level: int = 1, radius: float = 120.0) -> float:
     """Counting-sum oracle behind the scattering coefficient.
 
     Enumerates denominators c = level c' with |c| <= radius, one per unit
@@ -311,41 +322,26 @@ def scattering_lattice_sum(
     level^(-2s) times the inverse Euler factors of the closed formula; the
     coefficient itself is pi / (4 (s - 1) level^2) times this limit.
 
-    The plain truncated sum is monotone in the radius and its tail scales
-    like radius^(4 - 2s).  With ``tail_correction`` the limit is estimated by
-    Richardson extrapolation against a second partial sum at radius/sqrt(2).
+    This is the plain truncated sum: it is monotone in the radius, and its
+    tail scales like radius^(4 - 2s).
     """
-    s = float(s)
-    check_count("level", level, 1)
-    if s <= 2.0:
-        raise DomainError(f"the counting sum converges for s > 2, got {s}")
-    if radius < 10.0:
-        raise DomainError(f"radius must be at least 10, got {radius}")
-    if radius > _ORACLE_RADIUS_GUARD:
-        raise MemoryGuardError(
-            f"radius {radius} exceeds the cost guard of {_ORACLE_RADIUS_GUARD}"
-        )
-    norms, counts = _scattering_counts(level, int(radius * radius + 1e-9))
-    terms = counts * norms.astype(np.float64) ** -s
+    return float(_scattering_terms(s, level, radius)[1].sum())
+
+
+def scattering_oracle_value(s: float, level: int = 1, radius: float = 120.0) -> float:
+    """Oracle-side estimate of the scattering coefficient itself.
+
+    pi / (4 (s - 1) level^2) times the limit of the counting sum of
+    ``scattering_lattice_sum``, which is estimated by Richardson
+    extrapolation: the tail scales like radius^(4 - 2s), so the sums at the
+    radius and at radius/sqrt(2) are combined to cancel it.
+    """
+    norms, terms = _scattering_terms(s, level, radius)
     full = float(terms.sum())
-    if not tail_correction:
-        return full
-    half_cut = radius * radius / 2.0
-    inner = float(terms[: np.searchsorted(norms, half_cut, side="right")].sum())
+    inner = float(terms[: np.searchsorted(norms, radius * radius / 2.0, side="right")].sum())
     ratio = 2.0 ** (2.0 - s)  # (radius/sqrt(2) / radius)^(2s - 4)
-    return (full - inner * ratio) / (1.0 - ratio)
-
-
-def scattering_oracle_value(
-    s: float,
-    level: int = 1,
-    radius: float = 120.0,
-    *,
-    tail_correction: bool = True,
-) -> float:
-    """Oracle-side estimate of the scattering coefficient itself."""
-    total = scattering_lattice_sum(s, level, radius, tail_correction=tail_correction)
-    return math.pi / (4.0 * (s - 1.0) * level * level) * total
+    prefactor = math.pi / (4.0 * (s - 1.0) * level * level)
+    return prefactor * ((full - inner * ratio) / (1.0 - ratio))
 
 
 def scattering_pole_scan(
@@ -699,8 +695,6 @@ def flattening_budget(
     lam: float,
     lam0: float,
     eps: float,
-    *,
-    decay_exponent: float | None = None,
 ) -> FlatteningBudget:
     """Three-term flattening budget over the given faces.
 
@@ -713,17 +707,13 @@ def flattening_budget(
         e2 = E (G + sum over cusps of tau / area log(tau S / area)),
         e3 = sum over cusps of tau^(-C) + E (G + tau / area log(tau S / area)),
 
-    where C is ``decay_exponent``, by default 2 sqrt(1 - lam0) (the decay
-    rate of the constant cusp mode).  Log factors are clamped below at zero.
-    Raises DomainError naming the tangle radius when an exponential or the
-    budget overflows.
+    where C = 2 sqrt(1 - lam0) is the decay rate of the constant cusp mode.
+    Log factors are clamped below at zero.  Raises DomainError naming the
+    tangle radius when an exponential or the budget overflows.
     """
     L = float(tangle_radius)
     damping, growth, half = _radius_terms(L, lam, lam0, eps)
-    if decay_exponent is None:
-        decay_exponent = 2.0 * math.sqrt(1.0 - lam0)
-    if not decay_exponent > 0.0:
-        raise DomainError(f"decay exponent must be positive, got {decay_exponent}")
+    decay_exponent = 2.0 * math.sqrt(1.0 - lam0)
 
     face_areas: list[tuple[float, float, float]] = []
     for face in areas:

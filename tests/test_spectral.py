@@ -72,6 +72,37 @@ def test_dedekind_zeta_factors_and_matches_the_lattice_sum(s):
     assert abs(gaussian_lattice_zeta(s) - dedekind_zeta_qi(s)) < 1e-5
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: riemann_zeta(math.nan),
+        lambda: dirichlet_beta(math.nan),
+        lambda: dedekind_zeta_qi(math.nan),
+        lambda: gaussian_lattice_zeta(math.nan),
+        lambda: gaussian_lattice_zeta(2.0, radius=math.nan),
+        lambda: scattering_lattice_sum(math.nan),
+        lambda: scattering_lattice_sum(3.0, radius=math.nan),
+        lambda: scattering_oracle_value(math.nan),
+        lambda: scattering_oracle_value(3.0, radius=math.nan),
+    ],
+    ids=[
+        "riemann_zeta",
+        "dirichlet_beta",
+        "dedekind_zeta_qi",
+        "gaussian_lattice_zeta-s",
+        "gaussian_lattice_zeta-radius",
+        "scattering_lattice_sum-s",
+        "scattering_lattice_sum-radius",
+        "scattering_oracle_value-s",
+        "scattering_oracle_value-radius",
+    ],
+)
+def test_range_checks_reject_nan(call):
+    """A NaN fails every comparison, so each bound is written as not (x > bound)."""
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_gaussian_lattice_zeta_guards_its_radius():
     with pytest.raises(MemoryGuardError):
         gaussian_lattice_zeta(2.0, radius=5000.0)
@@ -438,12 +469,40 @@ def _cusp_decay_ratio_mp(s, frequency, radius):
         return float(window / tail)
 
 
+def _cusp_decay_ratio_kve(s, frequency, radius):
+    """The same ratio from scipy's exponentially scaled kve, each mass summed
+    by quad over panels 0.05 wide.  K_s(w t)^2 / t is kve(s, w t)^2
+    e^(-2 w t) / t, and the factor e^(-2 w R) common to both masses is taken
+    out, so nothing underflows at large R."""
+    w = 2.0 * math.pi * frequency
+    tail_cut = 2.0 * radius + (-math.log(1e-30) + 20.0) / (2.0 * w)
+
+    def integrand(t):
+        return scipy.special.kve(s, w * t) ** 2 * math.exp(-2.0 * w * (t - radius)) / t
+
+    def mass(lo, hi):
+        edges = np.linspace(lo, hi, math.ceil((hi - lo) / 0.05) + 1)
+        return math.fsum(
+            scipy.integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+
+    return mass(radius, 2.0 * radius) / mass(2.0 * radius, tail_cut)
+
+
 def test_bessel_mode_decay_ratio_matches_a_40_digit_reference():
     """At radius 0.01 the tail runs 350 times as far as its start, 0.02,
-    while the integrand falls like t^(-2.2)."""
+    while the integrand falls like t^(-2.2).  From radius 5 on the integrand
+    falls by e^(-4 pi R) across the window, which the mpmath reference's one
+    Gauss-Legendre panel per range does not resolve (its ratio is 63% off at
+    R = 5), so those radii are held to the kve reference."""
     for radius in (1.0, 2.0, 0.01):
         assert cusp_decay_ratio_bessel(0.6, 1.0, radius) == pytest.approx(
             _cusp_decay_ratio_mp(0.6, 1.0, radius), rel=1e-12
+        ), radius
+    for radius in (5.0, 10.0, 20.0):
+        assert cusp_decay_ratio_bessel(0.6, 1.0, radius) == pytest.approx(
+            _cusp_decay_ratio_kve(0.6, 1.0, radius), rel=1e-12
         ), radius
 
 
