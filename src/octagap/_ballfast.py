@@ -22,37 +22,47 @@ slice and walked to the end, ``_CHUNK`` of them at a time, before the next
 block of their level starts.  Only one block per level is live, so memory is
 bounded by about 8 ``_CHUNK`` children per level times the depth, not by the
 widest sphere: building the full ball at L = 9 (4.4M elements) peaks at
-7.8 MB of numpy allocations under ``tracemalloc`` (numpy 2.4), where a walk
-that holds one whole level at a time peaks at 41.8 MB.  No slice holds more than 8 ``_CHUNK`` = 65,536 floats,
-and none is ever joined: ``geometry.orbit_ball`` bins each slice into counts
-on a fixed grid as it arrives.  The sizes of the levels are summed across
+7.4 MB of numpy allocations under ``tracemalloc`` (numpy 2.4), where a walk
+that holds one whole level at a time peaks at 41.8 MB.  No slice holds more
+than 8 ``_CHUNK`` = 65,536 floats, and none is ever joined:
+``geometry.orbit_ball`` bins each slice into counts on a fixed grid as it
+arrives.  The sizes of the levels are summed across
 blocks and checked against the group's growth series once the walk is
 exhausted.
 
-Each element M, of unit determinant modulus, is carried as its Gram vector:
-the row (S11, S22, Re S12, Im S12) of S = Q* Q, Q = h^-1 M, where
+Each element M, of unit determinant modulus, is carried as its Gram vector
+v = (S11, S22, Re S12, Im S12) of S = Q* Q, Q = h^-1 M, where
 h = [[sqrt t0, z0 / sqrt t0], [0, 1 / sqrt t0]] carries j = (0, 1) to
 x0 = (z0, t0).  Appending a letter G' maps S to G'* S G', which is
-real-linear, so a child's row is its parent's row times a fixed real 4x4 map
+real-linear, so a child's vector is its parent's times a fixed real 4x4 map
 per letter and parent parity (``_letter_maps``).  The element moves x0 by
 cosh d = |h^-1 M h'|_F^2 / 2 (Elstrodt, Grunewald and Mennicke, *Groups
 Acting on Hyperbolic Space*, ch. 1), where h' conjugates z0 if the element
-does: the row dotted with one readout vector per conjugation bit
-(``_frame``).  A block's rows times the weights (each letter's map times its
-children's readout) give the cosh of all its children at once, masked by
-the automaton's free letters, and its rows times the letters' maps side by
-side give all its children's rows.  Child rows are formed only for blocks
-that get extended, so the last sphere never forms one.  The rows carry
-their rounding from level to level: at the guarded lengths (free 15, full
-and kernel 10), at the default base point and at (0.35 + 0.38i, 0.95), the
-displacements stay within 6.7e-14 of those from Gram vectors recomputed at
-every level from the exact Gaussian-integer matrices.
+does: v dotted with one readout vector per conjugation bit (``_frame``).
+
+A block is column major, a (4, n) array with one column per element, so
+both of its products run along the n elements, not along the four entries
+of a vector.  The weights (each letter's map times its children's readout)
+times the block give the (letters, n) cosh of all its children at once,
+masked by the automaton's free letters.  Each letter's map times the
+columns of the parents it extends gives those children's vectors, one
+letter after another, so the children come letter major within a block:
+all children by the first letter, then all by the second, and so on.
+Every sum runs over the four entries in one order, so a displacement has
+the same bits wherever its parent sits in its block, at any ``_CHUNK``.
+Child vectors are formed only for the live children of blocks that get
+extended, so the last sphere never forms one.  The vectors carry their
+rounding from level to level: at both of the tests' base points (the
+default one and (0.35 + 0.38i, 0.95)), the displacements stay within
+1.6e-14 of ``act`` and ``distance`` on each word's exact Gaussian-integer
+product at free L = 8 and full and kernel L = 6, and the tests bound the
+error by 1e-13 at free 6, full 4 and kernel 5.
 
 The kernel walk never forms a child whose perp image is longer than the
 letters left, since such a prefix can never return to the trivial image, and
 reads out only the parents whose image has at most one letter, the only
 ones with a child of trivial image.  The pruning comes before the product:
-only the parents with a child left enter it.  The growth check still covers
+only the children left are formed.  The growth check still covers
 the dropped prefixes: their automaton states are counted per level, and
 their accepted continuations (``_continuations``) are added to the kept
 words.
@@ -142,11 +152,12 @@ def distance(z1, t1, z0, t0) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _letter_maps() -> np.ndarray:
-    """The (2, 8, 4, 4) maps of the Gram rows: row(M G') = row(M) @ maps[p, g].
+    """The (2, 8, 4, 4) maps of the Gram vectors: v(M G') = v(M) @ maps[p, g].
 
     G' is the matrix of the letter GENERATOR_NAMES[g], conjugated when the
-    parent's parity p is odd.  Row j of a map is the row of G'* B_j G' for
-    the Hermitian basis matrix B_j whose own row is the j-th unit vector.
+    parent's parity p is odd.  Row j of a map is the Gram vector of G'* B_j G'
+    for the Hermitian basis matrix B_j whose own Gram vector is the j-th unit
+    vector.
     """
     table, _ = isom_table([STANDARD_GENERATORS[name] for name in GENERATOR_NAMES])
     basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
@@ -161,9 +172,9 @@ def _letter_maps() -> np.ndarray:
 
 
 def _frame(z0: complex, t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """The identity's Gram row and the (2, 4) readout vectors at x0 = (z0, t0).
+    """The identity's Gram vector and the (2, 4) readout vectors at x0 = (z0, t0).
 
-    cosh d(x0, M x0) = row(M) @ readout[s] for an element whose conjugation
+    cosh d(x0, M x0) = v(M) @ readout[s] for an element whose conjugation
     bit is s: readout[s] = ((t0 + |z0|^2 / t0) / 2, 1 / (2 t0), Re z / t0,
     Im z / t0), with z = z0 for s = 0 and conj(z0) for s = 1.
     """
@@ -176,13 +187,14 @@ def _frame(z0: complex, t0: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _child_displacements(grams: np.ndarray, hit: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Displacements of the children hit[i, k] of the parents with Gram rows grams[i], by letter k.
+    """Displacements of the children hit[k, i], by letter k, of the parents
+    with Gram vectors grams[:, i].
 
     The product runs in ``einsum``, not in BLAS: a threaded BLAS wakes its
     threads for every block, which costs more than the product itself, and
     this way the values repeat at any thread count.
     """
-    coshd = np.compress(hit.ravel(), np.einsum("ij,jk->ik", grams, weights))
+    coshd = np.compress(hit.ravel(), np.einsum("ji,jk->ki", grams, weights))
     return np.arccosh(np.maximum(coshd, 1.0, out=coshd), out=coshd)
 
 
@@ -204,8 +216,8 @@ def _perp_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Append letters to packed perp-image words: push or pop sym (0 keeps the word).
 
-    The arguments broadcast: an (n, 1) column of words against a (k,) row of
-    symbols gives the (n, k) images of every word's children.
+    The arguments broadcast: an (n,) row of words against a (k, 1) column of
+    symbols gives the (k, n) images of every word's children.
     """
     top_shift = (3 * np.maximum(plen - 1, 0)).astype(np.uint64)
     top = (pack >> top_shift) & np.uint64(7)
@@ -237,32 +249,35 @@ def _sphere_displacements(
         raise MemoryGuardError(
             f"{group} orbit ball of radius {max_len} exceeds the memory guard ({max_guard})"
         )
+    # the per-letter constants are (letters, 1) columns, which broadcast
+    # against the (n,) rows of a block's states and perp images
     keep_masks, set_masks = shortlex_automaton_masks()
-    keep = np.array([keep_masks[g] for g in letters], dtype=np.uint16)
-    put = np.array([set_masks[g] for g in letters], dtype=np.uint16)
+    keep = np.array([[keep_masks[g]] for g in letters], dtype=np.uint16)
+    put = np.array([[set_masks[g]] for g in letters], dtype=np.uint16)
     maps = _letter_maps()[:, list(letters)]
     start, readout = _frame(z0, t0)
-    # a parent of parity p has children of parity 1 - p
-    weights = [np.einsum("kij,j->ik", maps[p], readout[1 - p]) for p in (0, 1)]
-    # stacked[p][:, 4 k:4 k + 4] is letter k's map
-    stacked = [np.hstack(maps[p]) for p in (0, 1)]
-    # free_table[s, k]: whether the automaton state s lets letter k follow
-    shifts = np.array([2 * g for g in letters], dtype=np.uint16)
-    free_table = (np.arange(1 << 16, dtype=np.uint16)[:, None] >> shifts) & np.uint16(3) == 0
+    # a parent of parity p has children of parity 1 - p.  C order keeps the
+    # readout's inner loop off the four terms of a sum even for a single
+    # parent: einsum would add them pairwise there, and a lone column would
+    # round unlike the same column inside a block.
+    weights = [np.einsum("kij,j->ik", maps[p], readout[1 - p], order="C") for p in (0, 1)]
+    # letter k may follow the automaton state s iff (s >> shifts[k]) & 3 == 0
+    shifts = np.array([[2 * g] for g in letters], dtype=np.uint16)
     # perp letters are the odd positions of GENERATOR_NAMES; letter rkp pushes
     # or pops the symbol k on the reduced image word, packed 3 bits per symbol
     perp_symbol = [(g // 2 + 1) if GENERATOR_NAMES[g].endswith("p") else 0 for g in range(8)]
-    syms = np.array([perp_symbol[g] for g in letters], dtype=np.uint64)
+    syms = np.array([[perp_symbol[g]] for g in letters], dtype=np.uint64)
     # sizes[n]: words of length n walked; dead[n]: the automaton states of the
     # pruned kernel prefixes of length n, with their multiplicities
     sizes = [0] * (max_len + 1)
     dead = [Counter() for _ in range(max_len + 1)]
 
-    # Rows are gathered with np.take and np.compress, not with fancy or
-    # boolean indexing, which copies rows of a few bytes about ten times slower.
+    # Columns are gathered with np.take and np.compress, not with fancy or
+    # boolean indexing, which copies them two to four times slower.
     def walk(level, grams, state, *image):
         """The slices of the block's children and of all their descendants."""
-        free = np.take(free_table, state, axis=0)
+        # the children in letter-major order: free[k, i] is child k of parent i
+        free = (state >> shifts) & np.uint16(3) == 0
         sizes[level + 1] += int(np.count_nonzero(free))
         if kernel_only:
             # a child has a trivial image iff a face letter (symbol 0) extends
@@ -270,39 +285,43 @@ def _sphere_displacements(
             # its parent's image: in both cases the pack equals the symbol
             pack, plen = image
             near = np.flatnonzero(plen <= 1)
-            hit = np.take(free, near, axis=0) & (pack[near, None] == syms)
-            yield _child_displacements(np.take(grams, near, axis=0), hit, weights[level % 2])
+            hit = np.take(free, near, axis=1) & (np.take(pack, near) == syms)
+            yield _child_displacements(np.take(grams, near, axis=1), hit, weights[level % 2])
         else:
             yield _child_displacements(grams, free, weights[level % 2])
         if level + 1 == max_len:
             return
-        # the children in (parent, letter) order: live[i, k] keeps child k of parent i
         live = free
-        cstate = (state[:, None] & keep) | put
+        cstate = (state & keep) | put
         if kernel_only:
             # a child whose image is longer than the letters left never
             # returns to the trivial image: it is counted, not formed
-            cpack, cplen = _perp_step(pack[:, None], plen[:, None], syms)
+            cpack, cplen = _perp_step(pack, plen, syms)
             live = free & (cplen <= max_len - level - 1)
             states, mult = np.unique(cstate[free & ~live], return_counts=True)
             dead[level + 1].update(dict(zip(states.tolist(), mult.tolist())))
             image = (np.compress(live.ravel(), cpack), np.compress(live.ravel(), cplen))
-            # the recursion below holds only what the children need
             del cpack, cplen
-            # only the parents with a child left enter the product
-            parents = live.any(axis=1)
-            grams, cstate, live = (np.compress(parents, a, axis=0) for a in (grams, cstate, live))
         cstate = np.compress(live.ravel(), cstate)
-        product = np.einsum("ij,jk->ik", grams, stacked[level % 2]).reshape(-1, 4)
-        ngrams = np.compress(live.ravel(), product, axis=0)
-        del product
+        # the children's Gram vectors, one letter at a time and only for the
+        # live children, so no (4, letters n) product is ever held; np.compress
+        # would copy a block that is a slice of its parent's array on every call
+        grams = np.ascontiguousarray(grams)
+        ngrams = np.empty((4, cstate.size))
+        end = 0
+        for mask, lmap in zip(live, maps[level % 2]):
+            parents = np.compress(mask, grams, axis=1)
+            np.einsum("ji,jr->ri", parents, lmap, out=ngrams[:, end : end + parents.shape[1]])
+            end += parents.shape[1]
+        # the recursion below holds only what the children need
+        del free, live, grams, parents
         for i in range(0, cstate.size, _CHUNK):
             s = slice(i, i + _CHUNK)
-            yield from walk(level + 1, ngrams[s], cstate[s], *(a[s] for a in image))
+            yield from walk(level + 1, ngrams[:, s], cstate[s], *(a[s] for a in image))
 
     yield np.zeros(1)
     image = (np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64)) if kernel_only else ()
-    yield from walk(0, start[None], np.zeros(1, dtype=np.uint16), *image)
+    yield from walk(0, start[:, None], np.zeros(1, dtype=np.uint16), *image)
     for n in range(1, max_len + 1):
         # the accepted continuations of the pruned prefixes
         missing = sum(

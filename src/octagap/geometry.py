@@ -199,13 +199,15 @@ def cap_volume_monte_carlo(
     A point (z, t) lies within T of the center (0, h) when
     (|z|/h)^2 + (t/h - 1)^2 <= 2 (t/h) (cosh T - 1), a form in which nothing
     overflows for T up to _MAX_RADIUS.  The arguments are checked as in
-    cap_volume, and n_samples must be a positive integer.
+    cap_volume, n_samples must be a positive integer and seed a
+    non-negative one.
     """
     T = _check_radius(radius)
     delta = float(separation)
     if not 0.0 <= delta < math.inf:
         raise DomainError(f"separation must be finite and nonnegative, got {separation}")
     n_samples = check_count("n_samples", n_samples, 1)
+    seed = check_count("seed", seed, 0)
     if delta >= 2.0 * T:
         return 0.0
     rng = np.random.default_rng(seed)
@@ -348,9 +350,11 @@ def horoball_cover_check(
     are excluded from the multiplicity tally but still counted for coverage;
     n_checked counts the rest, so the radius must be finite (NaN or inf
     would exclude every point).  Points are drawn and mapped in chunks of
-    _HOROBALL_CHUNK.  n_samples must be a positive integer.
+    _HOROBALL_CHUNK.  n_samples must be a positive integer and seed a
+    non-negative one.
     """
     n_samples = check_count("n_samples", n_samples, 1)
+    seed = check_count("seed", seed, 0)
     if not 0.0 <= exclusion_radius < math.inf:
         raise DomainError(f"exclusion_radius must be finite and >= 0, got {exclusion_radius}")
     rng = np.random.default_rng(seed)

@@ -344,6 +344,14 @@ def scattering_oracle_value(s: float, level: int = 1, radius: float = 120.0) -> 
     return prefactor * ((full - inner * ratio) / (1.0 - ratio))
 
 
+#: Bytes a grid point of ``scattering_pole_scan`` costs: the closed formula
+#: holds eight float64 arrays of the grid's size at its peak (tracemalloc,
+#: 64.0 bytes a point at 10^5 and 10^6 points).
+_POLE_SCAN_POINT_BYTES = 64
+#: Largest allocation a pole scan may make, about 16.7M grid points.
+_POLE_SCAN_BYTES = 1 << 30
+
+
 def scattering_pole_scan(
     level: int = 1,
     interval: tuple[float, float] = (1.05, 1.95),
@@ -355,14 +363,21 @@ def scattering_pole_scan(
 
     Evaluates the closed formula on the whole grid at once and returns the
     grid points where it is not finite or exceeds the threshold in absolute
-    value; the expected result on (1.05, 1.95) is empty.
+    value; the expected result on (1.05, 1.95) is empty.  ``grid_points``
+    must be an integer of at least 2; a grid whose arrays would exceed
+    _POLE_SCAN_BYTES raises MemoryGuardError before anything is allocated.
     """
     check_count("level", level, 1)
     lo, hi = float(interval[0]), float(interval[1])
     if not 1.0 < lo < hi < 2.0:
         raise DomainError(f"scan interval must sit strictly inside (1, 2), got {interval}")
-    if grid_points < 2:
-        raise DomainError(f"need at least 2 grid points, got {grid_points}")
+    grid_points = check_count("grid_points", grid_points, 2)
+    if grid_points * _POLE_SCAN_POINT_BYTES > _POLE_SCAN_BYTES:
+        raise MemoryGuardError(
+            f"a pole scan on {grid_points} grid points needs about "
+            f"{grid_points * _POLE_SCAN_POINT_BYTES / 2**30:.1f} GiB, "
+            f"over the {_POLE_SCAN_BYTES / 2**30:g} GiB limit"
+        )
     grid = np.linspace(lo, hi, grid_points)
     with np.errstate(all="ignore"):  # a pole shows as inf or nan, flagged below
         values = _scattering_formula(grid, level)
@@ -550,6 +565,8 @@ def tangle_delocalization_bound(
     damping, main, half = _radius_terms(L, lam, lam0, eps)
     growth = cusp_kernel_growth(cusps, L)
     for height, area in cover_cusps:
+        if not (math.isfinite(height) and math.isfinite(area)):
+            raise DomainError(f"cover cusp height and area must be finite, got ({height}, {area})")
         if height < 1.0:
             continue
         if not area > 0.0:
@@ -642,8 +659,8 @@ def cusp_decay_ratio_bessel(s: float, frequency: float = 1.0, radius: float = 1.
         raise DomainError(f"spectral parameter must lie in (0, 1), got {s}")
     if not frequency > 0.0:
         raise DomainError(f"frequency must be positive, got {frequency}")
-    if not radius > 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {radius}")
     w = 2.0 * math.pi * frequency
     if not w * radius >= _BESSEL_MIN_ARG:
         raise DomainError(f"radius {radius} puts the Bessel argument below {_BESSEL_MIN_ARG:.4g}")

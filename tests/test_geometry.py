@@ -529,6 +529,35 @@ def test_grid_counts_are_searchsorted_over_the_walked_slices(monkeypatch, label,
     assert ball.radius == walked[-1]
 
 
+@pytest.mark.parametrize("label, max_len", [("free", 8), ("full", 6), ("kernel", 6)])
+def test_walk_does_not_depend_on_the_block_size(monkeypatch, label, max_len):
+    """Single-parent and seven-parent blocks give the same bits as the
+    default: every displacement is summed in one order, wherever its parent
+    sits in its block."""
+    walks = []
+    for chunk in (1, 7, _ballfast._CHUNK):
+        monkeypatch.setattr(_ballfast, "_CHUNK", chunk)
+        walks.append(_walked(orbit_ball(label, DEFAULT_BASE_POINT, max_len)).tobytes())
+    assert walks[0] == walks[1] == walks[2]
+
+
+@pytest.mark.parametrize("label, max_len", [("free", 6), ("full", 4), ("kernel", 5)])
+def test_walked_displacements_match_the_exact_word_products(label, max_len):
+    """The carried Gram vectors against act and distance on each word's exact
+    Gaussian-integer product, within 1e-13 at both twin base points."""
+    if label == "free":
+        words = [free_to_face_word(w) for w in enumerate_free_ball(max_len)]
+    else:
+        words = _twin_words(max_len, in_perp_kernel if label == "kernel" else None)
+    mats, conj = _ballfast.isom_table([evaluate_word(word) for word in words])
+    for base in TWIN_BASE_POINTS:
+        w, t = _ballfast.act(mats, conj, base.z, base.t)
+        exact = np.sort(_ballfast.distance(w, t, base.z, base.t))
+        walked = _walked(orbit_ball(label, base, max_len))
+        assert walked.size == exact.size
+        assert np.max(np.abs(walked - exact)) < 1e-13
+
+
 @pytest.mark.parametrize("label, max_len", [("free", 10), ("full", 7), ("kernel", 7)])
 def test_walker_slices_hold_at_most_one_block_of_children(label, max_len):
     """A block of _CHUNK parents has at most eight children, so no slice

@@ -12,7 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from octagap.errors import DomainError, MemoryGuardError, PoleError, TruncationError
-from octagap.geometry import DEFAULT_BASE_POINT, orbit_ball
+from octagap.geometry import (
+    DEFAULT_BASE_POINT,
+    cap_volume_monte_carlo,
+    horoball_cover_check,
+    orbit_ball,
+)
 from octagap.spectral import (
     FlatteningBudget,
     SpectralParams,
@@ -171,6 +176,37 @@ def test_scattering_pole_scan_flags_non_finite_values(monkeypatch):
     monkeypatch.setattr("octagap.spectral._scattering_formula", formula)
     grid = np.linspace(1.1, 1.9, 5)
     assert scattering_pole_scan(1, (1.1, 1.9), 5) == [grid[1], grid[3]]
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: scattering_pole_scan(1, grid_points=10.5), DomainError, "grid_points"),
+        (lambda: scattering_pole_scan(1, grid_points=10**12), MemoryGuardError, "GiB"),
+        (
+            lambda: tangle_delocalization_bound(
+                10.0, 0.4, 0.8, 0.01, cover_cusps=[(2.0, math.inf)]
+            ),
+            DomainError,
+            "finite",
+        ),
+        (lambda: cusp_decay_ratio_bessel(0.6, 1.0, math.inf), DomainError, "finite"),
+        (lambda: horoball_cover_check(100, seed=-1), DomainError, "seed"),
+        (lambda: cap_volume_monte_carlo(2.0, 0.5, 100, -1), DomainError, "seed"),
+    ],
+    ids=[
+        "fractional-grid",
+        "huge-grid",
+        "infinite-cusp-area",
+        "infinite-radius",
+        "horoball-seed",
+        "cap-seed",
+    ],
+)
+def test_out_of_range_arguments_raise_the_package_errors(call, error, match):
+    """Each raised a bare TypeError, ValueError or numpy MemoryError before."""
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_scattering_rejects_bad_arguments():
