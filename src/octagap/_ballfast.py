@@ -273,7 +273,7 @@ def _sphere_displacements(
     dead = [Counter() for _ in range(max_len + 1)]
 
     # Columns are gathered with np.take and np.compress, not with fancy or
-    # boolean indexing, which copies them two to four times slower.
+    # boolean indexing, which copies them about four times slower.
     def walk(level, grams, state, *image):
         """The slices of the block's children and of all their descendants."""
         # the children in letter-major order: free[k, i] is child k of parent i

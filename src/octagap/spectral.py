@@ -559,7 +559,8 @@ def tangle_delocalization_bound(
     cover-level rank-two cusp (height, area), the term (height^2 / area)
     log(height sinh(L/2) / area) with the height to the first power inside
     the log.  Raises DomainError naming the tangle radius when an
-    exponential or the bound overflows.
+    exponential or the bound overflows, and DomainError when a cover cusp's
+    height or area is not finite.
     """
     L = float(tangle_radius)
     damping, main, half = _radius_terms(L, lam, lam0, eps)
