@@ -16,19 +16,24 @@ commute, so restricted to them the automaton accepts exactly the reduced
 words of their free product; on all eight letters it accepts the normal
 forms of the reflection group.
 
-The walk is depth first over blocks of at most ``_CHUNK`` parents.  Normal
-forms are prefix closed, so a block's children are formed, read out as one
-slice and walked to the end, ``_CHUNK`` of them at a time, before the next
-block of their level starts.  Only one block per level is live, so memory is
-bounded by about 8 ``_CHUNK`` children per level times the depth, not by the
-widest sphere: building the full ball at L = 9 (4.4M elements) peaks at
-7.4 MB of numpy allocations under ``tracemalloc`` (numpy 2.4), where a walk
-that holds one whole level at a time peaks at 41.8 MB.  No slice holds more
-than 8 ``_CHUNK`` = 65,536 floats, and none is ever joined:
-``geometry.orbit_ball`` bins each slice into counts on a fixed grid as it
-arrives.  The sizes of the levels are summed across
-blocks and checked against the group's growth series once the walk is
-exhausted.
+The walk is depth first over blocks of at most ``_CHUNK`` parents, in one
+loop over an explicit stack with one frame (``_Frame``) per level, so its
+depth is bounded by the length guard, not by Python's recursion limit.
+Normal forms are prefix closed, so a block's children are read out as one
+slice, and the block is pushed as a frame that forms its live children on
+demand, ``_CHUNK`` at a time: each child block is read out and walked to the
+end before the frame forms the next.  A frame holds its block, the block's
+(letters, n) mask of live children and a cursor into them, and the child
+block it is walking is the next frame's.  So memory is bounded by one block
+per level times the depth, not by the widest sphere: building the full ball
+at L = 9 (4.4M elements) peaks at 3.7 MB of numpy allocations under
+``tracemalloc`` (numpy 2.4).  A walk whose blocks
+formed all of their children, up to 8 ``_CHUNK``, before walking the first
+peaked at 7.4 MB, and one that held a whole level at a time at 41.8 MB.
+No slice holds more than 8 ``_CHUNK`` = 65,536 floats, and none is ever
+joined: ``geometry.orbit_ball`` bins each slice into counts on a fixed grid
+as it arrives.  The sizes of the levels are summed across blocks and
+checked against the group's growth series once the walk is exhausted.
 
 Each element M, of unit determinant modulus, is carried as its Gram vector
 v = (S11, S22, Re S12, Im S12) of S = Q* Q, Q = h^-1 M, where
@@ -75,6 +80,7 @@ right-multiply by the entrywise conjugate of the letter's matrix.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -211,6 +217,16 @@ def _continuations(letters: tuple[int, ...], state: int, depth: int) -> int:
     )
 
 
+def _perp_pops(
+    pack: np.ndarray, plen: np.ndarray, sym: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether appending sym pops the top symbol of packed perp-image words,
+    and the bit offset of that symbol; sym 0 never pops.  Broadcasts as
+    ``_perp_step`` does."""
+    top_shift = (3 * np.maximum(plen - 1, 0)).astype(np.uint64)
+    return (plen > 0) & ((pack >> top_shift) & np.uint64(7) == sym), top_shift
+
+
 def _perp_step(
     pack: np.ndarray, plen: np.ndarray, sym: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -219,12 +235,30 @@ def _perp_step(
     The arguments broadcast: an (n,) row of words against a (k, 1) column of
     symbols gives the (k, n) images of every word's children.
     """
-    top_shift = (3 * np.maximum(plen - 1, 0)).astype(np.uint64)
-    top = (pack >> top_shift) & np.uint64(7)
-    pop = (plen > 0) & (top == sym)
+    pop, top_shift = _perp_pops(pack, plen, sym)
     pushed = pack | (sym << (3 * plen).astype(np.uint64))
     popped = pack & ~(np.uint64(7) << top_shift)
     return np.where(pop, popped, pushed), np.where(pop, plen - 1, plen + (sym != 0))
+
+
+@dataclass(slots=True)
+class _Frame:
+    """A block of parents on the walk's stack, and how far its children are formed.
+
+    ``live[k, i]`` marks the child of parent i by letter k that gets formed.
+    The live children are formed letter major: ``starts[k]`` is where letter
+    k's run starts among them, ``starts[-1]`` is how many there are, and
+    ``cursor`` is the first not yet formed.  ``image`` is empty but for the
+    kernel walk, where it holds the packed perp images and their lengths.
+    """
+
+    level: int
+    grams: np.ndarray
+    state: np.ndarray
+    image: tuple[np.ndarray, ...]
+    live: np.ndarray
+    starts: list[int]
+    cursor: int = 0
 
 
 def _sphere_displacements(
@@ -271,11 +305,13 @@ def _sphere_displacements(
     # pruned kernel prefixes of length n, with their multiplicities
     sizes = [0] * (max_len + 1)
     dead = [Counter() for _ in range(max_len + 1)]
+    stack: list[_Frame] = []
 
-    # Columns are gathered with np.take and np.compress, not with fancy or
-    # boolean indexing, which copies them about four times slower.
-    def walk(level, grams, state, *image):
-        """The slices of the block's children and of all their descendants."""
+    # Columns are gathered with np.take, not with fancy indexing, which
+    # copies them about four times slower.
+    def enter(level, grams, state, image):
+        """The slice of the block's children; pushes the block's frame if they
+        are extended."""
         # the children in letter-major order: free[k, i] is child k of parent i
         free = (state >> shifts) & np.uint16(3) == 0
         sizes[level + 1] += int(np.count_nonzero(free))
@@ -286,42 +322,55 @@ def _sphere_displacements(
             pack, plen = image
             near = np.flatnonzero(plen <= 1)
             hit = np.take(free, near, axis=1) & (np.take(pack, near) == syms)
-            yield _child_displacements(np.take(grams, near, axis=1), hit, weights[level % 2])
+            out = _child_displacements(np.take(grams, near, axis=1), hit, weights[level % 2])
         else:
-            yield _child_displacements(grams, free, weights[level % 2])
-        if level + 1 == max_len:
-            return
-        live = free
-        cstate = (state & keep) | put
-        if kernel_only:
-            # a child whose image is longer than the letters left never
-            # returns to the trivial image: it is counted, not formed
-            cpack, cplen = _perp_step(pack, plen, syms)
-            live = free & (cplen <= max_len - level - 1)
-            states, mult = np.unique(cstate[free & ~live], return_counts=True)
-            dead[level + 1].update(dict(zip(states.tolist(), mult.tolist())))
-            image = (np.compress(live.ravel(), cpack), np.compress(live.ravel(), cplen))
-            del cpack, cplen
-        cstate = np.compress(live.ravel(), cstate)
-        # the children's Gram vectors, one letter at a time and only for the
-        # live children, so no (4, letters n) product is ever held; np.compress
-        # would copy a block that is a slice of its parent's array on every call
-        grams = np.ascontiguousarray(grams)
-        ngrams = np.empty((4, cstate.size))
-        end = 0
-        for mask, lmap in zip(live, maps[level % 2]):
-            parents = np.compress(mask, grams, axis=1)
-            np.einsum("ji,jr->ri", parents, lmap, out=ngrams[:, end : end + parents.shape[1]])
-            end += parents.shape[1]
-        # the recursion below holds only what the children need
-        del free, live, grams, parents
-        for i in range(0, cstate.size, _CHUNK):
-            s = slice(i, i + _CHUNK)
-            yield from walk(level + 1, ngrams[:, s], cstate[s], *(a[s] for a in image))
+            out = _child_displacements(grams, free, weights[level % 2])
+        if level + 1 < max_len:
+            live = free
+            if kernel_only:
+                # a child whose image is longer than the letters left never
+                # returns to the trivial image: it is counted, not formed.  Its
+                # image is one symbol shorter than its parent's if its letter
+                # pops, one longer if it pushes and as long for a face letter.
+                left = max_len - level - 1
+                pop = _perp_pops(pack, plen, syms)[0]
+                live = free & np.where(pop, plen <= left + 1, plen <= left - (syms != 0))
+                states, mult = np.unique(((state & keep) | put)[free & ~live], return_counts=True)
+                dead[level + 1].update(dict(zip(states.tolist(), mult.tolist())))
+            starts = [0, *np.cumsum(np.count_nonzero(live, axis=1)).tolist()]
+            stack.append(_Frame(level, grams, state, image, live, starts))
+        return out
+
+    def form(frame):
+        """The frame's next block: its next _CHUNK live children, or the rest."""
+        cursor, starts = frame.cursor, frame.starts
+        stop = min(cursor + _CHUNK, starts[-1])
+        grams = np.empty((4, stop - cursor))
+        state = np.empty(stop - cursor, dtype=np.uint16)
+        image = tuple(np.empty(stop - cursor, dtype=a.dtype) for a in frame.image)
+        # one letter's run at a time, and only the children of this block
+        for k, lmap in enumerate(maps[frame.level % 2]):
+            lo, hi = max(cursor, starts[k]), min(stop, starts[k + 1])
+            if lo >= hi:
+                continue
+            parents = np.flatnonzero(frame.live[k])[lo - starts[k] : hi - starts[k]]
+            out = slice(lo - cursor, hi - cursor)
+            np.einsum("ji,jr->ri", np.take(frame.grams, parents, axis=1), lmap, out=grams[:, out])
+            state[out] = (np.take(frame.state, parents) & keep[k]) | put[k]
+            if kernel_only:
+                pack, plen = _perp_step(*(np.take(a, parents) for a in frame.image), syms[k])
+                image[0][out], image[1][out] = pack, plen
+        frame.cursor = stop
+        return frame.level + 1, grams, state, image
 
     yield np.zeros(1)
     image = (np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64)) if kernel_only else ()
-    yield from walk(0, start[:, None], np.zeros(1, dtype=np.uint16), *image)
+    yield enter(0, start[:, None], np.zeros(1, dtype=np.uint16), image)
+    while stack:
+        if stack[-1].cursor == stack[-1].starts[-1]:
+            stack.pop()
+        else:
+            yield enter(*form(stack[-1]))
     for n in range(1, max_len + 1):
         # the accepted continuations of the pruned prefixes
         missing = sum(

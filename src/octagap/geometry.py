@@ -445,19 +445,28 @@ def _grid_counts(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
     """N(k GRID_STEP) for k = 0, 1, ..., j(r), and r, the largest displacement.
 
     Each displacement d goes into bin j(d), the least k with k GRID_STEP >= d,
-    taken as ceil(d / GRID_STEP) and then fixed by one compare on each side,
-    since the quotient's rounding can put the ceil one bin off.  The products
-    k * GRID_STEP are the floats the exponent fit reads at, so the cumulated
-    bins equal searchsorted(sorted displacements, k * GRID_STEP, "right")
-    exactly.  Each slice is binned whole: the walker's hold at most
-    8 ``_ballfast._CHUNK`` = 65,536 floats, so the temporaries stay in cache.
+    guessed as ceil(d * (1 / GRID_STEP)) and then fixed by one compare on
+    each side, since the guess's rounding can put it one bin off.  The
+    products k * GRID_STEP are the floats the exponent fit reads at, so the
+    cumulated bins equal searchsorted(sorted displacements, k * GRID_STEP,
+    "right") exactly.  Each slice is binned whole, in place in temporaries
+    of its own size, none kept for the next slice: the walker's hold at most
+    8 ``_ballfast._CHUNK`` = 65,536 floats, so they stay in cache.
     """
     bins = np.zeros(1, dtype=np.int64)
     radius = 0.0
     for d in slices:
-        j = np.ceil(d / GRID_STEP)
-        j -= (j - 1.0) * GRID_STEP >= d
-        j += j * GRID_STEP < d
+        j = np.multiply(d, 1 / GRID_STEP)
+        np.ceil(j, out=j)
+        step = np.subtract(j, 1.0)
+        np.multiply(step, GRID_STEP, out=step)
+        fix = np.greater_equal(step, d)
+        np.subtract(j, 1.0, out=j, where=fix)
+        np.multiply(j, GRID_STEP, out=step)
+        np.less(step, d, out=fix)
+        np.add(j, 1.0, out=j, where=fix)
+        # freed first, so that the cast is the only other temporary held
+        del step, fix
         counts = np.bincount(j.astype(np.intp))
         if counts.size > bins.size:
             bins, counts = counts, bins

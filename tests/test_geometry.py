@@ -1,6 +1,7 @@
 """Tests for upper half space geometry, orbit balls, and volume bounds."""
 
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -583,6 +584,61 @@ def test_orbit_ball_memory_is_bounded_by_the_blocks_of_the_walk():
     finally:
         tracemalloc.stop()
     assert peak < math.sqrt(41.84e6 * 7.80e6)
+
+
+@pytest.mark.parametrize(
+    "label, all_children_peak, one_block_peak",
+    [("full", 7_392_718, 3_692_498), ("kernel", 5_669_199, 3_080_328)],
+)
+def test_walk_forms_one_child_block_at_a_time(label, all_children_peak, one_block_peak):
+    """Peak of numpy's allocations, as tracemalloc sees them, while the full
+    and the kernel ball of word length 9 are built: 3.69 and 3.08 MB for a
+    walk that forms its children one block of _CHUNK at a time, 7.39 and
+    5.67 MB for the walk before it, whose blocks formed all of their up to
+    8 _CHUNK children before walking the first.  Each bound is the
+    geometric mean of the two peaks."""
+    orbit_ball(label, DEFAULT_BASE_POINT, 3)
+    tracemalloc.start()
+    try:
+        orbit_ball(label, DEFAULT_BASE_POINT, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < math.sqrt(all_children_peak * one_block_peak)
+
+
+def _call_depth():
+    """The recursion depth at the caller as the interpreter's limit counts
+    it, which under a test runner is more than the frames on the stack."""
+
+    def down(n):
+        try:
+            return down(n + 1)
+        except RecursionError:
+            return n
+
+    return sys.getrecursionlimit() - down(1)
+
+
+def test_deep_walks_stay_clear_of_the_recursion_limit(monkeypatch):
+    """Free L = 12 in seven-parent blocks, under a recursion limit ten calls
+    deeper than the caller's: the walk keeps its levels on a stack of its
+    own, so its call depth does not grow with the word length.  A walk of
+    nested generators, one per level, raises RecursionError here; it needs
+    about sixteen."""
+    base = DEFAULT_BASE_POINT
+    # a first walk fills the caches whose first calls run deeper than a walk
+    orbit_ball("free", base, 3)
+    monkeypatch.setattr(_ballfast, "_CHUNK", 7)
+    walked = 0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_call_depth() + 10)
+    try:
+        for piece in _ballfast._sphere_displacements(base.z, base.t, 12, "free"):
+            walked += piece.size
+    finally:
+        sys.setrecursionlimit(limit)
+    assert walked == 2 * 3**12 - 1
 
 
 def test_grid_bins_are_exact_at_and_next_to_the_grid_points():
