@@ -33,7 +33,19 @@ peaked at 7.4 MB, and one that held a whole level at a time at 41.8 MB.
 No slice holds more than 8 ``_CHUNK`` = 65,536 floats, and none is ever
 joined: ``geometry.orbit_ball`` bins each slice into counts on a fixed grid
 as it arrives.  The sizes of the levels are summed across blocks and
-checked against the group's growth series once the walk is exhausted.
+checked against the group's growth series once the walk is exhausted
+(``_check_growth``).
+
+A walk can be split into parts whose subtrees are disjoint: at level
+``_SPLIT_LEVEL`` each block deals its parents by column to the parts, and
+every part walks the levels above the split but leaves them to part 0 to
+yield and count.  ``geometry.orbit_ball`` walks the parts at once, all but
+one in children made with ``os.fork``, and checks the growth of the summed
+tallies.  Forking a process with numpy loaded is safe here because the walk
+calls no BLAS, whose thread pool does not survive a fork: its products run
+in ``einsum`` (see ``_child_displacements``) and the rest in ufuncs.  A
+displacement depends on its parent's column alone, so the parts give the
+whole walk's values bit for bit.
 
 Each element M, of unit determinant modulus, is carried as its Gram vector
 v = (S11, S22, Re S12, Im S12) of S = Q* Q, Q = h^-1 M, where
@@ -82,7 +94,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -97,6 +109,11 @@ from .words import (
 #: Parents per block of the walk.  A block has at most 8 _CHUNK children, so
 #: none of its arrays outgrows a few MB and every slice fits in cache.
 _CHUNK = 1 << 13
+
+#: Level whose blocks deal their parents to the parts of a split walk.  Its
+#: sphere holds 36 free and 224 full words, enough for the parts' subtrees to
+#: come out about even, and the levels every part walks stay tiny.
+_SPLIT_LEVEL = 3
 
 MAX_FREE_LEN = 15
 MAX_RACG_LEN = 10
@@ -261,9 +278,35 @@ class _Frame:
     cursor: int = 0
 
 
+def _check_guard(group: str, max_len: int) -> None:
+    """Raise MemoryGuardError if max_len passes the length guard of the group's walk."""
+    max_guard = _WALKS[group][2]
+    if max_len > max_guard:
+        raise MemoryGuardError(
+            f"{group} orbit ball of radius {max_len} exceeds the memory guard ({max_guard})"
+        )
+
+
+def _check_growth(group: str, max_len: int, sizes: list[int], dead: list[Counter]) -> None:
+    """Raise AssertionError unless a walk's level tallies hit the group's growth series.
+
+    ``sizes[n]`` counts the words of length n walked and ``dead[n]`` the
+    automaton states of the pruned kernel prefixes of length n, with their
+    multiplicities; each sphere's walked words plus the accepted
+    continuations of the pruned prefixes must make its sphere count.
+    """
+    letters, _, _, sphere_count = _WALKS[group]
+    for n in range(1, max_len + 1):
+        missing = sum(
+            m * _continuations(letters, s, n - j) for j in range(1, n) for s, m in dead[j].items()
+        )
+        if sizes[n] + missing != sphere_count(n):
+            raise AssertionError(f"sphere {n}: {sizes[n]} + {missing} pruned != {sphere_count(n)}")
+
+
 def _sphere_displacements(
-    z0: complex, t0: float, max_len: int, group: str
-) -> Iterator[np.ndarray]:
+    z0: complex, t0: float, max_len: int, group: str, part: tuple[int, int] = (0, 1)
+) -> Generator[np.ndarray, None, tuple[list[int], list[Counter]]]:
     """Displacements d(x0, g x0) over a word-length ball of an orbit group, in slices.
 
     ``group`` is a key of ``_WALKS``: "free" (the free product on r1..r4),
@@ -275,14 +318,20 @@ def _sphere_displacements(
     blocks of at most ``_CHUNK`` parents, one slice of at most
     8 ``_CHUNK`` floats per block.  The length guard raises
     MemoryGuardError at the first slice asked for, before the walk
-    allocates anything; the growth check raises AssertionError once the
-    walk is exhausted.
+    allocates anything.  Returns the level tallies ``_check_growth`` reads.
+
+    ``part`` = (p, P) walks the p-th of P parts of the ball: at level
+    ``_SPLIT_LEVEL``, each block deals its parents to the parts by column,
+    i mod P == p, and each part walks the subtrees of its own.  Every part
+    walks the levels up to the split, but only part 0 yields and counts
+    them, so the P parts yield every displacement once and their tallies
+    sum to the whole walk's.  The default (0, 1) is the whole walk, which
+    runs the growth check itself once it is exhausted, raising
+    AssertionError; the caller of a split walk checks the summed tallies.
     """
-    letters, kernel_only, max_guard, sphere_count = _WALKS[group]
-    if max_len > max_guard:
-        raise MemoryGuardError(
-            f"{group} orbit ball of radius {max_len} exceeds the memory guard ({max_guard})"
-        )
+    _check_guard(group, max_len)
+    part_no, parts = part
+    letters, kernel_only = _WALKS[group][:2]
     # the per-letter constants are (letters, 1) columns, which broadcast
     # against the (n,) rows of a block's states and perp images
     keep_masks, set_masks = shortlex_automaton_masks()
@@ -310,21 +359,19 @@ def _sphere_displacements(
     # Columns are gathered with np.take, not with fancy indexing, which
     # copies them about four times slower.
     def enter(level, grams, state, image):
-        """The slice of the block's children; pushes the block's frame if they
-        are extended."""
+        """Yields the slice of the block's children unless they are another
+        part's; pushes the block's frame if they are extended."""
+        if level == _SPLIT_LEVEL:
+            # the part's share of the block: every P-th parent from the p-th
+            cols = np.arange(part_no, state.size, parts)
+            grams, state = np.take(grams, cols, axis=1), np.take(state, cols)
+            image = tuple(np.take(a, cols) for a in image)
+        # the children up to the split level are part 0's to count and yield
+        mine = part_no == 0 or level >= _SPLIT_LEVEL
         # the children in letter-major order: free[k, i] is child k of parent i
         free = (state >> shifts) & np.uint16(3) == 0
-        sizes[level + 1] += int(np.count_nonzero(free))
         if kernel_only:
-            # a child has a trivial image iff a face letter (symbol 0) extends
-            # an empty image (pack 0) or a perp letter pops the one symbol of
-            # its parent's image: in both cases the pack equals the symbol
             pack, plen = image
-            near = np.flatnonzero(plen <= 1)
-            hit = np.take(free, near, axis=1) & (np.take(pack, near) == syms)
-            out = _child_displacements(np.take(grams, near, axis=1), hit, weights[level % 2])
-        else:
-            out = _child_displacements(grams, free, weights[level % 2])
         if level + 1 < max_len:
             live = free
             if kernel_only:
@@ -335,11 +382,24 @@ def _sphere_displacements(
                 left = max_len - level - 1
                 pop = _perp_pops(pack, plen, syms)[0]
                 live = free & np.where(pop, plen <= left + 1, plen <= left - (syms != 0))
-                states, mult = np.unique(((state & keep) | put)[free & ~live], return_counts=True)
-                dead[level + 1].update(dict(zip(states.tolist(), mult.tolist())))
+                if mine:
+                    pruned = ((state & keep) | put)[free & ~live]
+                    states, mult = np.unique(pruned, return_counts=True)
+                    dead[level + 1].update(dict(zip(states.tolist(), mult.tolist())))
             starts = [0, *np.cumsum(np.count_nonzero(live, axis=1)).tolist()]
             stack.append(_Frame(level, grams, state, image, live, starts))
-        return out
+        if not mine:
+            return
+        sizes[level + 1] += int(np.count_nonzero(free))
+        if kernel_only:
+            # a child has a trivial image iff a face letter (symbol 0) extends
+            # an empty image (pack 0) or a perp letter pops the one symbol of
+            # its parent's image: in both cases the pack equals the symbol
+            near = np.flatnonzero(plen <= 1)
+            hit = np.take(free, near, axis=1) & (np.take(pack, near) == syms)
+            yield _child_displacements(np.take(grams, near, axis=1), hit, weights[level % 2])
+        else:
+            yield _child_displacements(grams, free, weights[level % 2])
 
     def form(frame):
         """The frame's next block: its next _CHUNK live children, or the rest."""
@@ -363,18 +423,15 @@ def _sphere_displacements(
         frame.cursor = stop
         return frame.level + 1, grams, state, image
 
-    yield np.zeros(1)
+    if part_no == 0:
+        yield np.zeros(1)
     image = (np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64)) if kernel_only else ()
-    yield enter(0, start[:, None], np.zeros(1, dtype=np.uint16), image)
+    yield from enter(0, start[:, None], np.zeros(1, dtype=np.uint16), image)
     while stack:
         if stack[-1].cursor == stack[-1].starts[-1]:
             stack.pop()
         else:
-            yield enter(*form(stack[-1]))
-    for n in range(1, max_len + 1):
-        # the accepted continuations of the pruned prefixes
-        missing = sum(
-            m * _continuations(letters, s, n - j) for j in range(1, n) for s, m in dead[j].items()
-        )
-        if sizes[n] + missing != sphere_count(n):
-            raise AssertionError(f"sphere {n}: {sizes[n]} + {missing} pruned != {sphere_count(n)}")
+            yield from enter(*form(stack[-1]))
+    if parts == 1:
+        _check_growth(group, max_len, sizes, dead)
+    return sizes, dead

@@ -12,8 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import pickle
+import signal
 import sys
-from dataclasses import dataclass, field
+import threading
+from collections import Counter
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
@@ -486,18 +491,23 @@ class OrbitBall:
     largest displacement; the identity's is 0).  Readers that need more than
     the counts, such as ``spectral.ball_delocalization_bound``, walk the
     source again.  ``orbit_ball`` builds one from a walk of the orbit
-    walker; the ball keeps no words and no array of displacements.
+    walker, and passes ``counts``, the grid counts and radius it has already
+    made from the walk's parts; without them the ball makes them from
+    ``slices``.  The ball keeps no words and no array of displacements.
     """
 
     base: Point3
     word_length: int
     slices: Callable[[], Iterable[np.ndarray]]
+    counts: InitVar[tuple[np.ndarray, float] | None] = None
     grid_counts: np.ndarray = field(init=False)
     radius: float = field(init=False)
     count: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.grid_counts, self.radius = _grid_counts(self.slices())
+    def __post_init__(self, counts: tuple[np.ndarray, float] | None) -> None:
+        if counts is None:
+            counts = _grid_counts(self.slices())
+        self.grid_counts, self.radius = counts
         self.count = int(self.grid_counts[-1])
 
     def counting_function(self, t: float) -> int:
@@ -522,6 +532,124 @@ class OrbitBall:
 ORBIT_GROUPS = tuple(_ballfast._WALKS)
 
 
+#: Balls smaller than this, summed over the group's growth series, walk in
+#: one process.  Near a million elements a fork and the child's page faults
+#: cost about what a second CPU saves (2 CPUs, fresh process: full L = 8,
+#: 879K, 34 ms split against 38 ms; free L = 11, 354K, 21-27 against
+#: 15-20 ms), and the floor keeps the small balls of the tests, up to full
+#: L = 8 and free L = 12, in one process.
+_SPLIT_FLOOR = 1 << 21
+
+
+def _part_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _split_parts(group: str, max_len: int) -> int:
+    """How many parts the walk of the ball is split into: one CPU's each, or
+    one in all where forking is missing or unsafe or the ball is small."""
+    parts = _part_count()
+    if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    sphere_count = _ballfast._WALKS[group][3]
+    return parts if sum(map(sphere_count, range(max_len + 1))) >= _SPLIT_FLOOR else 1
+
+
+def _walk_part(group: str, base: Point3, max_len: int, part: tuple[int, int]) -> tuple:
+    """Grid counts, radius, sizes and pruned states of one part of a walk."""
+    tallies = []
+
+    def slices():
+        tallies.append(
+            (yield from _ballfast._sphere_displacements(base.z, base.t, max_len, group, part))
+        )
+
+    return (*_grid_counts(slices()), *tallies[0])
+
+
+def _fork_part(group: str, base: Point3, max_len: int, part: tuple[int, int]) -> tuple[int, int]:
+    """Fork a child that walks one part: its pid and the read end of its pipe.
+
+    The child pickles its ``_walk_part``, or the exception that stopped it,
+    down the pipe, and leaves only by ``os._exit``, so that no atexit
+    handler or inherited stdio buffer runs twice.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                try:
+                    reply = (_walk_part(group, base, max_len, part), None)
+                except Exception as exc:
+                    reply = (None, exc)
+                with open(write, "wb") as pipe:
+                    pickle.dump(reply, pipe)
+                code = 0
+            finally:
+                os._exit(code)
+    except BaseException:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+    return pid, read
+
+
+def _split_counts(group: str, base: Point3, max_len: int, parts: int) -> tuple[np.ndarray, float]:
+    """Grid counts and radius of the ball, walked in parts, all but the first
+    in forked children.
+
+    The walker calls no BLAS, only einsum and ufuncs, which is what makes
+    forking a process with numpy loaded safe here.  The parent walks part 0
+    while the children walk theirs, then sums the parts' counts and level
+    tallies and runs the growth check once, on the sums.  Every child is
+    reaped before this returns or raises, killed first if the parent's own
+    part raised; a child's exception is raised again here, and a child that
+    died without a reply raises ChildProcessError.
+    """
+    children: dict[int, int] = {}
+    try:
+        for p in range(1, parts):
+            pid, read = _fork_part(group, base, max_len, (p, parts))
+            children[pid] = read
+        results = [_walk_part(group, base, max_len, (0, parts))]
+        replies = {}
+        for pid, read in children.items():
+            with open(read, "rb", closefd=False) as pipe:
+                replies[pid] = pipe.read()
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = {}
+        for pid, read in children.items():
+            os.close(read)
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    for pid, status in statuses.items():
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"orbit walk part in process {pid} ended with status {code}")
+        result, error = pickle.loads(replies[pid])
+        if error is not None:
+            raise error
+        results.append(result)
+    bins, radii, sizes, dead = zip(*results)
+    size = max(b.size for b in bins)
+    # cumulated counts: past its own radius a part counts all of its points
+    grid_counts = sum(np.pad(b, (0, size - b.size), mode="edge") for b in bins)
+    _ballfast._check_growth(
+        group, max_len, [sum(n) for n in zip(*sizes)], [sum(c, Counter()) for c in zip(*dead)]
+    )
+    return grid_counts, max(radii)
+
+
 def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
     """Orbit ball of a subgroup around a base point, as counts on the grid.
 
@@ -530,19 +658,29 @@ def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
     free product of four order-two groups), "full" for the whole reflection
     group, "kernel" for the elements of the full ball with trivial image in
     the free product on the perp letters.  Any other value, a callable
-    included, raises DomainError.  The walk streams its slices of
-    displacements into the ball's counts, so no array of all displacements
-    is ever formed.
+    included, raises DomainError, and a length past the walk's guard
+    MemoryGuardError.  The walk streams its slices of displacements into
+    the ball's counts, so no array of all displacements is ever formed.
+
+    The walk is split into one part per CPU this process may run on, each
+    part but the first walked in a child made with ``os.fork``
+    (``_split_counts``); the counts equal the whole walk's bit for bit.  It
+    runs in this process alone when there is one CPU, no ``os.fork``, more
+    than one Python thread alive, or fewer than ``_SPLIT_FLOOR`` elements
+    in the group's ball.  The ball's ``slices`` are always the whole walk.
     """
     if not (cmath.isfinite(base.z) and 0 < base.t < math.inf):
         raise DomainError(f"base point must be finite with positive height, got {base}")
     max_len = check_count("max_len", max_len, 0)
     if group not in ORBIT_GROUPS:
         raise DomainError(f"unknown orbit group {group!r}; expected one of {ORBIT_GROUPS}")
+    _ballfast._check_guard(group, max_len)
+    parts = _split_parts(group, max_len)
     return OrbitBall(
         base=base,
         word_length=max_len,
         slices=lambda: _ballfast._sphere_displacements(base.z, base.t, max_len, group),
+        counts=_split_counts(group, base, max_len, parts) if parts > 1 else None,
     )
 
 

@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import octagap
 from octagap.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, _build_parser, main
 
 
@@ -189,6 +194,23 @@ def test_delta_csv_is_the_counting_function(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].count(",") == 1
     assert len(lines) > 10
+
+
+def test_delta_prints_its_verdict_once_from_a_split_walk(tmp_path):
+    """A fresh process on a pipe, so that a forked walker that ran on past
+    its part, or flushed the stdout buffer it inherited, would print twice.
+    The full ball of word length 9 is large enough to be split."""
+    env = dict(os.environ, PYTHONPATH=str(Path(octagap.__file__).resolve().parents[1]))
+    out = tmp_path / "delta.json"
+    argv = ["delta", "--group", "sa", "--word-length", "9", "--seed", "1", "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "octagap.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout.splitlines().count("PASS") == 1
+    assert result.stderr == ""
+    assert _read_json(out)["orbit_points"] == 4394521
 
 
 # -- cover -----------------------------------------------------------------------

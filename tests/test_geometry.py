@@ -1,7 +1,9 @@
 """Tests for upper half space geometry, orbit balls, and volume bounds."""
 
 import math
+import os
 import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -11,7 +13,7 @@ import scipy.integrate
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from octagap import _ballfast
+from octagap import _ballfast, geometry
 from octagap.errors import DomainError, InsufficientDataError, MemoryGuardError, TruncationError
 from octagap.geometry import (
     DEFAULT_BASE_POINT,
@@ -728,6 +730,154 @@ def test_walker_growth_check_catches_a_wrong_sphere_count(monkeypatch, label, er
     monkeypatch.setitem(_ballfast._WALKS, label, wrong)
     with pytest.raises(AssertionError):
         orbit_ball(label, DEFAULT_BASE_POINT, max_len)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Walks split at any size; the list of the pids of the children forked."""
+    monkeypatch.setattr(geometry, "_SPLIT_FLOOR", 0)
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize(
+    "label, max_len, chunk",
+    [
+        ("free", 8, None),
+        ("full", 6, None),
+        ("kernel", 6, None),
+        ("free", 7, 7),
+        ("full", 5, 7),
+        ("kernel", 5, 7),
+    ],
+)
+def test_split_walk_counts_equal_the_whole_walk_bit_for_bit(
+    monkeypatch, forks, label, max_len, parts, chunk
+):
+    """A ball walked in parts, all but one in forked children, against the
+    same ball built from the whole walk's slices, at both twin base points;
+    with seven-parent blocks the split level deals several blocks."""
+    if chunk is not None:
+        monkeypatch.setattr(_ballfast, "_CHUNK", chunk)
+    monkeypatch.setattr(geometry, "_part_count", lambda: parts)
+    for base in TWIN_BASE_POINTS:
+        split = orbit_ball(label, base, max_len)
+        whole = OrbitBall(base, max_len, split.slices)
+        assert split.grid_counts.dtype == whole.grid_counts.dtype == np.int64
+        assert split.grid_counts.tobytes() == whole.grid_counts.tobytes()
+        assert (split.count, split.radius) == (whole.count, whole.radius)
+    assert len(forks) == 2 * (parts - 1)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [-1, 1])
+@pytest.mark.parametrize("label", ORBIT_GROUPS)
+def test_split_walk_growth_check_runs_on_the_summed_tallies(monkeypatch, forks, label, error):
+    """The wrong last sphere of the test above, in a walk split in two: no
+    part's tally alone makes a sphere count, so the check runs in the parent,
+    on the tallies summed over the parts."""
+    monkeypatch.setattr(geometry, "_part_count", lambda: 2)
+    max_len = 6
+    *head, count = _ballfast._WALKS[label]
+    wrong = (*head, lambda n: count(n) + error * (n == max_len))
+    monkeypatch.setitem(_ballfast._WALKS, label, wrong)
+    with pytest.raises(AssertionError, match=f"sphere {max_len}:"):
+        orbit_ball(label, DEFAULT_BASE_POINT, max_len)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def _fail_in_part(monkeypatch, failing, failure):
+    """Make the walk of part ``failing`` of a split walk call ``failure``."""
+    walk = _ballfast._sphere_displacements
+
+    def patched(z0, t0, max_len, group, part=(0, 1)):
+        if part[0] == failing and part[1] > 1:
+            failure()
+        return walk(z0, t0, max_len, group, part)
+
+    monkeypatch.setattr(_ballfast, "_sphere_displacements", patched)
+
+
+def _raise_runtime_error():
+    raise RuntimeError("part failed")
+
+
+@pytest.mark.parametrize(
+    "failing, failure, raised",
+    [
+        (1, _raise_runtime_error, RuntimeError),
+        (1, lambda: os._exit(3), ChildProcessError),
+        (0, _raise_runtime_error, RuntimeError),
+    ],
+    ids=["child-raises", "child-dies", "parent-raises"],
+)
+def test_no_process_outlives_a_split_walk(monkeypatch, forks, failing, failure, raised):
+    """After a split walk returns, and after a part fails in a child or in
+    the parent, the failure surfaces in the parent and no child is left."""
+    monkeypatch.setattr(geometry, "_part_count", lambda: 3)
+    assert orbit_ball("full", DEFAULT_BASE_POINT, 6).count == 35149
+    assert len(forks) == 2
+    _assert_no_child_left()
+    _fail_in_part(monkeypatch, failing, failure)
+    with pytest.raises(raised):
+        orbit_ball("full", DEFAULT_BASE_POINT, 6)
+    assert len(forks) == 4
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("label, max_len", [("free", 16), ("full", 11), ("kernel", 11)])
+def test_split_walk_refuses_guarded_lengths_before_forking(monkeypatch, forks, label, max_len):
+    monkeypatch.setattr(geometry, "_part_count", lambda: 2)
+    with pytest.raises(MemoryGuardError):
+        orbit_ball(label, DEFAULT_BASE_POINT, max_len)
+    assert forks == []
+
+
+def _no_fork():
+    raise AssertionError("the walk forked")
+
+
+@pytest.mark.parametrize("reason", ["one CPU", "a second thread", "a small ball"])
+def test_walk_falls_back_to_one_process(monkeypatch, forks, reason):
+    """Counts equal to the split walk's, with os.fork made to fail."""
+    monkeypatch.setattr(geometry, "_part_count", lambda: 2)
+    split = orbit_ball("kernel", DEFAULT_BASE_POINT, 7)
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "fork", _no_fork)
+    if reason == "one CPU":
+        monkeypatch.setattr(geometry, "_part_count", lambda: 1)
+    elif reason == "a small ball":
+        ball_size = sum(map(_ballfast.racg_sphere_count, range(8)))
+        monkeypatch.setattr(geometry, "_SPLIT_FLOOR", ball_size + 1)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if reason == "a second thread":
+        thread.start()
+    try:
+        whole = orbit_ball("kernel", DEFAULT_BASE_POINT, 7)
+    finally:
+        done.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert whole.grid_counts.tobytes() == split.grid_counts.tobytes()
+    assert (whole.count, whole.radius) == (split.count, split.radius)
 
 
 @pytest.mark.parametrize("label, max_len", [("free", 16), ("full", 11), ("kernel", 11)])
