@@ -18,7 +18,7 @@ import signal
 import sys
 import threading
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
@@ -491,24 +491,36 @@ class OrbitBall:
     largest displacement; the identity's is 0).  Readers that need more than
     the counts, such as ``spectral.ball_delocalization_bound``, walk the
     source again.  ``orbit_ball`` builds one from a walk of the orbit
-    walker, and passes ``counts``, the grid counts and radius it has already
-    made from the walk's parts; without them the ball makes them from
-    ``slices``.  The ball keeps no words and no array of displacements.
+    walker, through ``_counted`` when it has already made the counts from
+    the walk's parts.  The ball keeps no words and no array of
+    displacements.
     """
 
     base: Point3
     word_length: int
     slices: Callable[[], Iterable[np.ndarray]]
-    counts: InitVar[tuple[np.ndarray, float] | None] = None
     grid_counts: np.ndarray = field(init=False)
     radius: float = field(init=False)
     count: int = field(init=False)
 
-    def __post_init__(self, counts: tuple[np.ndarray, float] | None) -> None:
-        if counts is None:
-            counts = _grid_counts(self.slices())
-        self.grid_counts, self.radius = counts
-        self.count = int(self.grid_counts[-1])
+    def __post_init__(self) -> None:
+        self._set_counts(*_grid_counts(self.slices()))
+
+    def _set_counts(self, grid_counts: np.ndarray, radius: float) -> None:
+        self.grid_counts, self.radius = grid_counts, radius
+        self.count = int(grid_counts[-1])
+
+    @classmethod
+    def _counted(
+        cls, base: Point3, word_length: int, slices: Callable[[], Iterable[np.ndarray]],
+        grid_counts: np.ndarray, radius: float,
+    ) -> OrbitBall:
+        """The ball of ``slices`` with its counts already made, which must be
+        those ``_grid_counts`` makes from ``slices()``; the slices are not read."""
+        ball = cls.__new__(cls)
+        ball.base, ball.word_length, ball.slices = base, word_length, slices
+        ball._set_counts(grid_counts, radius)
+        return ball
 
     def counting_function(self, t: float) -> int:
         """Number of orbit points within distance t.
@@ -532,21 +544,31 @@ class OrbitBall:
 ORBIT_GROUPS = tuple(_ballfast._WALKS)
 
 
-#: Balls smaller than this, summed over the group's growth series, walk in
-#: one process.  Near a million elements a fork and the child's page faults
-#: cost about what a second CPU saves (2 CPUs, fresh process: full L = 8,
-#: 879K, 34 ms split against 38 ms; free L = 11, 354K, 21-27 against
-#: 15-20 ms), and the floor keeps the small balls of the tests, up to full
-#: L = 8 and free L = 12, in one process.
-_SPLIT_FLOOR = 1 << 21
+#: Per orbit group, the shortest word length whose ball is walked in parts.
+#: Measured on 2 CPUs, each ball walked once in a fresh process after a
+#: warm-up ball, 9 alternating serial / split runs, medians:
+#: free L = 11 (354K elements) 10.1 ms serial against 12.5 ms split,
+#: L = 12 (1.06M) 32.6 against 25.2 ms; full L = 7 (176K) 7.1 against
+#: 10.4 ms, L = 8 (879K) 29.3 against 21.4 ms.  The kernel walk forms only
+#: the prefixes that can still return to the kernel, so its ball costs less
+#: than the full ball of the same length: L = 8 10.1 against 15.0 ms,
+#: L = 9 35.8 against 28.2 ms.
+_SPLIT_FROM = {"free": 12, "full": 8, "kernel": 9}
+
+#: Most parts a walk is split into: the most CPUs a split has been measured
+#: on.  The parents are dealt at a level of 36 free words, and each part
+#: costs a fork and the child's copy-on-write faults whether or not it gets
+#: much of the walk.
+_MAX_PARTS = 2
 
 
 def _part_count() -> int:
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on, at most ``_MAX_PARTS``."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_PARTS)
 
 
 def _split_parts(group: str, max_len: int) -> int:
@@ -555,8 +577,7 @@ def _split_parts(group: str, max_len: int) -> int:
     parts = _part_count()
     if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    sphere_count = _ballfast._WALKS[group][3]
-    return parts if sum(map(sphere_count, range(max_len + 1))) >= _SPLIT_FLOOR else 1
+    return parts if max_len >= _SPLIT_FROM[group] else 1
 
 
 def _walk_part(group: str, base: Point3, max_len: int, part: tuple[int, int]) -> tuple:
@@ -664,10 +685,12 @@ def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
 
     The walk is split into one part per CPU this process may run on, each
     part but the first walked in a child made with ``os.fork``
-    (``_split_counts``); the counts equal the whole walk's bit for bit.  It
-    runs in this process alone when there is one CPU, no ``os.fork``, more
-    than one Python thread alive, or fewer than ``_SPLIT_FLOOR`` elements
-    in the group's ball.  The ball's ``slices`` are always the whole walk.
+    (``_split_counts``), up to ``_MAX_PARTS`` parts; the counts equal the
+    whole walk's bit for bit.  It runs in this process alone when there is
+    one CPU, no ``os.fork``, more than one Python thread alive, or a word
+    length below the group's ``_SPLIT_FROM`` (free 12, full 8, kernel 9),
+    where a fork costs more than a second CPU saves.  The ball's ``slices``
+    are always the whole walk.
     """
     if not (cmath.isfinite(base.z) and 0 < base.t < math.inf):
         raise DomainError(f"base point must be finite with positive height, got {base}")
@@ -676,12 +699,13 @@ def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
         raise DomainError(f"unknown orbit group {group!r}; expected one of {ORBIT_GROUPS}")
     _ballfast._check_guard(group, max_len)
     parts = _split_parts(group, max_len)
-    return OrbitBall(
-        base=base,
-        word_length=max_len,
-        slices=lambda: _ballfast._sphere_displacements(base.z, base.t, max_len, group),
-        counts=_split_counts(group, base, max_len, parts) if parts > 1 else None,
-    )
+
+    def slices():
+        return _ballfast._sphere_displacements(base.z, base.t, max_len, group)
+
+    if parts == 1:
+        return OrbitBall(base, max_len, slices)
+    return OrbitBall._counted(base, max_len, slices, *_split_counts(group, base, max_len, parts))
 
 
 DEFAULT_BASE_POINT = Point3(0.3 + 0.4j, 0.9)

@@ -573,11 +573,13 @@ def test_walker_slices_hold_at_most_one_block_of_children(label, max_len):
     assert max(sizes) <= 8 * _ballfast._CHUNK
 
 
-def test_orbit_ball_memory_is_bounded_by_the_blocks_of_the_walk():
+def test_orbit_ball_memory_is_bounded_by_the_blocks_of_the_walk(monkeypatch):
     """Peak of numpy's allocations, as tracemalloc sees them, while the full
     ball of word length 9 (4.4M elements) is built: 7.8 MB for the
     depth-first walk, 41.8 MB for the level-by-level walk before it, which
-    held the widest sphere.  The bound is their geometric mean."""
+    held the widest sphere.  The bound is their geometric mean.  The walk
+    stays in this process, where tracemalloc sees all of it."""
+    monkeypatch.setattr(geometry, "_part_count", lambda: 1)
     orbit_ball("full", DEFAULT_BASE_POINT, 3)
     tracemalloc.start()
     try:
@@ -592,13 +594,17 @@ def test_orbit_ball_memory_is_bounded_by_the_blocks_of_the_walk():
     "label, all_children_peak, one_block_peak",
     [("full", 7_392_718, 3_692_498), ("kernel", 5_669_199, 3_080_328)],
 )
-def test_walk_forms_one_child_block_at_a_time(label, all_children_peak, one_block_peak):
+def test_walk_forms_one_child_block_at_a_time(
+    monkeypatch, label, all_children_peak, one_block_peak
+):
     """Peak of numpy's allocations, as tracemalloc sees them, while the full
     and the kernel ball of word length 9 are built: 3.69 and 3.08 MB for a
     walk that forms its children one block of _CHUNK at a time, 7.39 and
     5.67 MB for the walk before it, whose blocks formed all of their up to
     8 _CHUNK children before walking the first.  Each bound is the
-    geometric mean of the two peaks."""
+    geometric mean of the two peaks.  The walk stays in this process, where
+    tracemalloc sees all of it."""
+    monkeypatch.setattr(geometry, "_part_count", lambda: 1)
     orbit_ball(label, DEFAULT_BASE_POINT, 3)
     tracemalloc.start()
     try:
@@ -607,6 +613,27 @@ def test_walk_forms_one_child_block_at_a_time(label, all_children_peak, one_bloc
     finally:
         tracemalloc.stop()
     assert peak < math.sqrt(all_children_peak * one_block_peak)
+
+
+@pytest.mark.parametrize(
+    "label, all_children_peak, one_block_peak",
+    [("full", 7_392_718, 3_692_498), ("kernel", 5_669_199, 3_080_328)],
+)
+def test_each_part_of_a_split_walk_forms_one_child_block_at_a_time(
+    label, all_children_peak, one_block_peak
+):
+    """The bound of the test above on each part of the walk split in two,
+    each walked and binned here as ``_split_counts`` has a child walk it,
+    so that tracemalloc sees the part a child would walk."""
+    geometry._walk_part(label, DEFAULT_BASE_POINT, 3, (1, 2))
+    for p in range(2):
+        tracemalloc.start()
+        try:
+            geometry._walk_part(label, DEFAULT_BASE_POINT, 9, (p, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < math.sqrt(all_children_peak * one_block_peak)
 
 
 def _call_depth():
@@ -732,10 +759,14 @@ def test_walker_growth_check_catches_a_wrong_sphere_count(monkeypatch, label, er
         orbit_ball(label, DEFAULT_BASE_POINT, max_len)
 
 
+#: The shortest split lengths as shipped, before ``forks`` lowers them.
+_SHIPPED_SPLIT_FROM = geometry._SPLIT_FROM
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Walks split at any size; the list of the pids of the children forked."""
-    monkeypatch.setattr(geometry, "_SPLIT_FLOOR", 0)
+    monkeypatch.setattr(geometry, "_SPLIT_FROM", dict.fromkeys(ORBIT_GROUPS, 0))
     pids = []
     fork = os.fork
 
@@ -855,7 +886,8 @@ def _no_fork():
 
 @pytest.mark.parametrize("reason", ["one CPU", "a second thread", "a small ball"])
 def test_walk_falls_back_to_one_process(monkeypatch, forks, reason):
-    """Counts equal to the split walk's, with os.fork made to fail."""
+    """Counts equal to the split walk's, with os.fork made to fail; the
+    small ball is small by the shipped ``_SPLIT_FROM``."""
     monkeypatch.setattr(geometry, "_part_count", lambda: 2)
     split = orbit_ball("kernel", DEFAULT_BASE_POINT, 7)
     assert len(forks) == 1
@@ -863,8 +895,7 @@ def test_walk_falls_back_to_one_process(monkeypatch, forks, reason):
     if reason == "one CPU":
         monkeypatch.setattr(geometry, "_part_count", lambda: 1)
     elif reason == "a small ball":
-        ball_size = sum(map(_ballfast.racg_sphere_count, range(8)))
-        monkeypatch.setattr(geometry, "_SPLIT_FLOOR", ball_size + 1)
+        monkeypatch.setattr(geometry, "_SPLIT_FROM", _SHIPPED_SPLIT_FROM)
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     if reason == "a second thread":
@@ -878,6 +909,18 @@ def test_walk_falls_back_to_one_process(monkeypatch, forks, reason):
     assert not thread.is_alive()
     assert whole.grid_counts.tobytes() == split.grid_counts.tobytes()
     assert (whole.count, whole.radius) == (split.count, split.radius)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_part_count_is_capped_at_the_measured_parts(monkeypatch, cpus):
+    """A walk is split into no more parts than a split has been measured
+    on, however many CPUs the affinity mask or, without one, os.cpu_count
+    offers; no walk runs here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert geometry._part_count() == min(cpus, geometry._MAX_PARTS) == min(cpus, 2)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert geometry._part_count() == min(cpus, 2)
 
 
 @pytest.mark.parametrize("label, max_len", [("free", 16), ("full", 11), ("kernel", 11)])
