@@ -33,8 +33,8 @@ peaked at 7.4 MB, and one that held a whole level at a time at 41.8 MB.
 No slice holds more than 8 ``_CHUNK`` = 65,536 floats, and none is ever
 joined: ``geometry.orbit_ball`` bins each slice into counts on a fixed grid
 as it arrives.  The sizes of the levels are summed across blocks and
-checked against the group's growth series once the walk is exhausted
-(``_check_growth``).
+returned once the walk is exhausted, and ``geometry.orbit_ball`` checks
+them against the group's growth series (``_check_growth``).
 
 A walk can be split into parts whose subtrees are disjoint: at level
 ``_SPLIT_LEVEL`` each block deals its parents by column to the parts, and
@@ -318,16 +318,15 @@ def _sphere_displacements(
     blocks of at most ``_CHUNK`` parents, one slice of at most
     8 ``_CHUNK`` floats per block.  The length guard raises
     MemoryGuardError at the first slice asked for, before the walk
-    allocates anything.  Returns the level tallies ``_check_growth`` reads.
+    allocates anything.  Returns the level tallies ``_check_growth`` reads;
+    the caller checks them.
 
     ``part`` = (p, P) walks the p-th of P parts of the ball: at level
     ``_SPLIT_LEVEL``, each block deals its parents to the parts by column,
     i mod P == p, and each part walks the subtrees of its own.  Every part
     walks the levels up to the split, but only part 0 yields and counts
     them, so the P parts yield every displacement once and their tallies
-    sum to the whole walk's.  The default (0, 1) is the whole walk, which
-    runs the growth check itself once it is exhausted, raising
-    AssertionError; the caller of a split walk checks the summed tallies.
+    sum to the whole walk's.  The default (0, 1) is the whole walk.
     """
     _check_guard(group, max_len)
     part_no, parts = part
@@ -425,6 +424,8 @@ def _sphere_displacements(
 
     if part_no == 0:
         yield np.zeros(1)
+    if max_len == 0:
+        return sizes, dead
     image = (np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64)) if kernel_only else ()
     yield from enter(0, start[:, None], np.zeros(1, dtype=np.uint16), image)
     while stack:
@@ -432,6 +433,4 @@ def _sphere_displacements(
             stack.pop()
         else:
             yield from enter(*form(stack[-1]))
-    if parts == 1:
-        _check_growth(group, max_len, sizes, dead)
     return sizes, dead

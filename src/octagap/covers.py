@@ -23,7 +23,6 @@ Vertices are indexed 0 .. 2n-1 and colors run 1 .. 4.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
@@ -58,8 +57,6 @@ __all__ = [
     "walk_summary",
     "replacement_ball",
     "dirichlet_rho",
-    "export_edges_csv",
-    "export_spectra_csv",
 ]
 
 #: Number of mirror colors, one matching per color.
@@ -729,26 +726,3 @@ def dirichlet_rho(ball: ReplacementBall) -> float:
     weights = (ball.neighbors >= 0).astype(float)
     return _top_eigenvalue(ball.neighbors, weights)
 
-
-def export_edges_csv(graph: DualGraph, path, signing: Signing | None = None) -> None:
-    """Write the edge list as CSV rows (u, v, color, sign)."""
-    if signing is not None and signing.num_edges != graph.num_edges:
-        raise DomainError(
-            f"signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
-        )
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["u", "v", "color", "sign"])
-        signs = np.ones(graph.num_edges, dtype=np.int8) if signing is None else signing.values
-        writer.writerows(np.column_stack([*graph.edges(), signs]).tolist())
-
-
-def export_spectra_csv(old: np.ndarray, new: np.ndarray, path) -> None:
-    """Write old and new two-cover eigenvalues as CSV columns."""
-    if len(old) != len(new):
-        raise DomainError(f"spectra lengths differ: {len(old)} vs {len(new)}")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "old", "new"])
-        for index, (a, b) in enumerate(zip(old, new)):
-            writer.writerow([index, format(float(a), ".12g"), format(float(b), ".12g")])

@@ -15,10 +15,6 @@ class PoleError(DomainError):
     """Evaluation was requested at (or too close to) a pole."""
 
 
-class TruncationError(OctagapError, ValueError):
-    """A requested truncation radius exceeds what the supplied data supports."""
-
-
 class InsufficientDataError(OctagapError, ValueError):
     """Not enough usable data points for a fit or estimate."""
 

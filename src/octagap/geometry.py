@@ -18,9 +18,9 @@ import signal
 import sys
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -393,53 +393,6 @@ def horoball_cover_check(
     )
 
 
-# -- cusp data ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CuspDatum:
-    """Normalized data of a cusp: its rank with the area or length it carries.
-
-    Rank two keeps the coarea of the translation lattice, rank one the
-    translation length, rank zero nothing.
-    """
-
-    rank: int
-    area: float = float("nan")
-    length: float = float("nan")
-
-    @classmethod
-    def rank2(cls, w1: complex, w2: complex) -> "CuspDatum":
-        area = abs((w1.conjugate() * w2).imag)
-        if not area > 0:
-            raise DomainError("rank-2 translations must be independent")
-        return cls(rank=2, area=area)
-
-    @classmethod
-    def rank1(cls, w: complex) -> "CuspDatum":
-        length = abs(w)
-        if not length > 0:
-            raise DomainError("rank-1 translation must be nonzero")
-        return cls(rank=1, length=length)
-
-    @classmethod
-    def rank0(cls) -> "CuspDatum":
-        return cls(rank=0)
-
-
-def cusp_height_standard(p: Point3, reps: Iterable[ProjIsom]) -> float:
-    """Height of p at the cusp at infinity, maximized over the supplied orbit.
-
-    The honest height is a supremum over the whole group; this restricts the
-    maximum to a finite representative set, which is how every caller uses
-    it.  Horizontal translations preserve t, so the cusp's translation
-    lattice does not enter.
-    """
-    best = p.t
-    for g in reps:
-        best = max(best, apply_isom(g, p).t)
-    return best
-
-
 # -- orbit balls and the critical exponent -----------------------------------
 
 #: Spacing of the grid on which an orbit ball counts its points.
@@ -480,47 +433,22 @@ def _grid_counts(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
     return np.cumsum(bins), radius
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OrbitBall:
     """Counts of the displacements d(x0, g x0) over a word-length ball of a subgroup.
 
-    ``slices`` is a zero-argument source of the displacements, as an iterable
-    of arrays; the ball reads it once when built and keeps only
-    ``grid_counts`` (N(k GRID_STEP) for k = 0, 1, ... up to the first grid
-    point at or past every displacement), ``count`` and ``radius`` (the
-    largest displacement; the identity's is 0).  Readers that need more than
-    the counts, such as ``spectral.ball_delocalization_bound``, walk the
-    source again.  ``orbit_ball`` builds one from a walk of the orbit
-    walker, through ``_counted`` when it has already made the counts from
-    the walk's parts.  The ball keeps no words and no array of
-    displacements.
+    ``grid_counts`` holds N(k GRID_STEP) for k = 0, 1, ... up to the first
+    grid point at or past every displacement, ``count`` the number of
+    points and ``radius`` the largest displacement (the identity's is 0).
+    ``orbit_ball`` builds one from a walk of the orbit walker; the ball
+    keeps no words and no displacements.
     """
 
     base: Point3
     word_length: int
-    slices: Callable[[], Iterable[np.ndarray]]
-    grid_counts: np.ndarray = field(init=False)
-    radius: float = field(init=False)
-    count: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self._set_counts(*_grid_counts(self.slices()))
-
-    def _set_counts(self, grid_counts: np.ndarray, radius: float) -> None:
-        self.grid_counts, self.radius = grid_counts, radius
-        self.count = int(grid_counts[-1])
-
-    @classmethod
-    def _counted(
-        cls, base: Point3, word_length: int, slices: Callable[[], Iterable[np.ndarray]],
-        grid_counts: np.ndarray, radius: float,
-    ) -> OrbitBall:
-        """The ball of ``slices`` with its counts already made, which must be
-        those ``_grid_counts`` makes from ``slices()``; the slices are not read."""
-        ball = cls.__new__(cls)
-        ball.base, ball.word_length, ball.slices = base, word_length, slices
-        ball._set_counts(grid_counts, radius)
-        return ball
+    grid_counts: np.ndarray
+    radius: float
+    count: int
 
     def counting_function(self, t: float) -> int:
         """Number of orbit points within distance t.
@@ -624,7 +552,7 @@ def _fork_part(group: str, base: Point3, max_len: int, part: tuple[int, int]) ->
 
 def _split_counts(group: str, base: Point3, max_len: int, parts: int) -> tuple[np.ndarray, float]:
     """Grid counts and radius of the ball, walked in parts, all but the first
-    in forked children.
+    in forked children; one part forks nothing.
 
     The walker calls no BLAS, only einsum and ufuncs, which is what makes
     forking a process with numpy loaded safe here.  The parent walks part 0
@@ -682,6 +610,7 @@ def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
     included, raises DomainError, and a length past the walk's guard
     MemoryGuardError.  The walk streams its slices of displacements into
     the ball's counts, so no array of all displacements is ever formed.
+    A length of 0 gives the one-point ball of the identity.
 
     The walk is split into one part per CPU this process may run on, each
     part but the first walked in a child made with ``os.fork``
@@ -689,8 +618,7 @@ def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
     whole walk's bit for bit.  It runs in this process alone when there is
     one CPU, no ``os.fork``, more than one Python thread alive, or a word
     length below the group's ``_SPLIT_FROM`` (free 12, full 8, kernel 9),
-    where a fork costs more than a second CPU saves.  The ball's ``slices``
-    are always the whole walk.
+    where a fork costs more than a second CPU saves.
     """
     if not (cmath.isfinite(base.z) and 0 < base.t < math.inf):
         raise DomainError(f"base point must be finite with positive height, got {base}")
@@ -698,14 +626,8 @@ def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
     if group not in ORBIT_GROUPS:
         raise DomainError(f"unknown orbit group {group!r}; expected one of {ORBIT_GROUPS}")
     _ballfast._check_guard(group, max_len)
-    parts = _split_parts(group, max_len)
-
-    def slices():
-        return _ballfast._sphere_displacements(base.z, base.t, max_len, group)
-
-    if parts == 1:
-        return OrbitBall(base, max_len, slices)
-    return OrbitBall._counted(base, max_len, slices, *_split_counts(group, base, max_len, parts))
+    grid_counts, radius = _split_counts(group, base, max_len, _split_parts(group, max_len))
+    return OrbitBall(base, max_len, grid_counts, radius, int(grid_counts[-1]))
 
 
 DEFAULT_BASE_POINT = Point3(0.3 + 0.4j, 0.9)

@@ -364,20 +364,6 @@ def commutation_graph() -> dict[str, frozenset[str]]:
     return {n: frozenset(adj[n]) for n in names}
 
 
-def commutes(x: str, y: str) -> bool:
-    """Whether the standard generators named x and y commute (and differ)."""
-    return y in commutation_graph()[x]
-
-
-def orientation(g: ProjIsom) -> int:
-    """Orientation character: 0 for orientation preserving, 1 for reversing.
-
-    Matrices act on upper half space holomorphically, so only the conjugation
-    bit reverses orientation.
-    """
-    return g.conj
-
-
 def in_level2_congruence(g: ProjIsom) -> bool:
     """Whether g lies in the level-2 congruence subgroup of PGL(2, Z[i]).
 

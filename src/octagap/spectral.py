@@ -1,7 +1,7 @@
 """Scalar spectral evaluators: zeta functions of the Gaussian field, the
 diagonal scattering coefficient with its counting oracle, pole scanning, the
-Selberg transform of the ball kernel, delocalization bounds, cusp growth and
-decay terms, and the flattening error budget.
+Selberg transform of the ball kernel, the decay ratio of the constant cusp
+mode, and the flattening error budget.
 
 Two independent routes exist for the scattering coefficient: a closed formula
 built from zeta evaluators and a counting sum over Gaussian integer
@@ -17,14 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MemoryGuardError, PoleError, TruncationError, check_count
-
-if TYPE_CHECKING:
-    from .geometry import OrbitBall
+from .errors import DomainError, MemoryGuardError, PoleError, check_count
 
 
 @dataclass(frozen=True)
@@ -60,11 +57,6 @@ class SpectralParams:
             raise DomainError(
                 f"truncation radius must be finite and at least 1, got {self.truncation}"
             )
-
-    @property
-    def s(self) -> float:
-        """Spectral parameter with lam = 1 - s^2."""
-        return math.sqrt(1.0 - self.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +291,8 @@ def _scattering_terms(s: float, level: int, radius: float) -> tuple[np.ndarray, 
     check_count("level", level, 1)
     if not s > 2.0:
         raise DomainError(f"the counting sum converges for s > 2, got {s}")
-    if not radius >= 10.0:
-        raise DomainError(f"radius must be at least 10, got {radius}")
+    if not 10.0 <= radius < math.inf:
+        raise DomainError(f"radius must be finite and at least 10, got {radius}")
     if radius > _ORACLE_RADIUS_GUARD:
         raise MemoryGuardError(
             f"radius {radius} exceeds the cost guard of {_ORACLE_RADIUS_GUARD}"
@@ -452,71 +444,23 @@ def selberg_h_quadrature(T: float, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Delocalization bounds and cusp terms.
+# Cusp window decay ratio.
 
 
-def ball_delocalization_bound(ball: OrbitBall, truncation: float, lam: float) -> float:
-    """Pre-trace sup-norm bound from an orbit ball at truncation radius T.
+def cusp_decay_ratio_zeroth(s: float) -> float:
+    """Window-to-tail mass ratio of the constant cusp mode: 2^(2s) - 1.
 
-    Evaluates (1 - lam) / sinh^2(T sqrt(1 - lam)) times the sum of e^(-d)
-    over orbit displacements d <= T, walking the ball's slices again, so T
-    need not lie on the ball's counting grid.  The ball must extend at least
-    to T so no displacement inside the truncation window is missing.
+    The mode decays like t^(-1-2s), so the mass over [R, 2R] against the mass
+    over [2R, oo) is independent of R and evaluates exactly.
     """
-    T = float(truncation)
-    if not T > 0.0:
-        raise DomainError(f"truncation radius must be positive, got {T}")
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"eigenvalue must lie in (0, 1), got {lam}")
-    if T > ball.radius:
-        raise TruncationError(
-            f"truncation {T} exceeds the enumerated radius {ball.radius:.6f}"
-        )
-    total = sum(float(np.exp(-d[d <= T]).sum()) for d in ball.slices())
-    root = math.sqrt(1.0 - lam)
-    return (1.0 - lam) / math.sinh(T * root) ** 2 * total
+    s = float(s)
+    if not 0.0 < s < 1.0:
+        raise DomainError(f"spectral parameter must lie in (0, 1), got {s}")
+    return 2.0 ** (2.0 * s) - 1.0
 
 
-def cusp_kernel_growth(
-    cusps: Sequence[tuple[int, float, float]], truncation: float
-) -> float:
-    """Sum of per-cusp kernel growth terms at truncation radius T.
-
-    Each entry is (rank, height, size): rank two carries the coarea of its
-    translation lattice as size, rank one its translation length, rank zero
-    contributes nothing.  Heights below one sit outside the unit horoball
-    region and are skipped; log factors are clamped below at zero so every
-    term remains a valid upper bound.  A cusp whose weight, log argument or
-    term overflows (or is NaN) raises DomainError naming it.
-    """
-    T = float(truncation)
-    if not 0.0 < T < math.inf:
-        raise DomainError(f"truncation radius must be finite and positive, got {T}")
-    try:
-        half = math.sinh(T / 2.0)
-    except OverflowError:
-        raise DomainError(f"truncation radius {T:g} is too large: sinh(T/2) overflows") from None
-    total = 0.0
-    for index, (rank, height, size) in enumerate(cusps):
-        if rank not in (0, 1, 2):
-            raise DomainError(f"cusp rank must be 0, 1 or 2, got {rank}")
-        if rank == 0 or height < 1.0:
-            continue
-        if not 0.0 < size < math.inf:
-            raise DomainError(f"cusp size must be positive and finite, got {size}")
-        if rank == 2:
-            weight = height * height / size
-            arg = height * height * half / size
-        else:
-            weight = height / size
-            arg = height * half / size
-        total += weight * (math.log(arg) if arg > 1.0 else 0.0)
-        if not math.isfinite(total):
-            raise DomainError(
-                f"cusp {index} (rank {rank}, height {height:g}, size {size:g}): its kernel "
-                f"growth term overflows at truncation radius {T:g}"
-            )
-    return total
+# ---------------------------------------------------------------------------
+# Flattening error budget.
 
 
 def _radius_terms(L: float, lam: float, lam0: float, eps: float) -> tuple[float, float, float]:
@@ -542,149 +486,6 @@ def _check_finite(value: float, what: str, L: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{what} overflows at tangle radius {L:g}")
     return value
-
-
-def tangle_delocalization_bound(
-    tangle_radius: float,
-    lam: float,
-    lam0: float,
-    eps: float,
-    cusps: Sequence[tuple[int, float, float]] = (),
-    cover_cusps: Sequence[tuple[float, float]] = (),
-) -> float:
-    """Sup-norm bound at points where loops of length tangle_radius are tame.
-
-    Evaluates (1 - lam) e^(-2 L sqrt(1 - lam)) (e^(L (sqrt(1 - lam0) + eps))
-    + R) where R collects the kernel growth terms of ``cusps`` plus, for each
-    cover-level rank-two cusp (height, area), the term (height^2 / area)
-    log(height sinh(L/2) / area) with the height to the first power inside
-    the log.  Raises DomainError naming the tangle radius when an
-    exponential or the bound overflows, and DomainError when a cover cusp's
-    height or area is not finite.
-    """
-    L = float(tangle_radius)
-    damping, main, half = _radius_terms(L, lam, lam0, eps)
-    growth = cusp_kernel_growth(cusps, L)
-    for height, area in cover_cusps:
-        if not (math.isfinite(height) and math.isfinite(area)):
-            raise DomainError(f"cover cusp height and area must be finite, got ({height}, {area})")
-        if height < 1.0:
-            continue
-        if not area > 0.0:
-            raise DomainError(f"cusp area must be positive, got {area}")
-        growth += height * height / area * max(math.log(height * half / area), 0.0)
-    return _check_finite((1.0 - lam) * damping * (main + growth), "the bound", L)
-
-
-# ---------------------------------------------------------------------------
-# Cusp window decay ratios.
-
-
-def cusp_decay_ratio_zeroth(s: float) -> float:
-    """Window-to-tail mass ratio of the constant cusp mode: 2^(2s) - 1.
-
-    The mode decays like t^(-1-2s), so the mass over [R, 2R] against the mass
-    over [2R, oo) is independent of R and evaluates exactly.
-    """
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"spectral parameter must lie in (0, 1), got {s}")
-    return 2.0 ** (2.0 * s) - 1.0
-
-
-_INTEGRAND_FLOOR_LOG = -math.log(1e-30)
-
-#: Longest panel of bessel_k's rule.  The integration range U grows like
-#: log(1/x): past 15 below x = 8e-5, to about 700 at x = 1e-300, where one
-#: 64-node panel over all of it is off by 2%.  Panels at most 15 long stay
-#: within 1e-13 of scipy's kv for x from 1e-300 to 600.
-_BESSEL_PANEL = 15.0
-
-#: Least argument of bessel_k, about 7.2e-307: below it the cut's
-#: cosh U = (floor + 60) / x + 1 overflows.
-_BESSEL_MIN_ARG = (_INTEGRAND_FLOOR_LOG + 60.0) / np.finfo(np.float64).max
-
-
-def _bessel_k(order: float, x: np.ndarray) -> np.ndarray:
-    """bessel_k at every entry of x, unchecked, on as many panels as the largest U needs."""
-    from .geometry import _gauss_legendre
-
-    nodes, weights = _gauss_legendre()
-    x = np.asarray(x, dtype=np.float64)[..., None]
-    cut = np.arccosh((_INTEGRAND_FLOOR_LOG + 60.0) / x + 1.0)
-    panels = max(1, math.ceil(float(cut.max()) / _BESSEL_PANEL))
-    u = cut * ((np.arange(panels)[:, None] + nodes) / panels).ravel()
-    weights = np.tile(weights, panels) / panels
-    return (cut * np.exp(-x * np.cosh(u)) * np.cosh(order * u)) @ weights
-
-
-def bessel_k(order: float, x: float) -> float:
-    """Modified Bessel function of the second kind by its integral form.
-
-    Integrates e^(-x cosh u) cosh(order u) du over [0, U] with U chosen so
-    the integrand has fallen below 1e-30, by Gauss-Legendre panels at most
-    15 long.  Valid for real order in (0, 1) and x down to about 7.2e-307.
-    Just above that, for orders near 1, cosh(order u) overflows at the top
-    of the range (order 0.999999: below x = 2e-306), which raises
-    DomainError too.
-    """
-    order, x = float(order), float(x)
-    if not 0.0 < order < 1.0:
-        raise DomainError(f"order must lie in (0, 1), got {order}")
-    if not x >= _BESSEL_MIN_ARG:
-        raise DomainError(f"argument must be at least {_BESSEL_MIN_ARG:.4g}, got {x}")
-    with np.errstate(over="ignore"):
-        value = float(_bessel_k(order, x))
-    if not math.isfinite(value):
-        raise DomainError(f"the integrand of K_{order}({x}) overflows")
-    return value
-
-
-def cusp_decay_ratio_bessel(s: float, frequency: float = 1.0, radius: float = 1.0) -> float:
-    """Window-to-tail mass ratio of a nonconstant cusp mode.
-
-    Computes the integral of K_s(2 pi frequency t)^2 / t over [R, 2R] divided
-    by the same integral over [2R, oo), truncating the tail where the
-    exponential Bessel decay drops the integrand below working precision.
-    Each of the panels [R, 2R], [2R, 4R], ... (the last ending at the cut)
-    carries one Gauss-Legendre rule over bessel_k's, a 64 x 64 array.
-    Raises DomainError where 2 pi frequency R is below bessel_k's range,
-    where the window mass overflows (R below about 3e-141 at frequency 1)
-    and where the tail mass underflows to 0 (R above about 29 at
-    frequency 1).
-    """
-    from .geometry import _gauss_legendre
-
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"spectral parameter must lie in (0, 1), got {s}")
-    if not frequency > 0.0:
-        raise DomainError(f"frequency must be positive, got {frequency}")
-    if not 0.0 < radius < math.inf:
-        raise DomainError(f"radius must be positive and finite, got {radius}")
-    w = 2.0 * math.pi * frequency
-    if not w * radius >= _BESSEL_MIN_ARG:
-        raise DomainError(f"radius {radius} puts the Bessel argument below {_BESSEL_MIN_ARG:.4g}")
-    tail_cut = 2.0 * radius + (_INTEGRAND_FLOOR_LOG + 20.0) / (2.0 * w)
-    edges = radius * 2.0 ** np.arange(math.ceil(math.log2(tail_cut / radius)) + 1.0)
-    edges[-1] = tail_cut
-    nodes, weights = _gauss_legendre()
-    spans = np.diff(edges)
-    t = edges[:-1, None] + spans[:, None] * nodes
-    # One panel at a time, so no Bessel array outgrows 64 x 64 per bessel_k panel.
-    with np.errstate(over="ignore", invalid="ignore"):
-        masses = spans * [float((_bessel_k(s, w * row) ** 2 / row) @ weights) for row in t]
-    window, tail = float(masses[0]), float(masses[1:].sum())
-    if not (math.isfinite(window) and 0.0 < tail < math.inf):
-        raise DomainError(
-            f"radius {radius} is out of range at frequency {frequency}: "
-            f"window mass {window}, tail mass {tail}"
-        )
-    return window / tail
-
-
-# ---------------------------------------------------------------------------
-# Flattening error budget.
 
 
 @dataclass(frozen=True)
@@ -738,8 +539,8 @@ def flattening_budget(
         triple = tuple(float(a) for a in face)
         if len(triple) != 3:
             raise DomainError(f"every face carries exactly 3 cusp areas, got {len(triple)}")
-        if any(not a > 0.0 for a in triple):
-            raise DomainError(f"cusp areas must be positive, got {triple}")
+        if any(not 0.0 < a < math.inf for a in triple):
+            raise DomainError(f"cusp areas must be positive and finite, got {triple}")
         face_areas.append(triple)  # type: ignore[arg-type]
 
     floor = math.exp(math.sqrt(1.0 - lam0) * L)

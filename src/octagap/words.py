@@ -1,4 +1,4 @@
-"""Words in the eight face reflections: parsing, normal forms, enumeration.
+"""Words in the eight face reflections: normal forms, images and enumeration.
 
 A word is a tuple of generator names ("r1", "r2p", ...).  The group is the
 right-angled Coxeter group on the cube commutation graph, so every element has
@@ -35,34 +35,6 @@ FREE_LETTERS: tuple[str, ...] = ("t1", "t2", "t3", "t4")
 _LETTER_INDEX = {name: k for k, name in enumerate(GENERATOR_NAMES)}
 _PERP_TO_FREE = {"r1p": "t1", "r2p": "t2", "r3p": "t3", "r4p": "t4"}
 _FREE_TO_FACE = {"t1": "r1", "t2": "r2", "t3": "r3", "t4": "r4"}
-
-
-def parse_word(text: str) -> CoxeterWord:
-    """Parse a dot-separated word like "r1.r2p.r3"; "" is the empty word."""
-    text = text.strip()
-    if not text:
-        return ()
-    letters = tuple(text.split("."))
-    for x in letters:
-        if x not in _LETTER_INDEX:
-            raise DomainError(f"unknown generator {x!r} in word {text!r}")
-    return letters
-
-
-def format_word(word: Iterable[str]) -> str:
-    return ".".join(word)
-
-
-def parse_free_word(text: str) -> FreeWord:
-    """Parse a dot-separated free word like "t1.t2"; "" is the empty word."""
-    text = text.strip()
-    if not text:
-        return ()
-    letters = tuple(text.split("."))
-    for x in letters:
-        if x not in _FREE_TO_FACE:
-            raise DomainError(f"unknown free letter {x!r} in word {text!r}")
-    return letters
 
 
 def free_to_face_word(word: Iterable[str]) -> CoxeterWord:
@@ -113,11 +85,6 @@ def normal_form(word: Iterable[str]) -> CoxeterWord:
 def is_normal_form(word: Iterable[str]) -> bool:
     word = tuple(word)
     return normal_form(word) == word
-
-
-def word_length(word: Iterable[str]) -> int:
-    """Geodesic length of the element represented by the word."""
-    return len(normal_form(word))
 
 
 def perp_image(word: Iterable[str]) -> FreeWord:

@@ -27,8 +27,6 @@ from octagap.covers import (
     all_plus_signing,
     dirichlet_rho,
     dual_graph,
-    export_edges_csv,
-    export_spectra_csv,
     graph_lambda1,
     is_connected,
     lift_graph,
@@ -865,26 +863,7 @@ def test_replacement_ball_guards_its_radius():
         replacement_ball(True)
 
 
-# -- exports ----------------------------------------------------------------------------
-
-
-def test_export_edges_csv(tmp_path):
-    graph = dual_graph(sample_cover(8, 3))
-    path = tmp_path / "edges.csv"
-    export_edges_csv(graph, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "u,v,color,sign"
-    assert len(lines) == graph.num_edges + 1
-    assert all(line.endswith(",1") for line in lines[1:])
-    signing = simple_switching(all_plus_signing(graph), 0)
-    export_edges_csv(graph, path, signing)
-    lines = path.read_text().strip().splitlines()
-    assert lines[1].endswith(",-1")
-    signs = np.random.default_rng(4).choice([-1, 1], size=graph.num_edges)
-    export_edges_csv(graph, path, Signing(signs))
-    rows = [[int(cell) for cell in line.split(",")] for line in path.read_text().splitlines()[1:]]
-    twin = _dual_graph_edges_twin(sample_cover(8, 3))
-    assert rows == [[u, v, color, int(sign)] for (u, v, color), sign in zip(twin, signs)]
+# -- the edge table --------------------------------------------------------------------
 
 
 def test_cover_command_edge_table_matches_the_per_pair_twin(tmp_path):
@@ -898,12 +877,3 @@ def test_cover_command_edge_table_matches_the_per_pair_twin(tmp_path):
     twin = _dual_graph_edges_twin(sample_cover(50, 3))
     assert rows == [[u, v, color, 1] for u, v, color in twin]
 
-
-def test_export_spectra_csv(tmp_path):
-    graph = dual_graph(sample_cover(8, 3))
-    old, new = two_cover_spectra(graph, all_plus_signing(graph))
-    path = tmp_path / "spectra.csv"
-    export_spectra_csv(old, new, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,old,new"
-    assert len(lines) == len(old) + 1

@@ -14,7 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from octagap import _ballfast, geometry
-from octagap.errors import DomainError, InsufficientDataError, MemoryGuardError, TruncationError
+from octagap.errors import DomainError, InsufficientDataError, MemoryGuardError
 from octagap.geometry import (
     DEFAULT_BASE_POINT,
     FREE_SUBGROUP_CRITICAL_EXPONENT,
@@ -22,7 +22,6 @@ from octagap.geometry import (
     IDEAL_VERTICES,
     OCTA_CENTER,
     ORBIT_GROUPS,
-    CuspDatum,
     OrbitBall,
     Point3,
     apply_isom,
@@ -30,7 +29,6 @@ from octagap.geometry import (
     cap_volume,
     cap_volume_bound,
     cap_volume_monte_carlo,
-    cusp_height_standard,
     dist,
     elstrodt_sullivan,
     estimate_critical_exponent,
@@ -212,34 +210,6 @@ def test_horoball_cover_check_rejects_an_exclusion_radius_that_checks_nothing(ra
     # NaN and inf exclude every point, so no multiplicity would be checked.
     with pytest.raises(DomainError):
         horoball_cover_check(100, seed=1, exclusion_radius=radius)
-
-
-# -- cusp data --------------------------------------------------------------------
-
-
-def test_rank_two_cusp_area_is_the_lattice_covolume():
-    datum = CuspDatum.rank2(2.0 + 0.0j, 3.0j)
-    assert datum.rank == 2
-    assert datum.area == pytest.approx(6.0)
-
-
-def test_rank_two_cusp_rejects_dependent_translations():
-    with pytest.raises(DomainError):
-        CuspDatum.rank2(1.0 + 1.0j, 2.0 + 2.0j)
-
-
-def test_rank_one_cusp_rejects_the_trivial_translation():
-    assert CuspDatum.rank1(2.0j).length == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        CuspDatum.rank1(0.0j)
-
-
-def test_cusp_height_maximizes_over_the_representatives():
-    p = point(0.3, 0.4, 0.9)
-    reps = octa_symmetry_group()
-    height = cusp_height_standard(p, reps)
-    assert height >= p.t
-    assert height == pytest.approx(max(apply_isom(g, p).t for g in reps), abs=1e-12)
 
 
 # -- volumes ----------------------------------------------------------------------
@@ -444,9 +414,10 @@ def test_orbit_ball_counts_match_the_word_counts():
 TWIN_BASE_POINTS = (DEFAULT_BASE_POINT, point(0.35, 0.38, 0.95))
 
 
-def _walked(ball):
-    """The displacements of the ball's slices, joined and sorted."""
-    return np.sort(np.concatenate(list(ball.slices())))
+def _walked(label, base, max_len):
+    """The displacements of the whole walk of the ball, joined and sorted."""
+    walk = _ballfast._sphere_displacements(base.z, base.t, max_len, label)
+    return np.sort(np.concatenate(list(walk)))
 
 
 def _face_word(word):
@@ -483,7 +454,7 @@ _TWIN_GROUPS = [("free", _face_word), ("full", None), ("kernel", in_perp_kernel)
 def _assert_walk_matches_the_word_route(label, keep, max_len):
     words = _twin_words(max_len, keep)
     for base in TWIN_BASE_POINTS:
-        fast = _walked(orbit_ball(label, base, max_len))
+        fast = _walked(label, base, max_len)
         slow = _word_route_displacements(words, base)
         assert fast.size == slow.size
         assert np.max(np.abs(fast - slow)) < 1e-9
@@ -525,7 +496,7 @@ def test_grid_counts_are_searchsorted_over_the_walked_slices(monkeypatch, label,
     if chunk is not None:
         monkeypatch.setattr(_ballfast, "_CHUNK", chunk)
     ball = orbit_ball(label, DEFAULT_BASE_POINT, max_len)
-    walked = _walked(ball)
+    walked = _walked(label, DEFAULT_BASE_POINT, max_len)
     grid = np.arange(ball.grid_counts.size) * GRID_STEP
     assert ball.grid_counts.tolist() == np.searchsorted(walked, grid, side="right").tolist()
     assert ball.count == walked.size
@@ -540,7 +511,7 @@ def test_walk_does_not_depend_on_the_block_size(monkeypatch, label, max_len):
     walks = []
     for chunk in (1, 7, _ballfast._CHUNK):
         monkeypatch.setattr(_ballfast, "_CHUNK", chunk)
-        walks.append(_walked(orbit_ball(label, DEFAULT_BASE_POINT, max_len)).tobytes())
+        walks.append(_walked(label, DEFAULT_BASE_POINT, max_len).tobytes())
     assert walks[0] == walks[1] == walks[2]
 
 
@@ -556,7 +527,7 @@ def test_walked_displacements_match_the_exact_word_products(label, max_len):
     for base in TWIN_BASE_POINTS:
         w, t = _ballfast.act(mats, conj, base.z, base.t)
         exact = np.sort(_ballfast.distance(w, t, base.z, base.t))
-        walked = _walked(orbit_ball(label, base, max_len))
+        walked = _walked(label, base, max_len)
         assert walked.size == exact.size
         assert np.max(np.abs(walked - exact)) < 1e-13
 
@@ -679,7 +650,8 @@ def test_grid_bins_are_exact_at_and_next_to_the_grid_points():
     )
     shuffled = np.random.default_rng(5).permutation(values)
     pieces = np.split(shuffled, [1, 8, 300])
-    ball = OrbitBall(DEFAULT_BASE_POINT, 0, lambda: iter(pieces))
+    grid_counts, radius = geometry._grid_counts(pieces)
+    ball = OrbitBall(DEFAULT_BASE_POINT, 0, grid_counts, radius, int(grid_counts[-1]))
     ordered = np.sort(values)
     assert ball.count == values.size
     assert ball.radius == ordered[-1] == np.nextafter(20.0, np.inf)
@@ -801,17 +773,19 @@ def test_split_walk_counts_equal_the_whole_walk_bit_for_bit(
     monkeypatch, forks, label, max_len, parts, chunk
 ):
     """A ball walked in parts, all but one in forked children, against the
-    same ball built from the whole walk's slices, at both twin base points;
-    with seven-parent blocks the split level deals several blocks."""
+    counts of the whole walk's slices, at both twin base points; with
+    seven-parent blocks the split level deals several blocks."""
     if chunk is not None:
         monkeypatch.setattr(_ballfast, "_CHUNK", chunk)
     monkeypatch.setattr(geometry, "_part_count", lambda: parts)
     for base in TWIN_BASE_POINTS:
         split = orbit_ball(label, base, max_len)
-        whole = OrbitBall(base, max_len, split.slices)
-        assert split.grid_counts.dtype == whole.grid_counts.dtype == np.int64
-        assert split.grid_counts.tobytes() == whole.grid_counts.tobytes()
-        assert (split.count, split.radius) == (whole.count, whole.radius)
+        grid_counts, radius = geometry._grid_counts(
+            _ballfast._sphere_displacements(base.z, base.t, max_len, label)
+        )
+        assert split.grid_counts.dtype == grid_counts.dtype == np.int64
+        assert split.grid_counts.tobytes() == grid_counts.tobytes()
+        assert (split.count, split.radius) == (int(grid_counts[-1]), radius)
     assert len(forks) == 2 * (parts - 1)
     _assert_no_child_left()
 
@@ -930,6 +904,13 @@ def test_orbit_ball_refuses_lengths_past_the_memory_guard(label, max_len):
 
 
 @pytest.mark.parametrize("label", ORBIT_GROUPS)
+def test_orbit_ball_of_length_zero_is_the_identity_alone(label):
+    ball = orbit_ball(label, DEFAULT_BASE_POINT, 0)
+    assert (ball.count, ball.radius, ball.grid_counts.tolist()) == (1, 0.0, [1])
+    assert ball.counting_function(0.0) == 1
+
+
+@pytest.mark.parametrize("label", ORBIT_GROUPS)
 def test_orbit_ball_rejects_negative_lengths(label):
     with pytest.raises(DomainError):
         orbit_ball(label, DEFAULT_BASE_POINT, -1)
@@ -955,8 +936,9 @@ def test_orbit_ball_displacements_are_sorted_from_zero():
     """The walker yields the identity's 0 first; the ball counts one point
     at 0 and all of them at the radius."""
     walk = orbit_ball("free", DEFAULT_BASE_POINT, 5)
-    assert next(iter(walk.slices())).tolist() == [0.0]
-    assert walk.radius == _walked(walk)[-1]
+    base = DEFAULT_BASE_POINT
+    assert next(_ballfast._sphere_displacements(base.z, base.t, 5, "free")).tolist() == [0.0]
+    assert walk.radius == _walked("free", base, 5)[-1]
     assert walk.counting_function(0.0) == 1
     assert walk.counting_function(walk.radius) == walk.count
 

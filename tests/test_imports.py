@@ -1,10 +1,13 @@
-"""Start-up hygiene: a command loads only the layers it runs.
+"""Start-up hygiene: a command loads only the layers it runs, and every
+public library name has a consumer.
 
-Each case runs in a fresh interpreter, since this test process has long
-since imported numpy and scipy.
+Each start-up case runs in a fresh interpreter, since this test process has
+long since imported numpy and scipy.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,12 +88,7 @@ def test_library_integrals_run_on_numpy_alone():
         "scattering_pole_scan": "(1, grid_points=20)",
         "selberg_h": "(2.0, 0.5)",
         "selberg_h_quadrature": "(2.0, 0.5)",
-        "ball_delocalization_bound": "(ball, 2.0, 0.5)",
-        "cusp_kernel_growth": "([(2, 2.0, 1.0)], 4.0)",
-        "tangle_delocalization_bound": "(4.0, 0.4, 0.8, 0.01)",
         "cusp_decay_ratio_zeroth": "(0.5)",
-        "bessel_k": "(0.5, 1.0)",
-        "cusp_decay_ratio_bessel": "(0.6)",
         "flattening_budget": "([(1.0, 1.0, 1.0)], 4.0, 0.4, 0.8, 0.01)",
     }
     statements = "\n".join(
@@ -98,7 +96,6 @@ def test_library_integrals_run_on_numpy_alone():
             "import inspect",
             "from octagap import geometry, spectral",
             "geometry.cap_volume(2.0, 1.0)",
-            "ball = geometry.orbit_ball('free', geometry.DEFAULT_BASE_POINT, 3)",
             *(f"spectral.{name}{args}" for name, args in calls.items()),
             "public = {name for name, f in inspect.getmembers(spectral, inspect.isfunction)",
             "          if f.__module__ == spectral.__name__ and not name.startswith('_')}",
@@ -108,3 +105,100 @@ def test_library_integrals_run_on_numpy_alone():
     code, modules = _fresh_run(statements)
     assert code == 0, "the calls above must cover every public spectral function"
     assert "scipy" not in modules
+
+
+_LIBRARY = Path(octagap.__file__).resolve().parent
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_names() -> tuple[set[str], set[str]]:
+    """The public module-level functions and classes of the library, as
+    ``module.name``, and every definition the five commands reach.
+
+    An AST walk from each definition in ``cli.py`` and from the statements
+    each module runs at import.  A bare name reaches its own module's
+    definition or the one it imports from the package; ``module.attr`` on
+    an imported package module reaches that module's definition; any other
+    ``.attr`` reaches every method of that name, since the walk does not
+    know the object's type.  A class reaches what its body outside its
+    methods names (bases, decorators, field defaults) and its dunder
+    methods, which run without being named.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in _LIBRARY.glob("*.py")}
+    nodes, methods, imports = {}, {}, {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                nodes[f"{module}.{node.name}"] = node
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef):
+                        nodes[f"{module}.{node.name}.{sub.name}"] = sub
+                        methods.setdefault(sub.name, []).append(f"{module}.{node.name}.{sub.name}")
+        imports[module] = {
+            alias.asname or alias.name: f"{node.module}.{alias.name}" if node.module else alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+
+    def reached_from(module, roots):
+        out = set()
+        for n in (n for root in roots for n in ast.walk(root)):
+            if isinstance(n, ast.Name):
+                out |= {f"{module}.{n.id}", imports[module].get(n.id, "")} & nodes.keys()
+            elif isinstance(n, ast.Attribute):
+                owner = imports[module].get(getattr(n.value, "id", None))
+                target = f"{owner}.{n.attr}"
+                if owner in trees:
+                    out |= {target} & nodes.keys()
+                else:
+                    out.update(methods.get(n.attr, ()))
+        return out
+
+    def edges(name):
+        module, node = name.split(".")[0], nodes[name]
+        if isinstance(node, ast.FunctionDef):
+            return reached_from(module, [node])
+        body = [n for n in node.body if not isinstance(n, ast.FunctionDef)]
+        dunders = {
+            f"{name}.{n.name}"
+            for n in node.body
+            if isinstance(n, ast.FunctionDef) and n.name.startswith("__")
+        }
+        return reached_from(module, body + node.bases + node.decorator_list) | dunders
+
+    defs = (ast.FunctionDef, ast.ClassDef)
+    todo = {name for name in nodes if name.startswith("cli.")}
+    for module, tree in trees.items():
+        todo |= reached_from(module, [n for n in tree.body if not isinstance(n, defs)])
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= edges(name) - reached
+    public = {name for name in nodes if re.fullmatch(r"\w+\.[^_]\w*", name)}
+    return public, reached
+
+
+def _readme_consumers() -> dict[str, tuple[str, str]]:
+    """The README's table of names no command reaches: label and consumer by name."""
+    rows = re.findall(r"^\| `([\w.]+)` \| (\w+) \| (.+?) \|$", _README.read_text(), re.M)
+    return {name: (label, consumer) for name, label, consumer in rows}
+
+
+def test_every_public_name_is_reached_by_a_command_or_listed_with_its_consumer():
+    """A public function or class that no command reaches stays only as the
+    twin of a reached function, named in the README table, or as the holder
+    of an acceptance criterion; the table lists nothing else."""
+    public, reached = _library_names()
+    listed = _readme_consumers()
+    assert sorted(public - reached) == sorted(listed)
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+    criteria = set(re.findall(r"^def test_criterion_(\d\d)_", acceptance, re.M))
+    for name, (label, consumer) in listed.items():
+        if label == "twin":
+            checked = re.findall(r"`([\w.]+)`", consumer)
+            assert checked and reached.issuperset(checked), (name, consumer)
+        else:
+            assert label == "criterion", (name, label)
+            assert consumer[:2] in criteria, (name, consumer)

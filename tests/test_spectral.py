@@ -6,27 +6,16 @@ import re
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
-import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from octagap.errors import DomainError, MemoryGuardError, PoleError, TruncationError
-from octagap.geometry import (
-    DEFAULT_BASE_POINT,
-    cap_volume_monte_carlo,
-    horoball_cover_check,
-    orbit_ball,
-)
+from octagap.errors import DomainError, MemoryGuardError, PoleError
+from octagap.geometry import cap_volume_monte_carlo, horoball_cover_check
 from octagap.spectral import (
     FlatteningBudget,
     SpectralParams,
     _scattering_counts,
-    ball_delocalization_bound,
-    bessel_k,
-    cusp_decay_ratio_bessel,
     cusp_decay_ratio_zeroth,
-    cusp_kernel_growth,
     dedekind_zeta_qi,
     dirichlet_beta,
     flattening_budget,
@@ -38,7 +27,6 @@ from octagap.spectral import (
     scattering_pole_scan,
     selberg_h,
     selberg_h_quadrature,
-    tangle_delocalization_bound,
 )
 
 SCATTERING_VALUES = {
@@ -184,13 +172,11 @@ def test_scattering_pole_scan_flags_non_finite_values(monkeypatch):
         (lambda: scattering_pole_scan(1, grid_points=10.5), DomainError, "grid_points"),
         (lambda: scattering_pole_scan(1, grid_points=10**12), MemoryGuardError, "GiB"),
         (
-            lambda: tangle_delocalization_bound(
-                10.0, 0.4, 0.8, 0.01, cover_cusps=[(2.0, math.inf)]
-            ),
+            lambda: flattening_budget([(1.0, 1.0, math.inf)], 10.0, 0.4, 0.8, 0.01),
             DomainError,
             "finite",
         ),
-        (lambda: cusp_decay_ratio_bessel(0.6, 1.0, math.inf), DomainError, "finite"),
+        (lambda: scattering_lattice_sum(2.5, 1, math.inf), DomainError, "finite"),
         (lambda: horoball_cover_check(100, seed=-1), DomainError, "seed"),
         (lambda: cap_volume_monte_carlo(2.0, 0.5, 100, -1), DomainError, "seed"),
     ],
@@ -415,7 +401,7 @@ def test_selberg_h_near_the_top_of_the_spectrum_matches_a_50_digit_closed_form()
         ), (truncation, lam)
 
 
-# -- cusp decay ratios ----------------------------------------------------------------
+# -- cusp decay ratio -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
@@ -423,182 +409,7 @@ def test_zeroth_mode_decay_ratio_closed_form(s):
     assert cusp_decay_ratio_zeroth(s) == pytest.approx(4.0**s - 1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize(("order", "x"), [(0.1, 0.5), (0.5, 0.1), (0.5, 5.0), (0.9, 20.0)])
-def test_bessel_k_matches_scipy(order, x):
-    assert bessel_k(order, x) == pytest.approx(scipy.special.kv(order, x), rel=1e-10)
-
-
-def test_bessel_k_matches_scipy_across_orders_and_arguments():
-    """Down to x = 1e-300, where the integration range is about 700 long."""
-    orders = np.linspace(0.01, 0.99, 20)
-    arguments = np.concatenate([np.geomspace(1e-300, 1e-8, 8), np.geomspace(1e-6, 600.0, 24)])
-    values = [[bessel_k(order, x) for x in arguments] for order in orders]
-    expected = scipy.special.kv(orders[:, None], arguments)
-    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
-
-
-def test_bessel_k_only_covers_the_open_unit_order_interval():
-    with pytest.raises(DomainError):
-        bessel_k(1.3, 1.0)
-    with pytest.raises(DomainError):
-        bessel_k(0.5, 0.0)
-
-
-@pytest.mark.parametrize("x", [1e-310, 5e-307])
-def test_bessel_k_rejects_arguments_below_its_range(x):
-    """Below 7.2e-307 the integration range overflows."""
-    for order in (0.5, 0.999999):
-        with pytest.raises(DomainError, match="at least"):
-            bessel_k(order, x)
-
-
-def test_bessel_k_names_an_integrand_that_overflows():
-    """For orders near 1 the integrand overflows just above the least
-    argument; order 1/2 has the closed form sqrt(pi / 2x) down to it."""
-    with pytest.raises(DomainError, match="overflows"):
-        bessel_k(0.999999, 1e-306)
-    for x in (7.2e-307, 1e-301):
-        assert bessel_k(0.5, x) == pytest.approx(math.sqrt(math.pi / (2.0 * x)), rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "frequency, radius",
-    [(1.0, 30.0), (1.0, 1e3), (2.0, 15.0), (1.0, 1e-200), (1.0, 1e-301), (1.0, 1e-320)],
-)
-def test_bessel_mode_decay_ratio_names_a_radius_out_of_range(frequency, radius):
-    """The tail mass underflows to 0 from radius 29 at frequency 1, and the
-    window mass overflows below radius 3e-141; both are usage errors, with
-    no warning on the way."""
-    with pytest.raises(DomainError, match=f"radius {radius}"):
-        cusp_decay_ratio_bessel(0.6, frequency, radius)
-
-
-def test_bessel_mode_decay_ratio_matches_direct_quadrature():
-    s, frequency, radius = 0.6, 1.0, 1.0
-
-    def integrand(t):
-        return scipy.special.kv(s, 2.0 * math.pi * frequency * t) ** 2 / t
-
-    window, _ = scipy.integrate.quad(integrand, radius, 2.0 * radius)
-    tail, _ = scipy.integrate.quad(integrand, 2.0 * radius, 8.0)
-    assert cusp_decay_ratio_bessel(s, frequency, radius) == pytest.approx(
-        window / tail, rel=1e-6
-    )
-
-
-def _cusp_decay_ratio_mp(s, frequency, radius):
-    """The window-to-tail ratio over the library's tail cut in 40-digit
-    arithmetic.  The tail is split at 2R, 4R, 8R, ...: mpmath's quadrature
-    over it in one piece is not accurate enough."""
-    tail_cut = 2.0 * radius + (-math.log(1e-30) + 20.0) / (4.0 * math.pi * frequency)
-    with mpmath.workdps(40):
-        w = 2 * mpmath.pi * frequency
-
-        def integrand(t):
-            return mpmath.besselk(s, w * t) ** 2 / t
-
-        window = mpmath.quad(integrand, [radius, 2 * radius], method="gauss-legendre")
-        points = [2 * radius]
-        while 2 * points[-1] < tail_cut:
-            points.append(2 * points[-1])
-        tail = mpmath.quad(integrand, [*points, tail_cut], method="gauss-legendre")
-        return float(window / tail)
-
-
-def _cusp_decay_ratio_kve(s, frequency, radius):
-    """The same ratio from scipy's exponentially scaled kve, each mass summed
-    by quad over panels 0.05 wide.  K_s(w t)^2 / t is kve(s, w t)^2
-    e^(-2 w t) / t, and the factor e^(-2 w R) common to both masses is taken
-    out, so nothing underflows at large R."""
-    w = 2.0 * math.pi * frequency
-    tail_cut = 2.0 * radius + (-math.log(1e-30) + 20.0) / (2.0 * w)
-
-    def integrand(t):
-        return scipy.special.kve(s, w * t) ** 2 * math.exp(-2.0 * w * (t - radius)) / t
-
-    def mass(lo, hi):
-        edges = np.linspace(lo, hi, math.ceil((hi - lo) / 0.05) + 1)
-        return math.fsum(
-            scipy.integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13)[0]
-            for a, b in zip(edges[:-1], edges[1:])
-        )
-
-    return mass(radius, 2.0 * radius) / mass(2.0 * radius, tail_cut)
-
-
-def test_bessel_mode_decay_ratio_matches_a_40_digit_reference():
-    """At radius 0.01 the tail runs 350 times as far as its start, 0.02,
-    while the integrand falls like t^(-2.2).  From radius 5 on the integrand
-    falls by e^(-4 pi R) across the window, which the mpmath reference's one
-    Gauss-Legendre panel per range does not resolve (its ratio is 63% off at
-    R = 5), so those radii are held to the kve reference."""
-    for radius in (1.0, 2.0, 0.01):
-        assert cusp_decay_ratio_bessel(0.6, 1.0, radius) == pytest.approx(
-            _cusp_decay_ratio_mp(0.6, 1.0, radius), rel=1e-12
-        ), radius
-    for radius in (5.0, 10.0, 20.0):
-        assert cusp_decay_ratio_bessel(0.6, 1.0, radius) == pytest.approx(
-            _cusp_decay_ratio_kve(0.6, 1.0, radius), rel=1e-12
-        ), radius
-
-
-def test_bessel_mode_decay_ratio_grows_with_the_radius():
-    assert cusp_decay_ratio_bessel(0.6, 1.0, 2.0) > cusp_decay_ratio_bessel(0.6, 1.0, 1.0) > 1.0
-
-
-# -- kernel growth and budget terms ------------------------------------------------------
-
-
-def test_kernel_growth_closed_forms():
-    assert cusp_kernel_growth([(2, 1.0, 1.0)], 4.0) == pytest.approx(
-        math.log(math.sinh(2.0)), rel=1e-12
-    )
-    expected = (2.0 / 1.5) * math.log(2.0 * math.sinh(2.0) / 1.5)
-    assert cusp_kernel_growth([(1, 2.0, 1.5)], 4.0) == pytest.approx(expected, rel=1e-12)
-
-
-def test_kernel_growth_skips_low_cusps_and_adds_contributions():
-    assert cusp_kernel_growth([(2, 0.5, 1.0)], 4.0) == 0.0
-    assert cusp_kernel_growth([], 4.0) == 0.0
-    both = cusp_kernel_growth([(2, 1.0, 1.0), (1, 2.0, 1.5)], 4.0)
-    assert both == pytest.approx(
-        cusp_kernel_growth([(2, 1.0, 1.0)], 4.0) + cusp_kernel_growth([(1, 2.0, 1.5)], 4.0),
-        rel=1e-12,
-    )
-
-
-def test_kernel_growth_validates_ranks_and_truncation():
-    with pytest.raises(DomainError):
-        cusp_kernel_growth([(3, 1.0, 1.0)], 4.0)
-    with pytest.raises(DomainError):
-        cusp_kernel_growth([(2, 1.0, 1.0)], 0.0)
-    with pytest.raises(DomainError, match="finite"):
-        cusp_kernel_growth([(2, 2.0, 1.0)], math.inf)
-    with pytest.raises(DomainError, match="truncation radius 1e[+]06 is too large"):
-        cusp_kernel_growth([(2, 2.0, 1.0)], 1e6)
-    assert math.isfinite(cusp_kernel_growth([(2, 2.0, 1.0)], 1400.0))
-
-
-@pytest.mark.parametrize(
-    "cusp",
-    [
-        (2, 1e200, 1.0),  # the weight height^2 / size overflows
-        (1, 1e300, 1e-10),  # so does height / size
-        (2, 1e154, 1.0),  # the weight is finite, its log argument is not
-        (1, 1e307, 1.0),  # both finite, their product is not
-        (2, math.inf, 1.0),
-        (1, math.nan, 1.0),
-    ],
-)
-def test_kernel_growth_names_a_cusp_that_overflows(cusp):
-    with pytest.raises(DomainError, match=re.escape(f"cusp 1 (rank {cusp[0]}, height")):
-        cusp_kernel_growth([(2, 2.0, 1.0), cusp], 4.0)
-
-
-@pytest.mark.parametrize("size", [0.0, -1.0, math.inf, math.nan])
-def test_kernel_growth_needs_a_positive_finite_size(size):
-    with pytest.raises(DomainError, match="size"):
-        cusp_kernel_growth([(2, 2.0, size)], 4.0)
+# -- flattening budget -------------------------------------------------------------------
 
 
 def test_flattening_budget_frozen_totals_decrease_in_the_tangle_radius():
@@ -645,57 +456,6 @@ def test_flattening_budget_names_the_tangle_radius_on_overflow(length, lam0):
         flattening_budget([(1.0, 1.0, 1.0)], length, 0.4, lam0, 0.01)
 
 
-def test_flattening_budget_with_no_faces_costs_nothing():
-    budget = flattening_budget([], 10.0, 0.4, 0.8, 0.01)
-    assert budget.total == 0.0
-    assert budget.tau == ()
-
-
-# -- delocalization bounds ----------------------------------------------------------------
-
-
-def test_ball_delocalization_matches_a_direct_sum():
-    """On the counting grid and off it: the bound walks the slices again."""
-    ball = orbit_ball("free", DEFAULT_BASE_POINT, 6)
-    lam = 0.4
-    d = np.sort(np.concatenate(list(ball.slices())))
-    for truncation in (4.0, 3.97):
-        bound = ball_delocalization_bound(ball, truncation, lam)
-        expected = (
-            (1.0 - lam)
-            / math.sinh(truncation * math.sqrt(1.0 - lam)) ** 2
-            * float(np.exp(-d[d <= truncation]).sum())
-        )
-        assert bound == pytest.approx(expected, rel=1e-12)
-
-
-def test_ball_delocalization_needs_a_big_enough_ball():
-    ball = orbit_ball("free", DEFAULT_BASE_POINT, 6)
-    with pytest.raises(TruncationError):
-        ball_delocalization_bound(ball, ball.radius + 1.0, 0.4)
-
-
-def test_tangle_delocalization_matches_the_stated_formula():
-    length, lam, lam0, eps = 10.0, 0.4, 0.8, 0.01
-    bound = tangle_delocalization_bound(
-        length, lam, lam0, eps, cusps=[(2, 1.0, 1.0)], cover_cusps=[(1.5, 2.0)]
-    )
-    rest = cusp_kernel_growth([(2, 1.0, 1.0)], length)
-    rest += 1.5**2 / 2.0 * math.log(1.5 * math.sinh(length / 2.0) / 2.0)
-    expected = (
-        (1.0 - lam)
-        * math.exp(-2.0 * length * math.sqrt(1.0 - lam))
-        * (math.exp(length * (math.sqrt(1.0 - lam0) + eps)) + rest)
-    )
-    assert bound == pytest.approx(expected, rel=1e-12)
-
-
-def test_tangle_delocalization_skips_low_cover_cusps():
-    base = tangle_delocalization_bound(10.0, 0.4, 0.8, 0.01)
-    with_low = tangle_delocalization_bound(10.0, 0.4, 0.8, 0.01, cover_cusps=[(0.5, 2.0)])
-    assert with_low == base
-
-
 @pytest.mark.parametrize(
     "length, lam, lam0, eps",
     [
@@ -713,16 +473,20 @@ def test_tangle_delocalization_skips_low_cover_cusps():
     ],
 )
 def test_tangle_delocalization_validates_parameters(length, lam, lam0, eps):
-    """Non-finite input and radii whose exponentials overflow raise too."""
+    """The tangle-radius parameters (L, lam, lam0, eps) are validated in
+    ``_radius_terms``, here through the flattening budget, its one caller:
+    non-finite input and radii whose exponentials overflow raise too."""
     with pytest.raises(DomainError):
-        tangle_delocalization_bound(length, lam, lam0, eps)
+        flattening_budget([(1.0, 1.0, 1.0)], length, lam, lam0, eps)
 
 
-@given(st.floats(0.05, 0.7), st.floats(6.0, 20.0))
-def test_tangle_delocalization_decays_in_the_tangle_radius(lam, length):
-    near = tangle_delocalization_bound(length, lam, 0.8, 0.01)
-    far = tangle_delocalization_bound(length + 2.0, lam, 0.8, 0.01)
-    assert far < near
+def test_flattening_budget_with_no_faces_costs_nothing():
+    budget = flattening_budget([], 10.0, 0.4, 0.8, 0.01)
+    assert budget.total == 0.0
+    assert budget.tau == ()
+
+
+# -- spectral parameters -----------------------------------------------------------------
 
 
 def test_spectral_params_validate_their_ranges():

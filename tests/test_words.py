@@ -14,20 +14,16 @@ from octagap.words import (
     enumerate_free_ball,
     enumerate_racg_ball,
     evaluate_word,
-    format_word,
     free_ball_count,
     free_sphere_count,
     free_to_face_word,
     in_perp_kernel,
     is_normal_form,
     normal_form,
-    parse_free_word,
-    parse_word,
     perp_image,
     racg_ball_count,
     racg_sphere_count,
     shortlex_automaton_masks,
-    word_length,
 )
 
 RACG_SPHERES = (1, 8, 44, 224, 1124, 5624)
@@ -45,38 +41,6 @@ def _free_reduce(letters):
         else:
             out.append(letter)
     return tuple(out)
-
-
-# -- parsing and formatting ----------------------------------------------------
-
-
-@given(face_words)
-def test_parse_format_roundtrip(word):
-    assert parse_word(format_word(word)) == word
-
-
-def test_parse_word_uses_dot_separators():
-    assert parse_word("r1.r2p.r3") == ("r1", "r2p", "r3")
-    assert parse_word("") == ()
-
-
-def test_parse_word_rejects_unknown_letters():
-    with pytest.raises(DomainError):
-        parse_word("r1.r5")
-    with pytest.raises(DomainError):
-        parse_free_word("t1.r1")
-
-
-@given(free_words)
-def test_parse_free_word_roundtrip(word):
-    assert parse_free_word(".".join(word)) == word
-
-
-@given(face_words)
-def test_word_length_is_geodesic_length(word):
-    length = word_length(word)
-    assert length == len(normal_form(word))
-    assert length <= len(word)
 
 
 # -- normal forms ---------------------------------------------------------------
@@ -100,6 +64,17 @@ def test_normal_form_never_lengthens_and_preserves_parity(word):
     reduced = normal_form(word)
     assert len(reduced) <= len(word)
     assert (len(word) - len(reduced)) % 2 == 0
+
+
+@given(face_words)
+def test_word_length_is_geodesic_length(word):
+    """len(normal_form(w)) is the word length of the element: it is at most
+    len(w), and one more letter changes it by exactly one, as in every
+    Coxeter group (l(ws) = l(w) +- 1)."""
+    length = len(normal_form(word))
+    assert length <= len(word)
+    for letter in GENERATOR_NAMES:
+        assert abs(len(normal_form(word + (letter,))) - length) == 1
 
 
 def test_normal_form_examples():
