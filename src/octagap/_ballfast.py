@@ -132,15 +132,13 @@ _WALKS = {
 def isom_table(isoms: Sequence[ProjIsom]) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of the isometries for ``act``: entries and conjugation bits.
 
-    The entries come as a (4, n) complex array with rows a, b, c, d, each
-    matrix scaled by |det|^(-1/2) so that it has unit determinant modulus
-    and the action needs no determinant factor.  The bits are an (n,) bool
-    array.
+    The entries come as a (4, n) complex array with rows a, b, c, d; every
+    ``ProjIsom`` has unit determinant, so the action needs no determinant
+    factor.  The bits are an (n,) bool array.
     """
     mats = np.empty((4, len(isoms)), dtype=np.complex128)
     for k, g in enumerate(isoms):
-        scale = g.det().norm() ** -0.25
-        mats[:, k] = [complex(e.re, e.im) * scale for e in g.entries()]
+        mats[:, k] = [complex(e.re, e.im) for e in g.entries()]
     return mats, np.array([g.conj for g in isoms], dtype=bool)
 
 

@@ -355,8 +355,7 @@ def _cmd_scattering(params: dict) -> tuple[int, dict, tuple]:
 
     rows = []
     max_relgap = None
-    s_values = [s_min] if grid == 1 else list(np.linspace(s_min, s_max, grid))
-    for s in s_values:
+    for s in np.linspace(s_min, s_max, grid):
         s = float(s)
         try:
             formula = spectral.scattering_coefficient(s, level)

@@ -15,8 +15,8 @@ spectral gap 3 - sqrt(5 + 2 sqrt(3)).
 Every solve and search runs on one graph form, a (d, V) neighbour table
 whose row k gives each vertex one neighbour: a dual graph's table is its
 four matchings, a replacement ball's its four Cayley neighbours (-1 for
-those outside the ball).  Eigenvalues come from LAPACK on the dense matrix
-up to 20 vertices and from Lanczos on the table above that.
+those outside the ball).  Every top eigenvalue comes from Lanczos on that
+table; only the dense twin ``adjacency_matrix`` forms a V x V matrix.
 
 Vertices are indexed 0 .. 2n-1 and colors run 1 .. 4.
 """
@@ -67,9 +67,6 @@ NUM_COLORS = 4
 REPLACEMENT_SPECTRAL_RADIUS = 1.0 + math.sqrt(5.0 + 2.0 * math.sqrt(3.0))
 
 _MAX_REPLACEMENT_RADIUS = 14
-#: Graphs with at most this many vertices take their eigenvalues from LAPACK
-#: on the dense adjacency, which costs less there than a Lanczos run.
-_DENSE_VERTICES = 20
 #: Lanczos stops once its top Ritz value moves by at most this much between
 #: two checks; every operator solved here has norm at most 4.
 _RITZ_TOL = 1e-13
@@ -194,7 +191,7 @@ class DualGraph:
         ``graph_lambda1`` and ``switching_walk`` need it."""
         if not _reaches_every_vertex(self.matchings):
             return 4.0
-        return _top_eigenvalue(self.matchings, deflate=True)
+        return _lanczos_top(self.matchings, deflate=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +253,7 @@ def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.nda
     matrix is for the exact two-cover spectra and the tests' dense twins.
     It raises MemoryGuardError, before allocating, when V * V * 8 bytes
     would exceed 1 GiB (above about 11,585 vertices).  No other function
-    here calls it; small graphs' eigenvalues take the same matrix from
-    ``_dense``, and larger graphs never form one.
+    here calls it, and no eigenvalue solve forms a dense matrix.
     """
     if signing is not None and signing.num_edges != graph.num_edges:
         raise DomainError(
@@ -284,7 +280,7 @@ def _edge_ids(graph: DualGraph) -> np.ndarray:
 
 
 def _dense(neighbors: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """The operator of ``_top_eigenvalue`` as a dense V x V matrix: row v
+    """The operator of ``_lanczos_top`` as a dense V x V matrix: row v
     adds weights[k, v] at column neighbors[k, v], so parallel edges add."""
     nv = neighbors.shape[1]
     matrix = np.zeros((nv, nv))
@@ -311,17 +307,6 @@ def _reaches_every_vertex(matchings: np.ndarray) -> bool:
         frontier = _distinct(neighbors[~reached[neighbors]])
         reached[frontier] = True
     return bool(reached.all())
-
-
-def _top_eigenvalue(
-    neighbors: np.ndarray, weights: np.ndarray | None = None, *, deflate: bool = False
-) -> float:
-    """Largest eigenvalue of the operator of ``_lanczos_top`` (the second
-    largest with ``deflate``): LAPACK on ``_dense`` up to ``_DENSE_VERTICES``
-    vertices, where it costs less than a Lanczos run, and Lanczos above."""
-    if neighbors.shape[1] > _DENSE_VERTICES:
-        return _lanczos_top(neighbors, weights, deflate=deflate)
-    return float(np.linalg.eigvalsh(_dense(neighbors, weights))[-2 if deflate else -1])
 
 
 def _lanczos_top(
@@ -394,11 +379,10 @@ def graph_lambda1(graph: DualGraph) -> float:
     mu2 is the second largest adjacency eigenvalue with multiplicity; the
     top eigenvalue of a 4-regular graph is 4, so the gap vanishes when the
     graph is disconnected, and a breadth-first search then makes it exactly
-    0.  Tiny negative rounding is clamped.  Graphs of at most 20 vertices
-    take every eigenvalue of the dense adjacency from LAPACK; larger ones
-    run Lanczos on the matchings with the constant vector deflated, so no
-    V x V matrix is ever allocated.  mu2 is solved once per graph and shared
-    with ``switching_walk``.
+    0.  Tiny negative rounding is clamped.  mu2 comes from Lanczos on the
+    matchings with the constant vector deflated, so no V x V matrix is ever
+    allocated; it is solved once per graph and shared with
+    ``switching_walk``.
     """
     return max(0.0, 4.0 - graph._mu2)
 
@@ -582,7 +566,7 @@ def switching_walk(
     top eigenvalue of the signed adjacency, one Lanczos solve per step on the
     matchings with the signs laid out as a (4, V) array, from a fixed start
     vector, so a step's value depends on its signing alone.  No V x V matrix
-    is built except on graphs of at most 20 vertices, which go to LAPACK.
+    is built.
     """
     steps = check_count("steps", steps, 1)
     if seed is None:
@@ -597,7 +581,7 @@ def switching_walk(
     mu2_old = graph._mu2
 
     def gap(current: Signing) -> float:
-        mu1_new = _top_eigenvalue(graph.matchings, current.values[ids].astype(float))
+        mu1_new = _lanczos_top(graph.matchings, current.values[ids].astype(float))
         return max(0.0, 4.0 - max(mu2_old, mu1_new))
 
     trajectory = [(signing_hash(signing), gap(signing))]
@@ -649,11 +633,6 @@ class ReplacementBall:
     num_vertices: int
     distances: np.ndarray
     neighbors: np.ndarray
-
-    def sphere_sizes(self) -> list[int]:
-        """Vertex counts at each distance 0 .. radius."""
-        counts = np.bincount(self.distances, minlength=self.radius + 1)
-        return [int(c) for c in counts]
 
 
 def _replacement_neighbors(word: tuple) -> list[tuple]:
@@ -724,5 +703,5 @@ def dirichlet_rho(ball: ReplacementBall) -> float:
     operator, each -1 entry weighted 0.
     """
     weights = (ball.neighbors >= 0).astype(float)
-    return _top_eigenvalue(ball.neighbors, weights)
+    return _lanczos_top(ball.neighbors, weights)
 

@@ -3,9 +3,9 @@ the fundamental corner, horoball covers, and critical-exponent estimates.
 
 Points live in upper half space as (z, t) with z complex horizontal coordinate
 and t > 0 height.  The action of a matrix over Z[i] with a conjugation bit is
-``_ballfast.act``, on arrays; ``_ballfast.isom_table`` scales every matrix to
-unit determinant modulus first, so projective representatives with non-unit
-determinant (the octahedron rotations, for instance) act correctly.
+``_ballfast.act``, on arrays; ``_ballfast.isom_table`` lays the matrices out
+for it, and since every ``ProjIsom`` has unit determinant, no scaling is
+needed.
 """
 
 from __future__ import annotations

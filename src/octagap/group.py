@@ -2,14 +2,14 @@
 
 The ambient group is PGL(2, Z[i]) extended by the anti-holomorphic involution
 rho(z, t) = (conj(z), t) of upper half space.  An element is a pair (A, s) of a
-nonsingular matrix over the Gaussian integers and a conjugation bit s, with the
-twisted product
+matrix over the Gaussian integers with unit determinant and a conjugation bit
+s, with the twisted product
 
     (A, s) * (B, t) = (A sigma^s(B), s XOR t),
 
-where sigma conjugates a matrix entrywise.  Matrices are kept projectively
-canonical: the entries are divided by their Gaussian gcd and scaled by a unit
-so that the first nonzero entry (row-major) has positive real part and
+where sigma conjugates a matrix entrywise.  A unit determinant leaves a
+matrix defined up to a unit scalar, and it is kept canonical: scaled by the
+unit that gives the first nonzero entry (row-major) positive real part and
 nonnegative imaginary part.  That quarter sector contains exactly one
 associate of every nonzero Gaussian integer, so equality of isometries is
 plain entrywise equality.  All arithmetic is on arbitrary precision integers,
@@ -25,7 +25,6 @@ makes the commutation graph the 1-skeleton of a cube.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import DomainError, SetupError
 
@@ -86,40 +85,6 @@ class GaussianInt:
     def is_unit(self) -> bool:
         return self.norm() == 1
 
-    def __divmod__(self, other: "GaussianInt") -> tuple["GaussianInt", "GaussianInt"]:
-        """Nearest-integer division: returns (q, r) with norm(r) <= norm(other)/2."""
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian integer")
-        t = self * other.conj()
-        qre = (2 * t.re + n) // (2 * n)
-        qim = (2 * t.im + n) // (2 * n)
-        q = GaussianInt(qre, qim)
-        return q, self - q * other
-
-    def __floordiv__(self, other: "GaussianInt") -> "GaussianInt":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "GaussianInt") -> "GaussianInt":
-        return divmod(self, other)[1]
-
-    def divides(self, other: "GaussianInt") -> bool:
-        return not bool(other % self)
-
-    def exact_div(self, other: "GaussianInt") -> "GaussianInt":
-        """self / other, raising if the division is not exact."""
-        q, r = divmod(self, other)
-        if r:
-            raise DomainError(f"{other!r} does not divide {self!r}")
-        return q
-
-    @staticmethod
-    def gcd(a: "GaussianInt", b: "GaussianInt") -> "GaussianInt":
-        """A greatest common divisor (defined up to a unit)."""
-        while b:
-            a, b = b, a % b
-        return a
-
     def unit_canonical(self) -> tuple["GaussianInt", "GaussianInt"]:
         """Return (u, u*self) with u a unit and u*self in the canonical sector.
 
@@ -151,10 +116,11 @@ def _gi(re: int, im: int = 0) -> GaussianInt:
 class ProjIsom:
     """A projectivized matrix over Z[i] together with a conjugation bit.
 
-    Instances are immutable by convention and always canonical: content 1 and
-    unit-scaled as described in the module docstring.  Equality and hashing
-    compare the canonical entries and the bit, so they decide equality of the
-    underlying isometries of upper half space.
+    Instances are immutable by convention and always canonical: unit
+    determinant and unit-scaled as described in the module docstring.
+    Equality and hashing compare the canonical entries and the bit, so they
+    decide equality of the underlying isometries of upper half space.
+    Construction raises DomainError on a determinant that is not a unit.
     """
 
     __slots__ = ("a", "b", "c", "d", "conj")
@@ -170,17 +136,8 @@ class ProjIsom:
         if conj not in (0, 1):
             raise DomainError(f"conjugation bit must be 0 or 1, got {conj!r}")
         det = a * d - b * c
-        if not det:
-            raise DomainError("matrix is singular over Z[i]")
-        # g dividing every entry means g**2 divides det, so a unit det means
-        # unit content: every product of generators skips the gcds.
-        if det.norm() != 1:
-            g = GaussianInt.gcd(GaussianInt.gcd(a, b), GaussianInt.gcd(c, d))
-            if g.norm() != 1:
-                a = a.exact_div(g)
-                b = b.exact_div(g)
-                c = c.exact_div(g)
-                d = d.exact_div(g)
+        if not det.is_unit():
+            raise DomainError(f"determinant {det!r} is not a unit of Z[i]")
         u = _UNITS_CACHE[0]
         for e in (a, b, c, d):
             if e:
@@ -231,10 +188,6 @@ class ProjIsom:
             )
         )
 
-    def det(self) -> GaussianInt:
-        """Determinant of the canonical representative."""
-        return self.a * self.d - self.b * self.c
-
     def __mul__(self, other: "ProjIsom") -> "ProjIsom":
         if not isinstance(other, ProjIsom):
             return NotImplemented
@@ -277,32 +230,6 @@ class ProjIsom:
             and self.a == self.d
             and self.a.is_unit()
         )
-
-    def to_json(self) -> list:
-        """Serialize as [[re, im] x 4, conj] (row-major entries)."""
-        return [
-            [self.a.re, self.a.im],
-            [self.b.re, self.b.im],
-            [self.c.re, self.c.im],
-            [self.d.re, self.d.im],
-            self.conj,
-        ]
-
-    @classmethod
-    def from_json(cls, data: Iterable) -> "ProjIsom":
-        items = list(data)
-        if len(items) != 5:
-            raise DomainError("expected [[re, im] x 4, conj]")
-        pairs = []
-        for pair in items[:4]:
-            re, im = pair
-            if not isinstance(re, int) or not isinstance(im, int):
-                raise DomainError("matrix entries must be integer pairs")
-            pairs.append(GaussianInt(re, im))
-        conj = items[4]
-        if conj not in (0, 1):
-            raise DomainError("conjugation bit must be 0 or 1")
-        return cls(pairs[0], pairs[1], pairs[2], pairs[3], conj)
 
 
 def identity() -> ProjIsom:
@@ -385,10 +312,10 @@ def in_level2_congruence(g: ProjIsom) -> bool:
 
 
 #: Rotations generating the orientation-preserving symmetries of the octahedron,
-#: of orders three and four.  The order-four one is 1/sqrt(2) [[1-i, -1+i], [0, 1+i]];
-#: the scalar factor drops out projectively.
+#: of orders three and four.  The order-four one is [[1, -1], [0, i]], the
+#: unit-determinant multiple of [[1-i, -1+i], [0, 1+i]].
 ROTATION_ORDER3 = ProjIsom(_gi(1), _gi(0, -1), _gi(0, -1), _gi(0), 0)
-ROTATION_ORDER4 = ProjIsom(_gi(1, -1), _gi(-1, 1), _gi(0), _gi(1, 1), 0)
+ROTATION_ORDER4 = ProjIsom(_gi(1), _gi(-1), _gi(0), _gi(0, 1), 0)
 
 
 @lru_cache(maxsize=1)

@@ -3,6 +3,10 @@ diagonal scattering coefficient with its counting oracle, pole scanning, the
 Selberg transform of the ball kernel, the decay ratio of the constant cusp
 mode, and the flattening error budget.
 
+The Riemann and Dirichlet L-functions have one route each on s > 0: an
+alternating series (eta for zeta, beta itself) summed with the convergence
+acceleration of Cohen, Rodriguez Villegas and Zagier.
+
 Two independent routes exist for the scattering coefficient: a closed formula
 built from zeta evaluators and a counting sum over Gaussian integer
 denominators.  The counting sum takes its per-class residue counts from an
@@ -24,56 +28,9 @@ import numpy as np
 from .errors import DomainError, MemoryGuardError, PoleError, check_count
 
 
-@dataclass(frozen=True)
-class SpectralParams:
-    """Bundle of spectral parameters used by the bound evaluators.
-
-    ``lam`` is the eigenvalue under study, ``lam0`` the reference bass note
-    it must stay below, ``eps`` a positive slack, ``tangle_radius`` the
-    scale on which short loops are controlled, and ``truncation`` the kernel
-    truncation radius.  All five must be finite.
-    """
-
-    lam: float
-    lam0: float = 0.8
-    eps: float = 0.01
-    tangle_radius: float = 10.0
-    truncation: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lam < 1.0:
-            raise DomainError(f"eigenvalue must lie in (0, 1), got {self.lam}")
-        if not 0.0 < self.lam0 < 1.0:
-            raise DomainError(f"reference eigenvalue must lie in (0, 1), got {self.lam0}")
-        if not self.lam < self.lam0:
-            raise DomainError(f"eigenvalue {self.lam} must be below the reference {self.lam0}")
-        if not 0.0 < self.eps < math.inf:
-            raise DomainError(f"slack must be positive and finite, got {self.eps}")
-        if not 0.0 < self.tangle_radius < math.inf:
-            raise DomainError(
-                f"tangle radius must be positive and finite, got {self.tangle_radius}"
-            )
-        if not 1.0 <= self.truncation < math.inf:
-            raise DomainError(
-                f"truncation radius must be finite and at least 1, got {self.truncation}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Zeta functions of Q and Q(i).  The private evaluators take a float or an
 # ndarray and skip validation; the public ones validate a float.
-
-#: Even-index Bernoulli numbers B_2 .. B_12 for the Euler-Maclaurin tail.
-_BERNOULLI_EVEN = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-)
-
-_EULER_MACLAURIN_CUT = 20
 
 
 def _alternating_sum(
@@ -96,24 +53,11 @@ def _alternating_sum(
     return total / d
 
 
-def _zeta_euler_maclaurin(s: float | np.ndarray) -> float | np.ndarray:
-    m = float(_EULER_MACLAURIN_CUT)
-    total = sum(k ** -s for k in range(1, _EULER_MACLAURIN_CUT))
-    total += m ** (1.0 - s) / (s - 1.0) + 0.5 * m ** -s
-    pochhammer = s
-    for k, bern in enumerate(_BERNOULLI_EVEN, start=1):
-        total += bern / math.factorial(2 * k) * pochhammer * m ** (-s - 2 * k + 1)
-        # Not *=: on an ndarray that would write through to s.
-        pochhammer = pochhammer * ((s + 2 * k - 1) * (s + 2 * k))
-    return total
-
-
 def _zeta(s: float | np.ndarray) -> float | np.ndarray:
-    """Zeta at s > 1 by Euler-Maclaurin, elsewhere on s > 0 by the eta series."""
-    if np.all(s > 1.0):
-        return _zeta_euler_maclaurin(s)
+    """Zeta on s > 0 as the eta series over 1 - 2^(1-s), written with expm1
+    so that it does not cancel near the pole."""
     eta = _alternating_sum(lambda k: (k + 1.0) ** -s)
-    return eta / (1.0 - 2.0 ** (1.0 - s))
+    return eta / -np.expm1((1.0 - s) * math.log(2.0))
 
 
 def _beta(s: float | np.ndarray) -> float | np.ndarray:
@@ -121,17 +65,15 @@ def _beta(s: float | np.ndarray) -> float | np.ndarray:
 
 
 def riemann_zeta(s: float) -> float:
-    """Riemann zeta for s > 1, continued to (0, 1) by the eta series.
-
-    For s > 1 the Dirichlet series is summed with an Euler-Maclaurin tail;
-    on (0, 1) the alternating eta series divided by 1 - 2^(1-s) continues it.
-    """
+    """Riemann zeta on s > 0, s != 1: the alternating eta series, summed with
+    the acceleration of Cohen, Rodriguez Villegas and Zagier, divided by
+    1 - 2^(1-s)."""
     s = float(s)
     if not s > 0.0:
         raise DomainError(f"zeta argument must be positive, got {s}")
     if s == 1.0:
         raise PoleError("the zeta function has its pole at s = 1")
-    return _zeta(s)
+    return float(_zeta(s))
 
 
 def dirichlet_beta(s: float) -> float:
@@ -147,7 +89,7 @@ def dedekind_zeta_qi(s: float) -> float:
     s = float(s)
     if not s > 1.0:
         raise DomainError(f"dedekind_zeta_qi requires s > 1, got {s}")
-    return _zeta(s) * _beta(s)
+    return float(_zeta(s) * _beta(s))
 
 
 def gaussian_lattice_zeta(s: float, radius: float = 300.0) -> float:
@@ -214,7 +156,7 @@ def scattering_coefficient(s: float, level: int = 1) -> float:
         raise DomainError(f"the coefficient is defined for finite s > 1, got {s}")
     if s == 2.0:
         raise PoleError("simple pole at s = 2")
-    return _scattering_formula(s, level)
+    return float(_scattering_formula(s, level))
 
 
 def _scattering_formula(s: float | np.ndarray, level: int) -> float | np.ndarray:
@@ -470,7 +412,16 @@ def _radius_terms(L: float, lam: float, lam0: float, eps: float) -> tuple[float,
     Raises DomainError naming the tangle radius when G or S overflows; G
     bounds e^(L sqrt(1 - lam0)) from above, so that cannot overflow either.
     """
-    SpectralParams(lam, lam0, eps, L)  # raises DomainError on an invalid parameter
+    if not 0.0 < lam < 1.0:
+        raise DomainError(f"eigenvalue must lie in (0, 1), got {lam}")
+    if not 0.0 < lam0 < 1.0:
+        raise DomainError(f"reference eigenvalue must lie in (0, 1), got {lam0}")
+    if not lam < lam0:
+        raise DomainError(f"eigenvalue {lam} must be below the reference {lam0}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"slack must be positive and finite, got {eps}")
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"tangle radius must be positive and finite, got {L}")
     try:
         growth = math.exp(L * (math.sqrt(1.0 - lam0) + eps))
         half = math.sinh(L / 2.0)

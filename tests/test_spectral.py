@@ -13,7 +13,6 @@ from octagap.errors import DomainError, MemoryGuardError, PoleError
 from octagap.geometry import cap_volume_monte_carlo, horoball_cover_check
 from octagap.spectral import (
     FlatteningBudget,
-    SpectralParams,
     _scattering_counts,
     cusp_decay_ratio_zeroth,
     dedekind_zeta_qi,
@@ -45,6 +44,18 @@ SCATTERING_VALUES = {
 @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 4.0])
 def test_riemann_zeta_matches_mpmath(s):
     assert riemann_zeta(s) == pytest.approx(float(mpmath.zeta(s)), rel=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.99, 0.999999), (1.000001, 1.01)], ids=["below", "above"])
+def test_riemann_zeta_keeps_its_digits_next_to_the_pole(lo, hi):
+    """1 - 2^(1-s) cancels as s -> 1; the zeta route must not."""
+    near = 1.0 + math.copysign(1.0, lo - 1.0) * np.logspace(-6, -2, 41)
+    with mpmath.workdps(40):
+        for s in np.concatenate([np.linspace(lo, hi, 41), near]).tolist():
+            value = riemann_zeta(s)
+            assert type(value) is float
+            expected = mpmath.zeta(mpmath.mpf(s))
+            assert abs(value - expected) <= 5e-15 * abs(expected), s
 
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 4.0])
@@ -490,18 +501,22 @@ def test_flattening_budget_with_no_faces_costs_nothing():
 
 
 def test_spectral_params_validate_their_ranges():
-    params = SpectralParams(lam=0.4)
-    assert params.lam0 == 0.8 and params.eps == 0.01
-    with pytest.raises(DomainError):
-        SpectralParams(lam=0.4, eps=-1.0)
-    with pytest.raises(DomainError):
-        SpectralParams(lam=1.5)
-    with pytest.raises(DomainError):
-        SpectralParams(lam=0.9)
+    """flattening_budget refuses a slack, an eigenvalue or a reference out of range."""
+    def budget(lam=0.4, eps=0.01):
+        return flattening_budget([(1.0, 1.0, 1.0)], 10.0, lam, 0.8, eps)
+
+    assert budget().total > 0.0
+    with pytest.raises(DomainError, match="slack must be positive and finite"):
+        budget(eps=-1.0)
+    with pytest.raises(DomainError, match=r"eigenvalue must lie in \(0, 1\)"):
+        budget(lam=1.5)
+    with pytest.raises(DomainError, match="must be below the reference 0.8"):
+        budget(lam=0.9)
 
 
-@pytest.mark.parametrize("field", ["eps", "tangle_radius", "truncation"])
+@pytest.mark.parametrize("field", ["eps", "tangle_radius"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_spectral_params_reject_non_finite_values(field, value):
-    with pytest.raises(DomainError):
-        SpectralParams(lam=0.4, **{field: value})
+    args = {"tangle_radius": 10.0, "lam": 0.4, "lam0": 0.8, "eps": 0.01, field: value}
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        flattening_budget([(1.0, 1.0, 1.0)], **args)
