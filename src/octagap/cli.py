@@ -103,6 +103,8 @@ def _area_table(value) -> tuple[tuple[float, ...], ...]:
 
 
 #: Per delta group token: orbit group, default word length, exponent band.
+#: The kernel's band is the bound behind the upper gap, delta_kernel >=
+#: 2 - delta_face / 2, which ``_cmd_delta`` reads from the geometry layer.
 _DELTA_GROUPS = {
     "ap": ("free", 14, (1.15, 1.45)),
     "sa": ("full", 10, (1.6, 2.0)),
@@ -416,6 +418,8 @@ def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
 
     token = params["group"]
     orbit_group, default_len, band = _DELTA_GROUPS[token]
+    if band is None:
+        band = (2.0 - geometry.FREE_SUBGROUP_CRITICAL_EXPONENT / 2.0, 2.0)
     reference = {"ap": geometry.FREE_SUBGROUP_CRITICAL_EXPONENT, "sa": 2.0}.get(token)
     word_length = default_len if params["word_length"] is None else params["word_length"]
     if word_length < 1:
@@ -428,7 +432,7 @@ def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
     ball = geometry.orbit_ball(orbit_group, base, word_length)
     fit = geometry.estimate_critical_exponent(ball, window=params["window"])
     bounds = geometry.spectral_gap_bounds()
-    in_band = band is None or band[0] <= fit.exponent <= band[1]
+    in_band = band[0] <= fit.exponent <= band[1]
 
     report = _new_report(params)
     report.update(
@@ -445,7 +449,7 @@ def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
                 "t_values": list(fit.t_values),
                 "counts": list(fit.counts),
             },
-            "band": list(band) if band else None,
+            "band": list(band),
             "reference": reference,
             "orbit_points": ball.count,
             "bounds": {
@@ -462,10 +466,9 @@ def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
         ["t", "count"],
         [[t, c] for t, c in zip(fit.t_values, fit.counts)],
     )
-    band_text = f", band [{band[0]}, {band[1]}]" if band else ""
     print(
         f"group {token}: estimate {fit.exponent:.6f} from {fit.n_points} points "
-        f"on window [{fit.window[0]:.2f}, {fit.window[1]:.2f}]{band_text}"
+        f"on window [{fit.window[0]:.2f}, {fit.window[1]:.2f}], band [{band[0]}, {band[1]}]"
     )
     print(f"gap bounds: lower {bounds.lower:.10g}, upper {bounds.upper:.10g}")
     print("PASS" if in_band else "FAIL")

@@ -14,9 +14,9 @@ spectral gap 3 - sqrt(5 + 2 sqrt(3)).
 
 Every solve and search runs on one graph form, a (d, V) neighbour table
 whose row k gives each vertex one neighbour: a dual graph's table is its
-four matchings, a replacement ball's its four Cayley neighbours (-1 for
-those outside the ball).  Every top eigenvalue comes from Lanczos on that
-table; only the dense twin ``adjacency_matrix`` forms a V x V matrix.
+four matchings, and a replacement ball is solved on the (3, 2r + 1) table
+of its equitable quotient.  Every top eigenvalue comes from Lanczos on such
+a table; only the dense twin ``adjacency_matrix`` forms a V x V matrix.
 
 Vertices are indexed 0 .. 2n-1 and colors run 1 .. 4.
 """
@@ -35,12 +35,10 @@ from .errors import DomainError, MemoryGuardError, SetupError, check_count
 
 __all__ = [
     "NUM_COLORS",
-    "REPLACEMENT_SPECTRAL_RADIUS",
     "Matching",
     "CoverPresentation",
     "DualGraph",
     "Signing",
-    "ReplacementBall",
     "sample_cover",
     "dual_graph",
     "adjacency_matrix",
@@ -55,18 +53,12 @@ __all__ = [
     "simple_switching",
     "switching_walk",
     "walk_summary",
-    "replacement_ball",
     "dirichlet_rho",
 ]
 
 #: Number of mirror colors, one matching per color.
 NUM_COLORS = 4
 
-#: Spectral radius of the infinite replacement-product graph, the Cayley graph
-#: of (Z/4) * (Z/2) with generating set {x, x^2, x^3, y}.
-REPLACEMENT_SPECTRAL_RADIUS = 1.0 + math.sqrt(5.0 + 2.0 * math.sqrt(3.0))
-
-_MAX_REPLACEMENT_RADIUS = 14
 #: Lanczos stops once its top Ritz value moves by at most this much between
 #: two checks; every operator solved here has norm at most 4.
 _RITZ_TOL = 1e-13
@@ -617,91 +609,52 @@ def walk_summary(
     }
 
 
-@dataclass(frozen=True, eq=False)
-class ReplacementBall:
-    """A radius-T ball of the infinite replacement-product graph.
+def _replacement_quotient(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (3, 2r + 1) neighbour and weight table of a radius-r ball's quotient.
 
-    Vertices are indexed in breadth-first order from the root (index 0);
-    ``distances[j]`` is the graph distance of vertex j from the root.
-    ``neighbors`` is a read-only (4, V) int64 array whose column j lists
-    vertex j's Cayley neighbours under x, x^2, x^3 and y, with -1 for those
-    outside the ball; each induced undirected edge appears in both its
-    endpoints' columns.
+    K_d holds the ball's vertices at distance d entered through a K4, Y_d
+    those entered through a y-edge.  Index r is the root, r + 1, r + 2, ...
+    the arm K1, Y2, K3, ..., and r - 1, r - 2, ... the arm Y1, K2, Y3, ....
+    Column i lists class i's left neighbour, itself and its right neighbour.
+    Symmetrized with sqrt(B_ij * B_ji), each K-class has diagonal 2 and each
+    Y-class and the root 0; a step into a K-class from the class nearer the
+    root weighs sqrt(3), into a Y-class 1.  Along the path that is sqrt(3)
+    between offsets e and e + 1 from the root for even e, and 1 for odd e.
+    Steps past either end weigh 0.
     """
-
-    radius: int
-    num_vertices: int
-    distances: np.ndarray
-    neighbors: np.ndarray
-
-
-def _replacement_neighbors(word: tuple) -> list[tuple]:
-    """Neighbors of a reduced word of (Z/4) * (Z/2) under {x, x^2, x^3, y}.
-
-    Words alternate power tokens 1, 2, 3 (for x, x^2, x^3) and the
-    reflection token 'y'; right multiplication reduces in one step.
-    """
-    neighbors = []
-    for amount in (1, 2, 3):
-        if word and word[-1] != "y":
-            power = (word[-1] + amount) % 4
-            neighbors.append(word[:-1] + (power,) if power else word[:-1])
-        else:
-            neighbors.append(word + (amount,))
-    if word and word[-1] == "y":
-        neighbors.append(word[:-1])
-    else:
-        neighbors.append(word + ("y",))
-    return neighbors
+    size = 2 * radius + 1
+    index = np.arange(size)
+    offset = index - radius
+    step = np.where(offset[:-1] % 2 == 0, math.sqrt(3.0), 1.0)
+    weights = np.zeros((3, size))
+    weights[0, 1:] = weights[2, :-1] = step
+    # K1, K3, ... right of the root, K2, K4, ... left of it
+    weights[1, (offset != 0) & ((offset > 0) == (offset % 2 == 1))] = 2.0
+    neighbors = np.stack([np.maximum(index - 1, 0), index, np.minimum(index + 1, size - 1)])
+    return neighbors, weights
 
 
-def replacement_ball(radius: int) -> ReplacementBall:
-    """Breadth-first ball of the replacement-product graph around a root.
+def dirichlet_rho(radius: int) -> float:
+    """Largest adjacency eigenvalue of a radius-r ball of the replacement-product graph.
 
     The graph is the Cayley graph of (Z/4) * (Z/2) with generating set
-    {x, x^2, x^3, y}: complete graphs on the four-element cosets of x,
-    glued along a 4-regular tree by the y edges.  Raises DomainError above
-    radius 14 (the ball grows like 3^(radius/2) per parity step).
+    {x, x^2, x^3, y}: complete graphs on the four-element cosets of x, glued
+    along a 4-regular tree by the y edges.  Restricting to a finite ball only
+    loses mass, so this is a lower bound for the infinite graph's spectral
+    radius 4 - ``geometry.REPLACEMENT_GRAPH_GAP``, nondecreasing in r.
+
+    The ball's vertices split into 2r + 1 classes, the root and for each
+    distance d one class entered through a K4 and one through a y-edge, and
+    the split is equitable: every vertex of a class has the same number of
+    neighbours in each class.  So the top eigenvalue of the ball is the
+    Perron root of the quotient (Brouwer and Haemers, *Spectra of Graphs*,
+    2012, section 2.3), which ``_lanczos_top`` solves on the table of
+    ``_replacement_quotient``.  Raises DomainError, before allocating, when
+    2r + 1 exceeds the Lanczos step limit (r above 1499).
     """
     radius = check_count("radius", radius, 0)
-    if radius > _MAX_REPLACEMENT_RADIUS:
+    if 2 * radius + 1 > _LANCZOS_MAX_STEPS:
         raise DomainError(
-            f"radius must be at most {_MAX_REPLACEMENT_RADIUS}, got {radius}"
+            f"radius must be at most {(_LANCZOS_MAX_STEPS - 1) // 2}, got {radius}"
         )
-    index: dict[tuple, int] = {(): 0}
-    distances = [0]
-    rows = []
-    frontier: list[tuple] = [()]
-    for depth in range(1, radius + 1):
-        next_frontier = []
-        for word in frontier:
-            rows.append(_replacement_neighbors(word))
-            for neighbor in rows[-1]:
-                if neighbor not in index:
-                    index[neighbor] = len(index)
-                    distances.append(depth)
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    rows.extend(_replacement_neighbors(word) for word in frontier)
-    table = [[index.get(word, -1) for word in row] for row in rows]
-    neighbors = np.array(table, dtype=np.int64).T.copy()
-    neighbors.setflags(write=False)
-    return ReplacementBall(
-        radius=radius,
-        num_vertices=len(index),
-        distances=np.array(distances, dtype=np.int64),
-        neighbors=neighbors,
-    )
-
-
-def dirichlet_rho(ball: ReplacementBall) -> float:
-    """Largest adjacency eigenvalue of a replacement-product ball.
-
-    Restricting to a finite ball only loses mass, so this is a lower bound
-    for the infinite graph's spectral radius REPLACEMENT_SPECTRAL_RADIUS,
-    nondecreasing in the ball radius.  The ball's ``neighbors`` table is the
-    operator, each -1 entry weighted 0.
-    """
-    weights = (ball.neighbors >= 0).astype(float)
-    return _lanczos_top(ball.neighbors, weights)
-
+    return _lanczos_top(*_replacement_quotient(radius))

@@ -212,7 +212,7 @@ def test_criterion_07_gap_bound_constants():
 
 def test_criterion_08_replacement_product_gap():
     start = time.monotonic()
-    rhos = [covers.dirichlet_rho(covers.replacement_ball(radius)) for radius in range(1, 13)]
+    rhos = [covers.dirichlet_rho(radius) for radius in range(1, 13)]
     limit = 1.0 + math.sqrt(5.0 + 2.0 * math.sqrt(3.0))
     in_band = 3.80 <= rhos[-1] <= limit + 1e-6
     monotone = all(a < b for a, b in zip(rhos, rhos[1:]))

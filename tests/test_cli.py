@@ -161,6 +161,21 @@ def test_delta_reads_parameters_from_a_config_file(tmp_path):
     assert report["orbit_group"] == "kernel"
 
 
+def test_delta_inf_fails_below_the_kernel_bound(tmp_path, capsys):
+    """The kernel group's band is [2 - delta_face / 2, 2], the bound behind
+    the upper gap, so a window whose fit falls below it fails the command."""
+    from octagap.geometry import FREE_SUBGROUP_CRITICAL_EXPONENT
+
+    out = tmp_path / "delta.json"
+    args = ["delta", "--group", "inf", "--word-length", "6", "--window", "2,3"]
+    assert main([*args, "--seed", "1", "--out", str(out)]) == EXIT_COMPUTE
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    report = _read_json(out)
+    assert report["passed"] is False
+    assert report["band"] == [2.0 - FREE_SUBGROUP_CRITICAL_EXPONENT / 2.0, 2.0]
+    assert report["estimate"] == pytest.approx(1.1208, abs=1e-4)
+
+
 def test_delta_rejects_unknown_groups():
     with pytest.raises(SystemExit) as excinfo:
         main(["delta", "--group", "xx", "--seed", "1"])

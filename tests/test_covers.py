@@ -1,4 +1,4 @@
-"""Tests for random matching covers, dual graphs, signings, and the replacement ball."""
+"""Tests for random matching covers, dual graphs, signings, and the replacement radius."""
 
 import math
 import os
@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from scipy.sparse.linalg import eigsh
 from octagap import covers
 from octagap.covers import (
     NUM_COLORS,
-    REPLACEMENT_SPECTRAL_RADIUS,
     CoverPresentation,
     DualGraph,
     Matching,
@@ -30,7 +30,6 @@ from octagap.covers import (
     graph_lambda1,
     is_connected,
     lift_graph,
-    replacement_ball,
     sample_cover,
     signing_hash,
     simple_switching,
@@ -42,6 +41,7 @@ from octagap.covers import (
 )
 from octagap.cli import EXIT_OK, main
 from octagap.errors import DomainError, MemoryGuardError, SetupError
+from octagap.geometry import REPLACEMENT_GRAPH_GAP
 
 REPLACEMENT_SPHERES = (1, 4, 6, 12, 18, 36, 54, 108, 162, 324, 486, 972, 1458)
 RHO_AT_RADIUS_12 = 3.8644306520169893
@@ -183,29 +183,6 @@ def _all_pairs_tangle_free_radius(num_vertices, pairs, max_radius=None):
 
 def _pairs(graph):
     return [(u, v) for u, v, _ in _edge_triples(graph)]
-
-
-def _replacement_edges_twin(radius):
-    """Two-pass twin of the induced edges (u, v), u < v, of
-    ``replacement_ball(radius)`` in ascending order: a breadth-first search
-    numbers the words, then every word's neighbours are looked up."""
-    index = {(): 0}
-    frontier = [()]
-    for _ in range(radius):
-        next_frontier = []
-        for word in frontier:
-            for neighbor in covers._replacement_neighbors(word):
-                if neighbor not in index:
-                    index[neighbor] = len(index)
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    edges = set()
-    for word, u in index.items():
-        for neighbor in covers._replacement_neighbors(word):
-            v = index.get(neighbor)
-            if v is not None and v != u:
-                edges.add((min(u, v), max(u, v)))
-    return tuple(sorted(edges))
 
 
 #: Handmade dual graphs: four parallel edges, two copies of them, the
@@ -807,13 +784,71 @@ def test_single_switch_moves_lambda1_continuously():
     assert abs(after - before) < 0.5
 
 
-# -- the replacement ball -------------------------------------------------------------
+# -- the replacement radius -------------------------------------------------------------
+
+
+def _replacement_neighbors(word):
+    """Neighbors of a reduced word of (Z/4) * (Z/2) under {x, x^2, x^3, y}.
+
+    Words alternate power tokens 1, 2, 3 (for x, x^2, x^3) and the
+    reflection token 'y'; right multiplication reduces in one step.
+    """
+    neighbors = []
+    for amount in (1, 2, 3):
+        if word and word[-1] != "y":
+            power = (word[-1] + amount) % 4
+            neighbors.append(word[:-1] + (power,) if power else word[:-1])
+        else:
+            neighbors.append(word + (amount,))
+    neighbors.append(word[:-1] if word and word[-1] == "y" else word + ("y",))
+    return neighbors
+
+
+def _replacement_ball(radius):
+    """Breadth-first ball of the replacement-product graph, the twin of the
+    quotient that ``dirichlet_rho`` solves.
+
+    The graph is the Cayley graph of (Z/4) * (Z/2) with generating set
+    {x, x^2, x^3, y}: complete graphs on the cosets of x, glued along a
+    4-regular tree by the y edges.  A first pass numbers the reduced words
+    in breadth-first order from the root, a second looks up every word's
+    four neighbours.  Returns the words, their distances (token counts),
+    and the (4, V) neighbour table with -1 for those outside the ball.
+    """
+    index = {(): 0}
+    frontier = [()]
+    for _ in range(radius):
+        next_frontier = []
+        for word in frontier:
+            for neighbor in _replacement_neighbors(word):
+                if neighbor not in index:
+                    index[neighbor] = len(index)
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    words = list(index)
+    table = [[index.get(n, -1) for n in _replacement_neighbors(word)] for word in words]
+    distances = np.array([len(word) for word in words], dtype=np.int64)
+    return words, distances, np.array(table, dtype=np.int64).T.copy()
+
+
+def _fit_limit(radii, values):
+    """rho_inf of the fit rho(r) = rho_inf - C / (r + a)^2 through three points."""
+    (r1, r2, r3), (v1, v2, v3) = radii, values
+    ratio = (v3 - v2) / (v2 - v1)
+
+    def mismatch(a):
+        s1, s2, s3 = (1.0 / (r + a) ** 2 for r in radii)
+        return (s2 - s3) - ratio * (s1 - s2)
+
+    a = scipy.optimize.brentq(mismatch, 0.5 - r1, 10.0 * r3)
+    c = (v2 - v1) / (1.0 / (r1 + a) ** 2 - 1.0 / (r2 + a) ** 2)
+    return v3 + c / (r3 + a) ** 2
 
 
 def test_replacement_sphere_sizes_follow_the_growth_series():
-    ball = replacement_ball(12)
-    assert tuple(np.bincount(ball.distances)) == REPLACEMENT_SPHERES
-    assert ball.num_vertices == sum(REPLACEMENT_SPHERES) == 3641
+    _, distances, neighbors = _replacement_ball(12)
+    assert tuple(np.bincount(distances)) == REPLACEMENT_SPHERES
+    assert neighbors.shape[1] == sum(REPLACEMENT_SPHERES) == 3641
     for k in range(3, len(REPLACEMENT_SPHERES)):
         assert REPLACEMENT_SPHERES[k] == 3 * REPLACEMENT_SPHERES[k - 2]
 
@@ -821,46 +856,110 @@ def test_replacement_sphere_sizes_follow_the_growth_series():
 @pytest.mark.parametrize("radius", [0, 1, 2, 5, 12])
 def test_replacement_ball_neighbors_are_symmetric_and_give_the_edges(radius):
     """Every entry is -1 or a vertex that lists its owner back, only the
-    outermost sphere reaches outside, and the edges match the two-pass twin."""
-    ball = replacement_ball(radius)
-    neighbors = ball.neighbors
-    assert neighbors.shape == (4, ball.num_vertices) and neighbors.dtype == np.int64
-    with pytest.raises(ValueError):
-        neighbors[0, 0] = 0
+    outermost sphere reaches outside, and the edges are simple: no vertex
+    lists itself or one neighbour twice."""
+    _, distances, neighbors = _replacement_ball(radius)
+    assert neighbors.shape == (4, distances.size) and neighbors.dtype == np.int64
     for u, row in enumerate(neighbors.T.tolist()):
-        for v in row:
-            assert v == -1 or u in neighbors[:, v].tolist(), (u, v)
+        inside = [v for v in row if v != -1]
+        assert u not in inside and len(set(inside)) == len(inside), (u, row)
+        for v in inside:
+            assert u in neighbors[:, v].tolist(), (u, v)
     outside = np.any(neighbors < 0, axis=0)
-    assert np.all(ball.distances[outside] == radius)
-    owner = np.broadcast_to(np.arange(ball.num_vertices), neighbors.shape)
-    keep = neighbors > owner
-    edges = tuple(sorted(zip(owner[keep].tolist(), neighbors[keep].tolist())))
-    assert edges == _replacement_edges_twin(radius)
-    assert 2 * len(edges) == int(np.sum(neighbors >= 0))
+    assert np.all(distances[outside] == radius)
+    assert np.all(distances[~outside] < radius)
+
+
+@pytest.mark.parametrize("radius", range(13))
+def test_replacement_ball_classes_are_equitable_with_the_quotient(radius):
+    """The ball's K_d and Y_d classes have sizes |K_d| = 3 |Y_(d-1)| and
+    |Y_d| = |K_(d-1)| (the root standing in at d = 1), every vertex of a class
+    has the same neighbour counts B_ij into each class, and sqrt(B_ij * B_ji)
+    is, entry for entry, the table that ``dirichlet_rho`` solves."""
+    words, distances, neighbors = _replacement_ball(radius)
+    # class on the quotient's path: radius + d for a word of length d that
+    # starts with a power of x (K1, Y2, ...), radius - d for one that starts
+    # with y (Y1, K2, ...)
+    classes = np.array([radius + (-len(w) if w[:1] == ("y",) else len(w)) for w in words])
+    size = 2 * radius + 1
+    sizes = np.bincount(classes, minlength=size)
+    assert sizes[radius] == 1
+    for word, cls in zip(words[1:], classes[1:]):
+        inner = cls - 1 if cls > radius else cls + 1
+        assert sizes[cls] == (1 if word[-1] == "y" else 3) * sizes[inner]
+    if radius >= 3:
+        assert [sizes[radius + e] for e in (1, -1, -2, 2, 3, -3)] == [3, 1, 3, 3, 9, 3]
+    owner = np.broadcast_to(np.arange(distances.size), neighbors.shape)
+    inside = neighbors >= 0
+    counts = np.zeros((distances.size, size), dtype=np.int64)
+    np.add.at(counts, (owner[inside], classes[neighbors[inside]]), 1)
+    quotient = counts[[list(classes).index(c) for c in range(size)]]
+    assert np.array_equal(counts, quotient[classes])
+    expected = covers._dense(*covers._replacement_quotient(radius))
+    assert np.array_equal(np.sqrt(quotient * quotient.T), expected)
+
+
+def test_dirichlet_rho_matches_lanczos_on_the_ball():
+    """The quotient's Perron root is the top eigenvalue of the breadth-first
+    ball for every radius up to 14; each radius-r ball is a prefix of the
+    radius-14 one."""
+    _, distances, neighbors = _replacement_ball(14)
+    for radius in range(15):
+        size = int(np.searchsorted(distances, radius, side="right"))
+        table = np.where(neighbors[:, :size] < size, neighbors[:, :size], -1)
+        ball_rho = covers._lanczos_top(table, (table >= 0).astype(float))
+        assert abs(dirichlet_rho(radius) - ball_rho) <= 1e-13, radius
 
 
 def test_replacement_rho_increases_to_the_frozen_value():
-    values = [dirichlet_rho(replacement_ball(r)) for r in range(0, 13, 3)]
+    values = [dirichlet_rho(r) for r in range(0, 13, 3)]
     assert values[0] == 0.0
     assert all(a < b for a, b in zip(values[1:], values[2:]))
     assert values[-1] == pytest.approx(RHO_AT_RADIUS_12, rel=1e-12)
-    assert values[-1] <= REPLACEMENT_SPECTRAL_RADIUS
+    assert values[-1] <= 4.0 - REPLACEMENT_GRAPH_GAP
+
+
+def test_replacement_rho_converges_to_the_closed_form_of_the_quotient():
+    """Past the root the quotient is 2-periodic: a K-class (diagonal 2) and a
+    Y-class (diagonal 0), joined by couplings 1 and sqrt(3).  The infinite
+    path's spectrum tops out where the cell's symbol at zero quasi-momentum
+    does, at the top root of lambda (lambda - 2) = (1 + sqrt(3))^2, which is
+    4 - REPLACEMENT_GRAPH_GAP.  Fits of rho_inf - C / (r + a)^2 through
+    same-parity triples of rho(r) approach it as r grows."""
+    radius = 6
+    _, weights = covers._replacement_quotient(radius)
+    cell = weights[:, radius + 3 : radius + 5]
+    assert np.array_equal(cell, weights[:, radius + 1 : radius + 3])
+    (d0, d1), (c0, c1) = cell[1], cell[2]
+    assert (d0, d1) == (2.0, 0.0)
+    assert sorted((c0, c1)) == [1.0, math.sqrt(3.0)]
+    closed = (d0 + d1) / 2 + math.sqrt(((d0 - d1) / 2) ** 2 + (c0 + c1) ** 2)
+    assert abs(closed - (4.0 - REPLACEMENT_GRAPH_GAP)) <= 1e-15
+    errors = []
+    for end in (14, 24, 50, 100):
+        radii = (end - 4, end - 2, end)
+        limit = _fit_limit(radii, [dirichlet_rho(r) for r in radii])
+        errors.append(abs(limit - closed))
+    assert all(a > b for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] < 1e-6, errors
 
 
 def test_replacement_radius_and_gap_constants_are_consistent():
-    assert REPLACEMENT_SPECTRAL_RADIUS == pytest.approx(
-        1.0 + math.sqrt(5.0 + 2.0 * math.sqrt(3.0)), rel=1e-15
-    )
-    assert 4.0 - REPLACEMENT_SPECTRAL_RADIUS == pytest.approx(0.0906871, abs=1e-7)
+    rho_inf = 4.0 - REPLACEMENT_GRAPH_GAP
+    assert rho_inf == pytest.approx(1.0 + math.sqrt(5.0 + 2.0 * math.sqrt(3.0)), rel=1e-15)
+    assert 4.0 - rho_inf == pytest.approx(0.0906871, abs=1e-7)
 
 
-def test_replacement_ball_guards_its_radius():
-    with pytest.raises(DomainError):
-        replacement_ball(15)
-    with pytest.raises(DomainError):
-        replacement_ball(-1)
-    with pytest.raises(DomainError):
-        replacement_ball(True)
+def test_replacement_ball_guards_its_radius(monkeypatch):
+    """``dirichlet_rho`` checks its radius before it allocates: a radius whose
+    2r + 1 classes pass the Lanczos step limit is refused at once."""
+    for radius in (-1, True, 10**12):
+        with pytest.raises(DomainError):
+            dirichlet_rho(radius)
+    monkeypatch.setattr(covers, "_LANCZOS_MAX_STEPS", 22)
+    assert dirichlet_rho(10) == pytest.approx(3.8499877230339288, rel=1e-12)
+    with pytest.raises(DomainError, match="at most 10"):
+        dirichlet_rho(11)
 
 
 # -- the edge table --------------------------------------------------------------------
