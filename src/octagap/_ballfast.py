@@ -16,6 +16,11 @@ commute, so restricted to them the automaton accepts exactly the reduced
 words of their free product; on all eight letters it accepts the normal
 forms of the reflection group.
 
+``ball_counts`` is the only entry to the walk.  It checks the group's
+length guard, decides whether to split the walk in two halves, walks, bins
+the displacements into counts on the ``GRID_STEP`` grid and checks the
+level tallies against the group's growth series (``_check_growth``).
+
 The walk is depth first over blocks of at most ``_CHUNK`` parents, in one
 loop over an explicit stack with one frame (``_Frame``) per level, so its
 depth is bounded by the length guard, not by Python's recursion limit.
@@ -27,24 +32,20 @@ end before the frame forms the next.  A frame holds its block, the block's
 block it is walking is the next frame's.  So memory is bounded by one block
 per level times the depth, not by the widest sphere: building the full ball
 at L = 9 (4.4M elements) peaks at 3.7 MB of numpy allocations under
-``tracemalloc`` (numpy 2.4).  A walk whose blocks
-formed all of their children, up to 8 ``_CHUNK``, before walking the first
-peaked at 7.4 MB, and one that held a whole level at a time at 41.8 MB.
-No slice holds more than 8 ``_CHUNK`` = 65,536 floats, and none is ever
-joined: ``geometry.orbit_ball`` bins each slice into counts on a fixed grid
-as it arrives.  The sizes of the levels are summed across blocks and
-returned once the walk is exhausted, and ``geometry.orbit_ball`` checks
-them against the group's growth series (``_check_growth``).
+``tracemalloc`` (numpy 2.4).  No slice holds more than 8 ``_CHUNK`` =
+65,536 floats, and none is ever joined: ``_grid_counts`` bins each slice as
+it arrives.  The sizes of the levels are summed across blocks and returned
+once the walk is exhausted.
 
-A walk can be split into parts whose subtrees are disjoint: at level
-``_SPLIT_LEVEL`` each block deals its parents by column to the parts, and
-every part walks the levels above the split but leaves them to part 0 to
-yield and count.  ``geometry.orbit_ball`` walks the parts at once, all but
-one in children made with ``os.fork``, and checks the growth of the summed
-tallies.  Forking a process with numpy loaded is safe here because the walk
-calls no BLAS, whose thread pool does not survive a fork: its products run
-in ``einsum`` (see ``_child_displacements``) and the rest in ufuncs.  A
-displacement depends on its parent's column alone, so the parts give the
+A walk can be split in two halves whose subtrees are disjoint: at level
+``_SPLIT_LEVEL`` each block deals its parents by column to the halves, and
+both halves walk the levels above the split but leave them to half 0 to
+yield and count.  ``ball_counts`` walks half 0 while a child made with
+``os.fork`` walks half 1, and checks the growth of the summed tallies.
+Forking a process with numpy loaded is safe here because the walk calls no
+BLAS, whose thread pool does not survive a fork: its products run in
+``einsum`` (see ``_child_displacements``) and the rest in ufuncs.  A
+displacement depends on its parent's column alone, so the halves give the
 whole walk's values bit for bit.
 
 Each element M, of unit determinant modulus, is carried as its Gram vector
@@ -91,10 +92,14 @@ right-multiply by the entrywise conjugate of the letter's matrix.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Generator, Sequence
+from typing import Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -110,22 +115,34 @@ from .words import (
 #: none of its arrays outgrows a few MB and every slice fits in cache.
 _CHUNK = 1 << 13
 
-#: Level whose blocks deal their parents to the parts of a split walk.  Its
-#: sphere holds 36 free and 224 full words, enough for the parts' subtrees to
-#: come out about even, and the levels every part walks stay tiny.
+#: Level whose blocks deal their parents to the two halves of a split walk.
+#: Its sphere holds 36 free and 224 full words, enough for the halves'
+#: subtrees to come out about even, and the levels both halves walk stay tiny.
 _SPLIT_LEVEL = 3
+
+#: Spacing of the grid on which an orbit ball counts its points.
+GRID_STEP = 0.1
 
 MAX_FREE_LEN = 15
 MAX_RACG_LEN = 10
 
 #: Per orbit group: its letters, as positions in GENERATOR_NAMES (the face
 #: letters r1..r4, or all eight); whether only the kernel of the perp
-#: retraction is kept; the length guard; and the sphere count each level of
-#: the walk must hit.
+#: retraction is kept; the length guard; the shortest word length whose ball
+#: is walked in two halves; and the sphere count each level must hit.
+#:
+#: The split lengths were measured on 2 CPUs, each ball walked once in a
+#: fresh process after a warm-up ball, 9 alternating serial / split runs,
+#: medians: free L = 11 (354K elements) 10.1 ms serial against 12.5 ms split,
+#: L = 12 (1.06M) 32.6 against 25.2 ms; full L = 7 (176K) 7.1 against
+#: 10.4 ms, L = 8 (879K) 29.3 against 21.4 ms.  The kernel walk forms only
+#: the prefixes that can still return to the kernel, so its ball costs less
+#: than the full ball of the same length: L = 8 10.1 against 15.0 ms,
+#: L = 9 35.8 against 28.2 ms.
 _WALKS = {
-    "free": ((0, 2, 4, 6), False, MAX_FREE_LEN, free_sphere_count),
-    "full": (tuple(range(8)), False, MAX_RACG_LEN, racg_sphere_count),
-    "kernel": (tuple(range(8)), True, MAX_RACG_LEN, racg_sphere_count),
+    "free": ((0, 2, 4, 6), False, MAX_FREE_LEN, 12, free_sphere_count),
+    "full": (tuple(range(8)), False, MAX_RACG_LEN, 8, racg_sphere_count),
+    "kernel": (tuple(range(8)), True, MAX_RACG_LEN, 9, racg_sphere_count),
 }
 
 
@@ -276,15 +293,6 @@ class _Frame:
     cursor: int = 0
 
 
-def _check_guard(group: str, max_len: int) -> None:
-    """Raise MemoryGuardError if max_len passes the length guard of the group's walk."""
-    max_guard = _WALKS[group][2]
-    if max_len > max_guard:
-        raise MemoryGuardError(
-            f"{group} orbit ball of radius {max_len} exceeds the memory guard ({max_guard})"
-        )
-
-
 def _check_growth(group: str, max_len: int, sizes: list[int], dead: list[Counter]) -> None:
     """Raise AssertionError unless a walk's level tallies hit the group's growth series.
 
@@ -293,7 +301,7 @@ def _check_growth(group: str, max_len: int, sizes: list[int], dead: list[Counter
     multiplicities; each sphere's walked words plus the accepted
     continuations of the pruned prefixes must make its sphere count.
     """
-    letters, _, _, sphere_count = _WALKS[group]
+    letters, *_, sphere_count = _WALKS[group]
     for n in range(1, max_len + 1):
         missing = sum(
             m * _continuations(letters, s, n - j) for j in range(1, n) for s, m in dead[j].items()
@@ -303,7 +311,7 @@ def _check_growth(group: str, max_len: int, sizes: list[int], dead: list[Counter
 
 
 def _sphere_displacements(
-    z0: complex, t0: float, max_len: int, group: str, part: tuple[int, int] = (0, 1)
+    z0: complex, t0: float, max_len: int, group: str, half: int | None = None
 ) -> Generator[np.ndarray, None, tuple[list[int], list[Counter]]]:
     """Displacements d(x0, g x0) over a word-length ball of an orbit group, in slices.
 
@@ -314,20 +322,16 @@ def _sphere_displacements(
     ball).  Yields one float per element of geodesic length <= max_len,
     the identity's 0 first and then the rest in depth-first order over
     blocks of at most ``_CHUNK`` parents, one slice of at most
-    8 ``_CHUNK`` floats per block.  The length guard raises
-    MemoryGuardError at the first slice asked for, before the walk
-    allocates anything.  Returns the level tallies ``_check_growth`` reads;
-    the caller checks them.
+    8 ``_CHUNK`` floats per block.  Returns the level tallies
+    ``_check_growth`` reads; the caller checks them.
 
-    ``part`` = (p, P) walks the p-th of P parts of the ball: at level
-    ``_SPLIT_LEVEL``, each block deals its parents to the parts by column,
-    i mod P == p, and each part walks the subtrees of its own.  Every part
-    walks the levels up to the split, but only part 0 yields and counts
-    them, so the P parts yield every displacement once and their tallies
-    sum to the whole walk's.  The default (0, 1) is the whole walk.
+    ``half`` = 0 or 1 walks that half of the ball: at level
+    ``_SPLIT_LEVEL``, each block deals its even columns to half 0 and its
+    odd columns to half 1, and each half walks the subtrees of its own.
+    Both halves walk the levels up to the split, but only half 0 yields and
+    counts them, so the two halves yield every displacement once and their
+    tallies sum to the whole walk's.  The default None is the whole walk.
     """
-    _check_guard(group, max_len)
-    part_no, parts = part
     letters, kernel_only = _WALKS[group][:2]
     # the per-letter constants are (letters, 1) columns, which broadcast
     # against the (n,) rows of a block's states and perp images
@@ -356,15 +360,15 @@ def _sphere_displacements(
     # Columns are gathered with np.take, not with fancy indexing, which
     # copies them about four times slower.
     def enter(level, grams, state, image):
-        """Yields the slice of the block's children unless they are another
-        part's; pushes the block's frame if they are extended."""
-        if level == _SPLIT_LEVEL:
-            # the part's share of the block: every P-th parent from the p-th
-            cols = np.arange(part_no, state.size, parts)
+        """Yields the slice of the block's children unless they are the other
+        half's; pushes the block's frame if they are extended."""
+        if level == _SPLIT_LEVEL and half is not None:
+            # the half's share of the block: every other parent from the half-th
+            cols = np.arange(half, state.size, 2)
             grams, state = np.take(grams, cols, axis=1), np.take(state, cols)
             image = tuple(np.take(a, cols) for a in image)
-        # the children up to the split level are part 0's to count and yield
-        mine = part_no == 0 or level >= _SPLIT_LEVEL
+        # the children up to the split level are half 0's to count and yield
+        mine = half != 1 or level >= _SPLIT_LEVEL
         # the children in letter-major order: free[k, i] is child k of parent i
         free = (state >> shifts) & np.uint16(3) == 0
         if kernel_only:
@@ -420,7 +424,7 @@ def _sphere_displacements(
         frame.cursor = stop
         return frame.level + 1, grams, state, image
 
-    if part_no == 0:
+    if half != 1:
         yield np.zeros(1)
     if max_len == 0:
         return sizes, dead
@@ -432,3 +436,141 @@ def _sphere_displacements(
         else:
             yield from enter(*form(stack[-1]))
     return sizes, dead
+
+
+def _grid_counts(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
+    """N(k GRID_STEP) for k = 0, 1, ..., j(r), and r, the largest displacement.
+
+    Each displacement d goes into bin j(d), the least k with k GRID_STEP >= d,
+    guessed as ceil(d * (1 / GRID_STEP)) and then fixed by one compare on
+    each side, since the guess's rounding can put it one bin off.  The
+    products k * GRID_STEP are the floats the exponent fit reads at, so the
+    cumulated bins equal searchsorted(sorted displacements, k * GRID_STEP,
+    "right") exactly.  Each slice is binned whole, in place in temporaries
+    of its own size, none kept for the next slice: the walker's hold at most
+    8 ``_CHUNK`` = 65,536 floats, so they stay in cache.
+    """
+    bins = np.zeros(1, dtype=np.int64)
+    radius = 0.0
+    for d in slices:
+        j = np.multiply(d, 1 / GRID_STEP)
+        np.ceil(j, out=j)
+        step = np.subtract(j, 1.0)
+        np.multiply(step, GRID_STEP, out=step)
+        fix = np.greater_equal(step, d)
+        np.subtract(j, 1.0, out=j, where=fix)
+        np.multiply(j, GRID_STEP, out=step)
+        np.less(step, d, out=fix)
+        np.add(j, 1.0, out=j, where=fix)
+        # freed first, so that the cast is the only other temporary held
+        del step, fix
+        counts = np.bincount(j.astype(np.intp))
+        if counts.size > bins.size:
+            bins, counts = counts, bins
+        bins[: counts.size] += counts
+        radius = float(d.max(initial=radius))
+    return np.cumsum(bins), radius
+
+
+def _part_count() -> int:
+    """The parts a walk may be split into: two if this process may run on
+    two CPUs or more, else one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2)
+
+
+def _walk_part(group: str, z0: complex, t0: float, max_len: int, half: int | None) -> tuple:
+    """Grid counts, radius, level sizes and pruned states of the walk or of one half."""
+    tallies = []
+
+    def slices():
+        tallies.append((yield from _sphere_displacements(z0, t0, max_len, group, half)))
+
+    return (*_grid_counts(slices()), *tallies[0])
+
+
+def _split_walk(group: str, z0: complex, t0: float, max_len: int) -> list[tuple]:
+    """The ``_walk_part`` of both halves: half 0 here, half 1 in a forked child.
+
+    The child pickles its ``_walk_part``, or the exception that stopped it,
+    down a pipe, and leaves only by ``os._exit``, so that no atexit handler
+    or inherited stdio buffer runs twice.  The child is reaped before this
+    returns or raises, killed first if the parent's half raised; its
+    exception is raised again here, and a child that died without a reply
+    raises ChildProcessError.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                try:
+                    reply = (_walk_part(group, z0, t0, max_len, 1), None)
+                except Exception as exc:
+                    reply = (None, exc)
+                with open(write, "wb") as pipe:
+                    pickle.dump(reply, pipe)
+                code = 0
+            finally:
+                os._exit(code)
+    except BaseException:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+    try:
+        try:
+            mine = _walk_part(group, z0, t0, max_len, 0)
+            with open(read, "rb", closefd=False) as pipe:
+                reply = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+    finally:
+        os.close(read)
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        code = os.waitstatus_to_exitcode(status)
+        raise ChildProcessError(f"orbit walk half in process {pid} ended with status {code}")
+    theirs, error = pickle.loads(reply)
+    if error is not None:
+        raise error
+    return [mine, theirs]
+
+
+def ball_counts(group: str, z0: complex, t0: float, max_len: int) -> tuple[np.ndarray, float]:
+    """Grid counts and largest displacement of the word-length ball of an orbit
+    group at x0 = (z0, t0), as ``geometry.OrbitBall`` holds them.
+
+    ``group`` is a key of ``_WALKS``.  A length past the group's guard
+    raises MemoryGuardError before anything is walked or forked.  The walk
+    is split in two halves, half 1 walked in a forked child
+    (``_split_walk``), when this process may run on two CPUs, can fork, has
+    no other Python thread alive and the length reaches the group's split
+    length in ``_WALKS``; below it a fork costs more than a second CPU
+    saves.  Otherwise the whole walk runs here.  Either way the counts
+    equal the whole walk's bit for bit, and the growth check runs once, on
+    the tallies summed over the halves.
+    """
+    guard, split_from = _WALKS[group][2:4]
+    if max_len > guard:
+        raise MemoryGuardError(
+            f"{group} orbit ball of word length {max_len} exceeds the memory guard ({guard})"
+        )
+    split = _part_count() == 2 and hasattr(os, "fork") and threading.active_count() == 1
+    if split and max_len >= split_from:
+        parts = _split_walk(group, z0, t0, max_len)
+    else:
+        parts = [_walk_part(group, z0, t0, max_len, None)]
+    bins, radii, sizes, dead = zip(*parts)
+    size = max(b.size for b in bins)
+    # cumulated counts: past its own radius a half counts all of its points
+    grid_counts = sum(np.pad(b, (0, size - b.size), mode="edge") for b in bins)
+    _check_growth(
+        group, max_len, [sum(n) for n in zip(*sizes)], [sum(c, Counter()) for c in zip(*dead)]
+    )
+    return grid_counts, max(radii)

@@ -217,11 +217,11 @@ def sample_cover(n: int, seed: int | None = None) -> CoverPresentation:
 
     Each matching pairs consecutive entries of a seeded random shuffle,
     which is uniform over the (2n - 1)!! perfect matchings.  With ``seed``
-    None a fresh seed is drawn and recorded on the presentation.
+    None a fresh seed is drawn and recorded on the presentation; any other
+    seed must be a non-negative integer.
     """
     n = check_count("n", n, 1)
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy)
+    seed = int(np.random.SeedSequence().entropy) if seed is None else check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     matchings = []
     for _ in range(NUM_COLORS):
@@ -549,7 +549,8 @@ def switching_walk(
     Starts from ``start`` (all +1 by default, whose two-cover is a pair of
     disjoint copies with gap zero), flips one uniformly random edge per
     step, and records (signing hash, two-cover gap) for the initial signing
-    and after every step: steps + 1 entries in all, reproducible from seed.
+    and after every step: steps + 1 entries in all, reproducible from seed,
+    which must be None (a fresh one) or a non-negative integer.
 
     The two-cover's spectrum is the base spectrum together with the signed
     spectrum, and the base's top eigenvalue is 4, so each gap is
@@ -561,8 +562,7 @@ def switching_walk(
     is built.
     """
     steps = check_count("steps", steps, 1)
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy)
+    seed = int(np.random.SeedSequence().entropy) if seed is None else check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     signing = all_plus_signing(graph) if start is None else start
     if signing.num_edges != graph.num_edges:

@@ -12,19 +12,15 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-import pickle
-import signal
 import sys
-import threading
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _ballfast
+from ._ballfast import GRID_STEP
 from .errors import DomainError, InsufficientDataError, SetupError, check_count
 from .group import GaussianInt, ProjIsom, octa_symmetry_group
 
@@ -395,44 +391,6 @@ def horoball_cover_check(
 
 # -- orbit balls and the critical exponent -----------------------------------
 
-#: Spacing of the grid on which an orbit ball counts its points.
-GRID_STEP = 0.1
-
-
-def _grid_counts(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
-    """N(k GRID_STEP) for k = 0, 1, ..., j(r), and r, the largest displacement.
-
-    Each displacement d goes into bin j(d), the least k with k GRID_STEP >= d,
-    guessed as ceil(d * (1 / GRID_STEP)) and then fixed by one compare on
-    each side, since the guess's rounding can put it one bin off.  The
-    products k * GRID_STEP are the floats the exponent fit reads at, so the
-    cumulated bins equal searchsorted(sorted displacements, k * GRID_STEP,
-    "right") exactly.  Each slice is binned whole, in place in temporaries
-    of its own size, none kept for the next slice: the walker's hold at most
-    8 ``_ballfast._CHUNK`` = 65,536 floats, so they stay in cache.
-    """
-    bins = np.zeros(1, dtype=np.int64)
-    radius = 0.0
-    for d in slices:
-        j = np.multiply(d, 1 / GRID_STEP)
-        np.ceil(j, out=j)
-        step = np.subtract(j, 1.0)
-        np.multiply(step, GRID_STEP, out=step)
-        fix = np.greater_equal(step, d)
-        np.subtract(j, 1.0, out=j, where=fix)
-        np.multiply(j, GRID_STEP, out=step)
-        np.less(step, d, out=fix)
-        np.add(j, 1.0, out=j, where=fix)
-        # freed first, so that the cast is the only other temporary held
-        del step, fix
-        counts = np.bincount(j.astype(np.intp))
-        if counts.size > bins.size:
-            bins, counts = counts, bins
-        bins[: counts.size] += counts
-        radius = float(d.max(initial=radius))
-    return np.cumsum(bins), radius
-
-
 @dataclass(frozen=True, eq=False)
 class OrbitBall:
     """Counts of the displacements d(x0, g x0) over a word-length ball of a subgroup.
@@ -472,133 +430,6 @@ class OrbitBall:
 ORBIT_GROUPS = tuple(_ballfast._WALKS)
 
 
-#: Per orbit group, the shortest word length whose ball is walked in parts.
-#: Measured on 2 CPUs, each ball walked once in a fresh process after a
-#: warm-up ball, 9 alternating serial / split runs, medians:
-#: free L = 11 (354K elements) 10.1 ms serial against 12.5 ms split,
-#: L = 12 (1.06M) 32.6 against 25.2 ms; full L = 7 (176K) 7.1 against
-#: 10.4 ms, L = 8 (879K) 29.3 against 21.4 ms.  The kernel walk forms only
-#: the prefixes that can still return to the kernel, so its ball costs less
-#: than the full ball of the same length: L = 8 10.1 against 15.0 ms,
-#: L = 9 35.8 against 28.2 ms.
-_SPLIT_FROM = {"free": 12, "full": 8, "kernel": 9}
-
-#: Most parts a walk is split into: the most CPUs a split has been measured
-#: on.  The parents are dealt at a level of 36 free words, and each part
-#: costs a fork and the child's copy-on-write faults whether or not it gets
-#: much of the walk.
-_MAX_PARTS = 2
-
-
-def _part_count() -> int:
-    """The number of CPUs this process may run on, at most ``_MAX_PARTS``."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_PARTS)
-
-
-def _split_parts(group: str, max_len: int) -> int:
-    """How many parts the walk of the ball is split into: one CPU's each, or
-    one in all where forking is missing or unsafe or the ball is small."""
-    parts = _part_count()
-    if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return parts if max_len >= _SPLIT_FROM[group] else 1
-
-
-def _walk_part(group: str, base: Point3, max_len: int, part: tuple[int, int]) -> tuple:
-    """Grid counts, radius, sizes and pruned states of one part of a walk."""
-    tallies = []
-
-    def slices():
-        tallies.append(
-            (yield from _ballfast._sphere_displacements(base.z, base.t, max_len, group, part))
-        )
-
-    return (*_grid_counts(slices()), *tallies[0])
-
-
-def _fork_part(group: str, base: Point3, max_len: int, part: tuple[int, int]) -> tuple[int, int]:
-    """Fork a child that walks one part: its pid and the read end of its pipe.
-
-    The child pickles its ``_walk_part``, or the exception that stopped it,
-    down the pipe, and leaves only by ``os._exit``, so that no atexit
-    handler or inherited stdio buffer runs twice.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                try:
-                    reply = (_walk_part(group, base, max_len, part), None)
-                except Exception as exc:
-                    reply = (None, exc)
-                with open(write, "wb") as pipe:
-                    pickle.dump(reply, pipe)
-                code = 0
-            finally:
-                os._exit(code)
-    except BaseException:
-        os.close(read)
-        raise
-    finally:
-        os.close(write)
-    return pid, read
-
-
-def _split_counts(group: str, base: Point3, max_len: int, parts: int) -> tuple[np.ndarray, float]:
-    """Grid counts and radius of the ball, walked in parts, all but the first
-    in forked children; one part forks nothing.
-
-    The walker calls no BLAS, only einsum and ufuncs, which is what makes
-    forking a process with numpy loaded safe here.  The parent walks part 0
-    while the children walk theirs, then sums the parts' counts and level
-    tallies and runs the growth check once, on the sums.  Every child is
-    reaped before this returns or raises, killed first if the parent's own
-    part raised; a child's exception is raised again here, and a child that
-    died without a reply raises ChildProcessError.
-    """
-    children: dict[int, int] = {}
-    try:
-        for p in range(1, parts):
-            pid, read = _fork_part(group, base, max_len, (p, parts))
-            children[pid] = read
-        results = [_walk_part(group, base, max_len, (0, parts))]
-        replies = {}
-        for pid, read in children.items():
-            with open(read, "rb", closefd=False) as pipe:
-                replies[pid] = pipe.read()
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        statuses = {}
-        for pid, read in children.items():
-            os.close(read)
-            statuses[pid] = os.waitpid(pid, 0)[1]
-    for pid, status in statuses.items():
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            raise ChildProcessError(f"orbit walk part in process {pid} ended with status {code}")
-        result, error = pickle.loads(replies[pid])
-        if error is not None:
-            raise error
-        results.append(result)
-    bins, radii, sizes, dead = zip(*results)
-    size = max(b.size for b in bins)
-    # cumulated counts: past its own radius a part counts all of its points
-    grid_counts = sum(np.pad(b, (0, size - b.size), mode="edge") for b in bins)
-    _ballfast._check_growth(
-        group, max_len, [sum(n) for n in zip(*sizes)], [sum(c, Counter()) for c in zip(*dead)]
-    )
-    return grid_counts, max(radii)
-
-
 def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
     """Orbit ball of a subgroup around a base point, as counts on the grid.
 
@@ -612,21 +443,17 @@ def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
     the ball's counts, so no array of all displacements is ever formed.
     A length of 0 gives the one-point ball of the identity.
 
-    The walk is split into one part per CPU this process may run on, each
-    part but the first walked in a child made with ``os.fork``
-    (``_split_counts``), up to ``_MAX_PARTS`` parts; the counts equal the
-    whole walk's bit for bit.  It runs in this process alone when there is
-    one CPU, no ``os.fork``, more than one Python thread alive, or a word
-    length below the group's ``_SPLIT_FROM`` (free 12, full 8, kernel 9),
-    where a fork costs more than a second CPU saves.
+    ``_ballfast.ball_counts`` walks the ball and bins it: in this process,
+    or in two halves, the second in a forked child, when there are two CPUs
+    and the ball is long enough for the group.  The counts equal the whole
+    walk's bit for bit either way.
     """
     if not (cmath.isfinite(base.z) and 0 < base.t < math.inf):
         raise DomainError(f"base point must be finite with positive height, got {base}")
     max_len = check_count("max_len", max_len, 0)
     if group not in ORBIT_GROUPS:
         raise DomainError(f"unknown orbit group {group!r}; expected one of {ORBIT_GROUPS}")
-    _ballfast._check_guard(group, max_len)
-    grid_counts, radius = _split_counts(group, base, max_len, _split_parts(group, max_len))
+    grid_counts, radius = _ballfast.ball_counts(group, base.z, base.t, max_len)
     return OrbitBall(base, max_len, grid_counts, radius, int(grid_counts[-1]))
 
 
@@ -678,9 +505,8 @@ def estimate_critical_exponent(
         )
     k_lo = math.ceil(t_lo / GRID_STEP)
     k_hi = math.floor(t_hi / GRID_STEP)
-    ts = [k * GRID_STEP for k in range(k_lo, k_hi + 1)]
-    counts = [ball.counting_function(t) for t in ts]
-    keep = [(t, n) for t, n in zip(ts, counts) if n > 0]
+    counts = ball.grid_counts[k_lo : k_hi + 1]
+    keep = [(k * GRID_STEP, int(n)) for k, n in enumerate(counts, k_lo) if n > 0]
     if len({n for _, n in keep}) < _MIN_FIT_COUNTS:
         raise InsufficientDataError(
             f"only {len({n for _, n in keep})} distinct counts in window; need {_MIN_FIT_COUNTS}"

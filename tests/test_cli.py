@@ -213,7 +213,7 @@ def test_delta_csv_is_the_counting_function(tmp_path):
 
 def test_delta_prints_its_verdict_once_from_a_split_walk(tmp_path):
     """A fresh process on a pipe, so that a forked walker that ran on past
-    its part, or flushed the stdout buffer it inherited, would print twice.
+    its half, or flushed the stdout buffer it inherited, would print twice.
     The full ball of word length 9 is large enough to be split."""
     env = dict(os.environ, PYTHONPATH=str(Path(octagap.__file__).resolve().parents[1]))
     out = tmp_path / "delta.json"

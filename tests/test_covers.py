@@ -263,6 +263,15 @@ def test_sample_cover_rejects_bad_sizes():
             sample_cover(n, 7)
 
 
+@pytest.mark.parametrize("seed", [True, -1, 1.5, "7"])
+def test_seeded_functions_reject_seeds_that_are_not_non_negative_integers(seed):
+    graph = dual_graph(sample_cover(3, 1))
+    with pytest.raises(DomainError, match="seed"):
+        sample_cover(3, seed)
+    with pytest.raises(DomainError, match="seed"):
+        switching_walk(graph, 1, seed)
+
+
 def test_sample_cover_without_a_seed_records_fresh_entropy():
     cover = sample_cover(5)
     assert cover.seed is not None

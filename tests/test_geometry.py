@@ -13,7 +13,7 @@ import scipy.integrate
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from octagap import _ballfast, geometry
+from octagap import _ballfast
 from octagap.errors import DomainError, InsufficientDataError, MemoryGuardError
 from octagap.geometry import (
     DEFAULT_BASE_POINT,
@@ -550,7 +550,7 @@ def test_orbit_ball_memory_is_bounded_by_the_blocks_of_the_walk(monkeypatch):
     depth-first walk, 41.8 MB for the level-by-level walk before it, which
     held the widest sphere.  The bound is their geometric mean.  The walk
     stays in this process, where tracemalloc sees all of it."""
-    monkeypatch.setattr(geometry, "_part_count", lambda: 1)
+    monkeypatch.setattr(_ballfast, "_part_count", lambda: 1)
     orbit_ball("full", DEFAULT_BASE_POINT, 3)
     tracemalloc.start()
     try:
@@ -575,7 +575,7 @@ def test_walk_forms_one_child_block_at_a_time(
     8 _CHUNK children before walking the first.  Each bound is the
     geometric mean of the two peaks.  The walk stays in this process, where
     tracemalloc sees all of it."""
-    monkeypatch.setattr(geometry, "_part_count", lambda: 1)
+    monkeypatch.setattr(_ballfast, "_part_count", lambda: 1)
     orbit_ball(label, DEFAULT_BASE_POINT, 3)
     tracemalloc.start()
     try:
@@ -593,14 +593,15 @@ def test_walk_forms_one_child_block_at_a_time(
 def test_each_part_of_a_split_walk_forms_one_child_block_at_a_time(
     label, all_children_peak, one_block_peak
 ):
-    """The bound of the test above on each part of the walk split in two,
-    each walked and binned here as ``_split_counts`` has a child walk it,
-    so that tracemalloc sees the part a child would walk."""
-    geometry._walk_part(label, DEFAULT_BASE_POINT, 3, (1, 2))
-    for p in range(2):
+    """The bound of the test above on each half of the split walk, each
+    walked and binned here as ``_split_walk`` has the child walk half 1,
+    so that tracemalloc sees the half a child would walk."""
+    base = DEFAULT_BASE_POINT
+    _ballfast._walk_part(label, base.z, base.t, 3, 1)
+    for half in (0, 1):
         tracemalloc.start()
         try:
-            geometry._walk_part(label, DEFAULT_BASE_POINT, 9, (p, 2))
+            _ballfast._walk_part(label, base.z, base.t, 9, half)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -650,7 +651,7 @@ def test_grid_bins_are_exact_at_and_next_to_the_grid_points():
     )
     shuffled = np.random.default_rng(5).permutation(values)
     pieces = np.split(shuffled, [1, 8, 300])
-    grid_counts, radius = geometry._grid_counts(pieces)
+    grid_counts, radius = _ballfast._grid_counts(pieces)
     ball = OrbitBall(DEFAULT_BASE_POINT, 0, grid_counts, radius, int(grid_counts[-1]))
     ordered = np.sort(values)
     assert ball.count == values.size
@@ -731,14 +732,42 @@ def test_walker_growth_check_catches_a_wrong_sphere_count(monkeypatch, label, er
         orbit_ball(label, DEFAULT_BASE_POINT, max_len)
 
 
-#: The shortest split lengths as shipped, before ``forks`` lowers them.
-_SHIPPED_SPLIT_FROM = geometry._SPLIT_FROM
+def _keeps_the_face_letters(s):
+    """Whether conjugation by s maps the face letters r1..r4 onto themselves."""
+    face = {STANDARD_GENERATORS[name] for name in GENERATOR_NAMES if not name.endswith("p")}
+    return {s * g * s.inverse() for g in face} == face
+
+
+@pytest.mark.parametrize("label, max_len", [("full", 8), ("free", 11), ("kernel", 8)])
+def test_orbit_balls_are_invariant_under_the_octahedral_symmetries(label, max_len):
+    """Each symmetry s of the octahedron conjugates the generators to
+    generators, so the ball at s x0 has the displacements of the ball at x0:
+    for the full group under all 24, for the face subgroup and the kernel
+    under the 12 that keep the face letters.  The kernel's other 12 swap the
+    face and perp letters, and their balls differ.  The radii are not
+    compared: at free L = 11 they move in the last bits."""
+    base = DEFAULT_BASE_POINT
+    ball = orbit_ball(label, base, max_len)
+    keeping = [_keeps_the_face_letters(s) for s in octa_symmetry_group()]
+    assert keeping.count(True) == 12
+    for s, keeps in zip(octa_symmetry_group(), keeping):
+        if label == "free" and not keeps:
+            continue
+        moved = orbit_ball(label, apply_isom(s, base), max_len)
+        same = moved.grid_counts.tobytes() == ball.grid_counts.tobytes()
+        assert same == (keeps or label == "full")
+        assert moved.count == ball.count
+
+
+#: The walks' rows as shipped, before ``forks`` lowers their split lengths.
+_SHIPPED_WALKS = dict(_ballfast._WALKS)
 
 
 @pytest.fixture
 def forks(monkeypatch):
     """Walks split at any size; the list of the pids of the children forked."""
-    monkeypatch.setattr(geometry, "_SPLIT_FROM", dict.fromkeys(ORBIT_GROUPS, 0))
+    for label, (letters, kernel_only, guard, _, count) in _SHIPPED_WALKS.items():
+        monkeypatch.setitem(_ballfast._WALKS, label, (letters, kernel_only, guard, 0, count))
     pids = []
     fork = os.fork
 
@@ -757,7 +786,7 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("cpus", [2, 64])
 @pytest.mark.parametrize(
     "label, max_len, chunk",
     [
@@ -770,23 +799,24 @@ def _assert_no_child_left():
     ],
 )
 def test_split_walk_counts_equal_the_whole_walk_bit_for_bit(
-    monkeypatch, forks, label, max_len, parts, chunk
+    monkeypatch, forks, label, max_len, cpus, chunk
 ):
-    """A ball walked in parts, all but one in forked children, against the
-    counts of the whole walk's slices, at both twin base points; with
-    seven-parent blocks the split level deals several blocks."""
+    """A ball walked in two halves, one in a forked child, however many CPUs
+    the affinity mask offers, against the counts of the whole walk's slices,
+    at both twin base points; with seven-parent blocks the split level deals
+    several blocks."""
     if chunk is not None:
         monkeypatch.setattr(_ballfast, "_CHUNK", chunk)
-    monkeypatch.setattr(geometry, "_part_count", lambda: parts)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     for base in TWIN_BASE_POINTS:
         split = orbit_ball(label, base, max_len)
-        grid_counts, radius = geometry._grid_counts(
+        grid_counts, radius = _ballfast._grid_counts(
             _ballfast._sphere_displacements(base.z, base.t, max_len, label)
         )
         assert split.grid_counts.dtype == grid_counts.dtype == np.int64
         assert split.grid_counts.tobytes() == grid_counts.tobytes()
         assert (split.count, split.radius) == (int(grid_counts[-1]), radius)
-    assert len(forks) == 2 * (parts - 1)
+    assert len(forks) == 2
     _assert_no_child_left()
 
 
@@ -794,9 +824,9 @@ def test_split_walk_counts_equal_the_whole_walk_bit_for_bit(
 @pytest.mark.parametrize("label", ORBIT_GROUPS)
 def test_split_walk_growth_check_runs_on_the_summed_tallies(monkeypatch, forks, label, error):
     """The wrong last sphere of the test above, in a walk split in two: no
-    part's tally alone makes a sphere count, so the check runs in the parent,
-    on the tallies summed over the parts."""
-    monkeypatch.setattr(geometry, "_part_count", lambda: 2)
+    half's tally alone makes a sphere count, so the check runs in the parent,
+    on the tallies summed over the halves."""
+    monkeypatch.setattr(_ballfast, "_part_count", lambda: 2)
     max_len = 6
     *head, count = _ballfast._WALKS[label]
     wrong = (*head, lambda n: count(n) + error * (n == max_len))
@@ -807,20 +837,20 @@ def test_split_walk_growth_check_runs_on_the_summed_tallies(monkeypatch, forks, 
     _assert_no_child_left()
 
 
-def _fail_in_part(monkeypatch, failing, failure):
-    """Make the walk of part ``failing`` of a split walk call ``failure``."""
+def _fail_in_half(monkeypatch, failing, failure):
+    """Make the walk of half ``failing`` of a split walk call ``failure``."""
     walk = _ballfast._sphere_displacements
 
-    def patched(z0, t0, max_len, group, part=(0, 1)):
-        if part[0] == failing and part[1] > 1:
+    def patched(z0, t0, max_len, group, half=None):
+        if half == failing:
             failure()
-        return walk(z0, t0, max_len, group, part)
+        return walk(z0, t0, max_len, group, half)
 
     monkeypatch.setattr(_ballfast, "_sphere_displacements", patched)
 
 
 def _raise_runtime_error():
-    raise RuntimeError("part failed")
+    raise RuntimeError("half failed")
 
 
 @pytest.mark.parametrize(
@@ -833,22 +863,22 @@ def _raise_runtime_error():
     ids=["child-raises", "child-dies", "parent-raises"],
 )
 def test_no_process_outlives_a_split_walk(monkeypatch, forks, failing, failure, raised):
-    """After a split walk returns, and after a part fails in a child or in
+    """After a split walk returns, and after a half fails in a child or in
     the parent, the failure surfaces in the parent and no child is left."""
-    monkeypatch.setattr(geometry, "_part_count", lambda: 3)
+    monkeypatch.setattr(_ballfast, "_part_count", lambda: 2)
     assert orbit_ball("full", DEFAULT_BASE_POINT, 6).count == 35149
-    assert len(forks) == 2
+    assert len(forks) == 1
     _assert_no_child_left()
-    _fail_in_part(monkeypatch, failing, failure)
+    _fail_in_half(monkeypatch, failing, failure)
     with pytest.raises(raised):
         orbit_ball("full", DEFAULT_BASE_POINT, 6)
-    assert len(forks) == 4
+    assert len(forks) == 2
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("label, max_len", [("free", 16), ("full", 11), ("kernel", 11)])
 def test_split_walk_refuses_guarded_lengths_before_forking(monkeypatch, forks, label, max_len):
-    monkeypatch.setattr(geometry, "_part_count", lambda: 2)
+    monkeypatch.setattr(_ballfast, "_part_count", lambda: 2)
     with pytest.raises(MemoryGuardError):
         orbit_ball(label, DEFAULT_BASE_POINT, max_len)
     assert forks == []
@@ -861,15 +891,15 @@ def _no_fork():
 @pytest.mark.parametrize("reason", ["one CPU", "a second thread", "a small ball"])
 def test_walk_falls_back_to_one_process(monkeypatch, forks, reason):
     """Counts equal to the split walk's, with os.fork made to fail; the
-    small ball is small by the shipped ``_SPLIT_FROM``."""
-    monkeypatch.setattr(geometry, "_part_count", lambda: 2)
+    small ball is small by the shipped split length in ``_WALKS``."""
+    monkeypatch.setattr(_ballfast, "_part_count", lambda: 2)
     split = orbit_ball("kernel", DEFAULT_BASE_POINT, 7)
     assert len(forks) == 1
     monkeypatch.setattr(os, "fork", _no_fork)
     if reason == "one CPU":
-        monkeypatch.setattr(geometry, "_part_count", lambda: 1)
+        monkeypatch.setattr(_ballfast, "_part_count", lambda: 1)
     elif reason == "a small ball":
-        monkeypatch.setattr(geometry, "_SPLIT_FROM", _SHIPPED_SPLIT_FROM)
+        monkeypatch.setitem(_ballfast._WALKS, "kernel", _SHIPPED_WALKS["kernel"])
     done = threading.Event()
     thread = threading.Thread(target=done.wait)
     if reason == "a second thread":
@@ -887,14 +917,15 @@ def test_walk_falls_back_to_one_process(monkeypatch, forks, reason):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 def test_part_count_is_capped_at_the_measured_parts(monkeypatch, cpus):
-    """A walk is split into no more parts than a split has been measured
-    on, however many CPUs the affinity mask or, without one, os.cpu_count
-    offers; no walk runs here."""
+    """A walk splits only in two halves, the parts measured, and only where
+    the affinity mask or, without one, os.cpu_count offers two CPUs or more;
+    no walk runs here."""
+    parts = 2 if cpus >= 2 else 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert geometry._part_count() == min(cpus, geometry._MAX_PARTS) == min(cpus, 2)
+    assert _ballfast._part_count() == parts
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert geometry._part_count() == min(cpus, 2)
+    assert _ballfast._part_count() == parts
 
 
 @pytest.mark.parametrize("label, max_len", [("free", 16), ("full", 11), ("kernel", 11)])
@@ -960,6 +991,17 @@ def test_critical_exponent_estimate_for_the_face_subgroup():
     assert 1.15 <= fit.exponent <= 1.35
     assert fit.n_points >= 10
     assert fit.window[0] < fit.window[1] <= ball.radius
+
+
+@pytest.mark.parametrize("label, max_len", [("free", 10), ("full", 7), ("kernel", 8)])
+def test_exponent_fit_counts_are_the_counting_function_at_its_distances(label, max_len):
+    """The fit reads the grid counts by index; the counting function, asked
+    at each of the fit's distances, a multiple of GRID_STEP, gives the same
+    counts."""
+    ball = orbit_ball(label, DEFAULT_BASE_POINT, max_len)
+    fit = estimate_critical_exponent(ball)
+    assert all(t == round(t / GRID_STEP) * GRID_STEP for t in fit.t_values)
+    assert fit.counts == tuple(ball.counting_function(t) for t in fit.t_values)
 
 
 def test_critical_exponent_is_stable_under_base_point_moves():
