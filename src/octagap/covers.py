@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, MemoryGuardError, SetupError, check_count
+from .errors import DomainError, SetupError, check_bytes, check_count
 
 __all__ = [
     "NUM_COLORS",
@@ -65,8 +65,13 @@ _RITZ_TOL = 1e-13
 #: Lanczos steps after which the solve is given up.  Random covers need about
 #: 300 steps at 6,000 vertices and 900 at 200,000.
 _LANCZOS_MAX_STEPS = 3000
-#: Largest dense V x V float64 matrix ``adjacency_matrix`` will allocate.
-_DENSE_MATRIX_BYTES = 1 << 30
+#: Bytes ``sample_cover`` holds at its peak per unit of n: the four matchings
+#: and the shuffle and checks of the one being drawn (tracemalloc, 130.0
+#: bytes at n = 10^5 and 10^6).
+_COVER_BYTES_PER_N = 130
+#: Bytes ``walk_summary`` holds per histogram bin: numpy's edges and counts
+#: and their lists (tracemalloc, 56.0 to 56.9 bytes at 10^4 to 10^6 bins).
+_SUMMARY_BYTES_PER_BIN = 57
 #: Neighbour entries one batch of tangle-free BFS roots may gather per level.
 _BFS_BATCH_ENTRIES = 1 << 20
 
@@ -212,16 +217,17 @@ class Signing:
         return int(self.values.size)
 
 
-def sample_cover(n: int, seed: int | None = None) -> CoverPresentation:
+def sample_cover(n: int, seed: int) -> CoverPresentation:
     """Sample four independent uniform perfect matchings on 2n points.
 
     Each matching pairs consecutive entries of a seeded random shuffle,
-    which is uniform over the (2n - 1)!! perfect matchings.  With ``seed``
-    None a fresh seed is drawn and recorded on the presentation; any other
-    seed must be a non-negative integer.
+    which is uniform over the (2n - 1)!! perfect matchings.  The seed must
+    be a non-negative integer, so every cover can be drawn again.  Raises
+    MemoryGuardError, before drawing, when n is above about 8.26 million.
     """
     n = check_count("n", n, 1)
-    seed = int(np.random.SeedSequence().entropy) if seed is None else check_count("seed", seed, 0)
+    seed = check_count("seed", seed, 0)
+    check_bytes(f"a cover of degree {2 * n}", n * _COVER_BYTES_PER_N)
     rng = np.random.default_rng(seed)
     matchings = []
     for _ in range(NUM_COLORS):
@@ -251,12 +257,10 @@ def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.nda
         raise DomainError(
             f"signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
         )
-    nbytes = graph.num_vertices * graph.num_vertices * 8
-    if nbytes > _DENSE_MATRIX_BYTES:
-        raise MemoryGuardError(
-            f"a dense adjacency matrix on {graph.num_vertices} vertices needs "
-            f"{nbytes / 2**30:.1f} GiB, over the {_DENSE_MATRIX_BYTES / 2**30:g} GiB limit"
-        )
+    check_bytes(
+        f"a dense adjacency matrix on {graph.num_vertices} vertices",
+        graph.num_vertices * graph.num_vertices * 8,
+    )
     signs = None if signing is None else signing.values[_edge_ids(graph)]
     return _dense(graph.matchings, signs)
 
@@ -440,15 +444,14 @@ def _ball_entries(depth: int, total: int) -> int:
     return min(total, ball * NUM_COLORS)
 
 
-def tangle_free_radius(graph: DualGraph, *, max_radius: int | None = None) -> int:
+def tangle_free_radius(graph: DualGraph) -> int:
     """Largest T such that every radius-T ball of a dual graph has at most one cycle.
 
     The ball around a vertex is the subgraph induced by vertices within
     graph distance T; its cycle rank is edges - vertices + 1 (balls are
     connected), counting parallel edges.  ``graph`` must be a DualGraph;
-    anything else raises DomainError.  The answer is capped at
-    ``max_radius``, which defaults to the vertex count (every ball has
-    saturated by then).
+    anything else raises DomainError.  The answer is capped at the vertex
+    count, where every ball has saturated.
 
     Each root runs a breadth-first search over the rows of ``matchings.T``,
     copied once as a contiguous (V, 4) array, that stops at the running
@@ -459,11 +462,8 @@ def tangle_free_radius(graph: DualGraph, *, max_radius: int | None = None) -> in
     if not isinstance(graph, DualGraph):
         raise DomainError(f"expected a DualGraph, got {type(graph).__name__}")
     num_vertices = graph.num_vertices
-    if max_radius is None:
-        max_radius = num_vertices
-    max_radius = check_count("max_radius", max_radius, 0)
     adjacency = np.ascontiguousarray(graph.matchings.T)
-    best = max_radius
+    best = num_vertices
     start = 0
     while best > 0 and start < num_vertices:
         batch = _BFS_BATCH_ENTRIES // _ball_entries(best, adjacency.size)
@@ -537,20 +537,14 @@ def two_cover_lambda1(graph: DualGraph, signing: Signing) -> float:
     return max(0.0, 4.0 - float(combined[-2]))
 
 
-def switching_walk(
-    graph: DualGraph,
-    steps: int,
-    seed: int | None = None,
-    *,
-    start: Signing | None = None,
-) -> list[tuple[str, float]]:
+def switching_walk(graph: DualGraph, steps: int, seed: int) -> list[tuple[str, float]]:
     """Random walk on signings by single-edge switchings.
 
-    Starts from ``start`` (all +1 by default, whose two-cover is a pair of
-    disjoint copies with gap zero), flips one uniformly random edge per
-    step, and records (signing hash, two-cover gap) for the initial signing
-    and after every step: steps + 1 entries in all, reproducible from seed,
-    which must be None (a fresh one) or a non-negative integer.
+    Starts from the all +1 signing, whose two-cover is a pair of disjoint
+    copies with gap zero, flips one uniformly random edge per step, and
+    records (signing hash, two-cover gap) for the initial signing and after
+    every step: steps + 1 entries in all, reproducible from the seed, which
+    must be a non-negative integer.
 
     The two-cover's spectrum is the base spectrum together with the signed
     spectrum, and the base's top eigenvalue is 4, so each gap is
@@ -562,13 +556,8 @@ def switching_walk(
     is built.
     """
     steps = check_count("steps", steps, 1)
-    seed = int(np.random.SeedSequence().entropy) if seed is None else check_count("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    signing = all_plus_signing(graph) if start is None else start
-    if signing.num_edges != graph.num_edges:
-        raise DomainError(
-            f"start signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
-        )
+    rng = np.random.default_rng(check_count("seed", seed, 0))
+    signing = all_plus_signing(graph)
     ids = _edge_ids(graph)
     mu2_old = graph._mu2
 
@@ -591,8 +580,13 @@ def walk_summary(
     *,
     bins: int = 20,
 ) -> dict:
-    """JSON-ready record of a nonempty switching walk: series plus histogram."""
+    """JSON-ready record of a nonempty switching walk: series plus histogram.
+
+    Raises MemoryGuardError, before binning, when bins is above about 18.8
+    million.
+    """
     bins = check_count("bins", bins, 1)
+    check_bytes(f"a histogram of {bins} bins", bins * _SUMMARY_BYTES_PER_BIN)
     if len(trajectory) == 0:
         raise DomainError("walk summary needs a nonempty trajectory")
     gaps = [float(gap) for _, gap in trajectory]

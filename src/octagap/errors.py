@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, and the count check that raises one."""
+"""Exceptions shared across the package, and the count and size checks that
+raise them."""
 
 from numbers import Integral
 
@@ -37,3 +38,18 @@ def check_count(name: str, value: int, minimum: int) -> int:
     if value < minimum:
         raise DomainError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+#: Largest allocation that a size given by the caller may ask for.
+BYTE_LIMIT = 1 << 30
+
+
+def check_bytes(what: str, nbytes: int) -> None:
+    """Raise MemoryGuardError, naming ``what``, when ``nbytes`` exceeds BYTE_LIMIT.
+
+    Guards call it with their estimate before they allocate anything.
+    """
+    if nbytes > BYTE_LIMIT:
+        raise MemoryGuardError(
+            f"{what} needs {nbytes / 2**30:.1f} GiB, over the {BYTE_LIMIT / 2**30:g} GiB limit"
+        )

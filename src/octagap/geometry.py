@@ -544,21 +544,16 @@ class GapBounds(NamedTuple):
 REPLACEMENT_GRAPH_GAP = 3.0 - math.sqrt(5.0 + 2.0 * math.sqrt(3.0))
 
 
-def spectral_gap_bounds(
-    delta_free: float = FREE_SUBGROUP_CRITICAL_EXPONENT,
-    mu: float = 1.0,
-) -> GapBounds:
+def spectral_gap_bounds(delta_free: float = FREE_SUBGROUP_CRITICAL_EXPONENT) -> GapBounds:
     """Two-sided bounds on the limiting spectral gap of the random covers.
 
     The lower bound transfers the replacement graph's gap through a
-    Brooks-style comparison, mu * gap / (16 d + mu * gap) with d = 4.  The
-    upper bound pushes the free subgroup's critical exponent through the
+    Brooks-style comparison with constant 1, gap / (16 d + gap) with d = 4.
+    The upper bound pushes the free subgroup's critical exponent through the
     kernel bound delta >= 2 - delta_free / 2 and the spectral formula.
     """
-    if not 0.0 < mu < math.inf:
-        raise DomainError(f"comparison constant mu must be positive and finite, got {mu}")
     gap = REPLACEMENT_GRAPH_GAP
-    lower = mu * gap / (16.0 * 4.0 + mu * gap)
+    lower = gap / (16.0 * 4.0 + gap)
     delta_kernel = 2.0 - delta_free / 2.0
     upper = elstrodt_sullivan(delta_kernel)
     return GapBounds(lower=lower, upper=upper)

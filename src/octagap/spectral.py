@@ -33,14 +33,16 @@ from .errors import DomainError, MemoryGuardError, PoleError, check_count
 # ndarray and skip validation; the public ones validate a float.
 
 
-def _alternating_sum(
-    term: Callable[[int], float | np.ndarray], n: int = 32
-) -> float | np.ndarray:
-    """Accelerated value of sum_k (-1)^k term(k) for totally monotone terms.
+#: Terms of every alternating series: the error decays like (3 + sqrt(8))^(-n),
+#: so 32 terms are far below double precision already.
+_ALTERNATING_TERMS = 32
 
-    Chebyshev-style acceleration: error decays like (3 + sqrt(8))^(-n), so the
-    default depth is far below double precision already.
-    """
+
+def _alternating_sum(term: Callable[[int], float | np.ndarray]) -> float | np.ndarray:
+    """Accelerated value of sum_k (-1)^k term(k) for totally monotone terms,
+    by the Chebyshev-style acceleration of Cohen, Rodriguez Villegas and Zagier
+    over ``_ALTERNATING_TERMS`` terms."""
+    n = _ALTERNATING_TERMS
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
@@ -92,23 +94,22 @@ def dedekind_zeta_qi(s: float) -> float:
     return float(_zeta(s) * _beta(s))
 
 
-def gaussian_lattice_zeta(s: float, radius: float = 300.0) -> float:
+#: Radius of the lattice sum of ``gaussian_lattice_zeta``.
+_LATTICE_RADIUS = 300
+
+
+def gaussian_lattice_zeta(s: float) -> float:
     """Truncated direct sum (1/4) sum over (m, n) != 0 of (m^2 + n^2)^(-s).
 
     Brute-force cross-check for the zeta factorization; one term per nonzero
-    Gaussian integer inside the radius, folded by the four units.
+    Gaussian integer inside radius 300, folded by the four units.
     """
     s = float(s)
     if not s > 1.0:
         raise DomainError(f"the lattice sum needs s > 1, got {s}")
-    if not radius >= 1.0:
-        raise DomainError(f"radius must be at least 1, got {radius}")
-    if radius > 2000.0:
-        raise MemoryGuardError(f"lattice radius {radius} exceeds the guard of 2000")
-    n = int(radius)
-    side = np.arange(-n, n + 1, dtype=np.float64)
+    side = np.arange(-_LATTICE_RADIUS, _LATTICE_RADIUS + 1, dtype=np.float64)
     norms = side[:, None] ** 2 + side[None, :] ** 2
-    mask = (norms > 0.0) & (norms <= radius * radius)
+    mask = (norms > 0.0) & (norms <= _LATTICE_RADIUS**2)
     return float(np.sum(norms[mask] ** -s)) / 4.0
 
 
@@ -278,44 +279,26 @@ def scattering_oracle_value(s: float, level: int = 1, radius: float = 120.0) -> 
     return prefactor * ((full - inner * ratio) / (1.0 - ratio))
 
 
-#: Bytes a grid point of ``scattering_pole_scan`` costs: the closed formula
-#: holds eight float64 arrays of the grid's size at its peak (tracemalloc,
-#: 64.0 bytes a point at 10^5 and 10^6 points).
-_POLE_SCAN_POINT_BYTES = 64
-#: Largest allocation a pole scan may make, about 16.7M grid points.
-_POLE_SCAN_BYTES = 1 << 30
+#: The pole scan's interval inside (1, 2), its grid points and the absolute
+#: value above which a grid point is flagged.
+POLE_SCAN_INTERVAL = (1.05, 1.95)
+_POLE_SCAN_POINTS = 1000
+_POLE_SCAN_THRESHOLD = 1e8
 
 
-def scattering_pole_scan(
-    level: int = 1,
-    interval: tuple[float, float] = (1.05, 1.95),
-    grid_points: int = 1000,
-    *,
-    threshold: float = 1e8,
-) -> list[float]:
+def scattering_pole_scan(level: int = 1) -> list[float]:
     """Grid scan for poles of the scattering coefficient inside (1, 2).
 
-    Evaluates the closed formula on the whole grid at once and returns the
-    grid points where it is not finite or exceeds the threshold in absolute
-    value; the expected result on (1.05, 1.95) is empty.  ``grid_points``
-    must be an integer of at least 2; a grid whose arrays would exceed
-    _POLE_SCAN_BYTES raises MemoryGuardError before anything is allocated.
+    Evaluates the closed formula at once on 1000 evenly spaced points of
+    ``POLE_SCAN_INTERVAL``, (1.05, 1.95), and returns the grid points where
+    it is not finite or exceeds 1e8 in absolute value; the expected result
+    is empty.
     """
     check_count("level", level, 1)
-    lo, hi = float(interval[0]), float(interval[1])
-    if not 1.0 < lo < hi < 2.0:
-        raise DomainError(f"scan interval must sit strictly inside (1, 2), got {interval}")
-    grid_points = check_count("grid_points", grid_points, 2)
-    if grid_points * _POLE_SCAN_POINT_BYTES > _POLE_SCAN_BYTES:
-        raise MemoryGuardError(
-            f"a pole scan on {grid_points} grid points needs about "
-            f"{grid_points * _POLE_SCAN_POINT_BYTES / 2**30:.1f} GiB, "
-            f"over the {_POLE_SCAN_BYTES / 2**30:g} GiB limit"
-        )
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(*POLE_SCAN_INTERVAL, _POLE_SCAN_POINTS)
     with np.errstate(all="ignore"):  # a pole shows as inf or nan, flagged below
         values = _scattering_formula(grid, level)
-    return grid[~(np.abs(values) <= threshold)].tolist()
+    return grid[~(np.abs(values) <= _POLE_SCAN_THRESHOLD)].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ The subgroup generated by the four face letters r1..r4 alone is a free product
 of four order-two groups; its abstract copy on letters t1..t4 is what
 ``enumerate_free_ball`` walks.  The quotient map onto the free product on the
 opposite-face letters (perp letters) sends rkp to tk and kills rk; its kernel
-is the normal closure of the face letters, tested by ``in_perp_kernel``.
+is the normal closure of the face letters: the words whose ``perp_image`` is
+empty.
 """
 
 from __future__ import annotations
@@ -82,11 +83,6 @@ def normal_form(word: Iterable[str]) -> CoxeterWord:
     return tuple(nf)
 
 
-def is_normal_form(word: Iterable[str]) -> bool:
-    word = tuple(word)
-    return normal_form(word) == word
-
-
 def perp_image(word: Iterable[str]) -> FreeWord:
     """Image in the free product on the perp letters: rkp -> tk, rk -> 1.
 
@@ -105,11 +101,6 @@ def perp_image(word: Iterable[str]) -> FreeWord:
         else:
             out.append(t)
     return tuple(out)
-
-
-def in_perp_kernel(word: Iterable[str]) -> bool:
-    """Whether the word lies in the normal closure of the face letters."""
-    return not perp_image(word)
 
 
 def free_sphere_count(length: int) -> int:

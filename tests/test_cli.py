@@ -272,6 +272,24 @@ def test_cover_requires_seed_and_size(capsys):
     assert main(["cover", "--seed", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--n", str(10**13), "--seed", "1"],
+        ["cover", "--n", "3", "--walk-steps", "1", "--bins", str(10**13), "--seed", "1"],
+        ["scattering", "--grid", str(10**13)],
+    ],
+    ids=["cover-n", "cover-bins", "scattering-grid"],
+)
+def test_sizes_over_the_byte_limit_fail_the_command_with_a_message(tmp_path, capsys, argv):
+    """Each size raised numpy's MemoryError out of main before its guard."""
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GiB" in err
+    assert not out.exists()
+
+
 # -- bounds-and-budgets ------------------------------------------------------------
 
 

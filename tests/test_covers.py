@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 from scipy.sparse.linalg import eigsh
 
-from octagap import covers
+from octagap import covers, errors
 from octagap.covers import (
     NUM_COLORS,
     CoverPresentation,
@@ -142,16 +142,17 @@ def _arpack_lambda1(graph):
     return max(0.0, 4.0 - float(np.sort(top)[0]))
 
 
-def _all_pairs_tangle_free_radius(num_vertices, pairs, max_radius=None):
+def _all_pairs_tangle_free_radius(num_vertices, pairs, cap=None):
     """Brute-force twin of ``tangle_free_radius``: all-pairs distances, every root.
 
     Builds the full V x V distance matrix, then reads each root's ball
     sizes off it; only meant for the small graphs the tests compare on.
+    The answer is capped at ``cap``, by default the vertex count.
     """
-    if max_radius is None:
-        max_radius = num_vertices
+    if cap is None:
+        cap = num_vertices
     if not pairs:
-        return max_radius
+        return cap
     rows = np.array([u for u, _ in pairs] + [v for _, v in pairs])
     cols = np.array([v for _, v in pairs] + [u for u, _ in pairs])
     adjacency = csr_matrix(
@@ -160,7 +161,7 @@ def _all_pairs_tangle_free_radius(num_vertices, pairs, max_radius=None):
     distances = shortest_path(adjacency, method="D", unweighted=True)
     edge_u = np.array([u for u, _ in pairs])
     edge_v = np.array([v for _, v in pairs])
-    best = max_radius
+    best = cap
     for root in range(num_vertices):
         dist = distances[root]
         reachable = np.isfinite(dist)
@@ -263,18 +264,13 @@ def test_sample_cover_rejects_bad_sizes():
             sample_cover(n, 7)
 
 
-@pytest.mark.parametrize("seed", [True, -1, 1.5, "7"])
+@pytest.mark.parametrize("seed", [True, -1, 1.5, "7", None])
 def test_seeded_functions_reject_seeds_that_are_not_non_negative_integers(seed):
     graph = dual_graph(sample_cover(3, 1))
     with pytest.raises(DomainError, match="seed"):
         sample_cover(3, seed)
     with pytest.raises(DomainError, match="seed"):
         switching_walk(graph, 1, seed)
-
-
-def test_sample_cover_without_a_seed_records_fresh_entropy():
-    cover = sample_cover(5)
-    assert cover.seed is not None
 
 
 def test_matchings_on_six_points_are_close_to_uniform():
@@ -482,9 +478,9 @@ def test_large_cover_path_never_builds_a_dense_matrix(monkeypatch):
 def test_dense_adjacency_is_refused_above_the_byte_limit(monkeypatch):
     graph = dual_graph(sample_cover(20, 5))
     nbytes = graph.num_vertices**2 * 8
-    monkeypatch.setattr(covers, "_DENSE_MATRIX_BYTES", nbytes)
+    monkeypatch.setattr(errors, "BYTE_LIMIT", nbytes)
     assert adjacency_matrix(graph).shape == (40, 40)
-    monkeypatch.setattr(covers, "_DENSE_MATRIX_BYTES", nbytes - 1)
+    monkeypatch.setattr(errors, "BYTE_LIMIT", nbytes - 1)
     signing = all_plus_signing(graph)
     with pytest.raises(MemoryGuardError):
         adjacency_matrix(graph)
@@ -505,6 +501,31 @@ def test_dense_adjacency_of_a_large_cover_fails_before_allocating(monkeypatch):
         adjacency_matrix(graph)
 
 
+class _Reached(Exception):
+    """Raised in place of the first numpy call past a guard."""
+
+
+def _reach(*args, **kwargs):
+    raise _Reached
+
+
+def test_cover_and_histogram_sizes_are_refused_before_allocating(monkeypatch):
+    """n = 10^13 and 10^13 bins raise MemoryGuardError before numpy is asked
+    for anything; n = 10^6 and 10^6 bins pass the guards and reach the
+    shuffle and the binning."""
+    monkeypatch.setattr(np.random, "default_rng", _reach)
+    monkeypatch.setattr(np, "histogram", _reach)
+    with pytest.raises(MemoryGuardError, match="GiB"):
+        sample_cover(10**13, 1)
+    with pytest.raises(_Reached):
+        sample_cover(10**6, 1)
+    walk = [("a", 0.0), ("b", 1.0)]
+    with pytest.raises(MemoryGuardError, match="GiB"):
+        walk_summary(3, 1, walk, bins=10**13)
+    with pytest.raises(_Reached):
+        walk_summary(3, 1, walk, bins=10**6)
+
+
 # -- tangle-free radius ------------------------------------------------------------
 
 
@@ -517,7 +538,6 @@ def test_tangle_free_radius_on_known_graphs():
     assert tangle_free_radius(_octahedron_graph()) == 0
     k44 = _complete_bipartite_graph()
     assert tangle_free_radius(k44) == 1
-    assert tangle_free_radius(k44, max_radius=0) == 0
     assert tangle_free_radius(_disjoint_union(k44, k44)) == 1
     assert tangle_free_radius(_disjoint_union(k44, _two_vertex_graph())) == 0
 
@@ -533,7 +553,6 @@ def test_tangle_free_radius_of_a_long_subdivided_theta():
         assert tangle_free_radius(graph) == 2
     graph = _theta_lift_graph(30, (0, 1, 3, 7))
     assert tangle_free_radius(graph) == _all_pairs_tangle_free_radius(60, _pairs(graph))
-    assert tangle_free_radius(graph, max_radius=1) == 1
     assert tangle_free_radius(_theta_lift_graph(30, (0, 1, 2, 3))) == 1
 
 
@@ -545,14 +564,21 @@ def test_tangle_free_radius_matches_on_sampled_covers():
     assert radius == _all_pairs_tangle_free_radius(graph.num_vertices, _pairs(graph))
 
 
-@pytest.mark.parametrize("max_radius", [None, 0, 1, 2, 3, 5, 11, 100])
+@pytest.mark.parametrize("depth_cut", [None, 0, 1, 2, 3, 5, 11, 100])
 @pytest.mark.parametrize(
     "graph", HANDMADE_GRAPHS, ids=lambda g: f"V{g.num_vertices}E{g.num_edges}"
 )
-def test_tangle_free_radius_matches_the_all_pairs_twin_on_handmade_graphs(graph, max_radius):
-    assert tangle_free_radius(graph, max_radius=max_radius) == _all_pairs_tangle_free_radius(
-        graph.num_vertices, _pairs(graph), max_radius
-    )
+def test_tangle_free_radius_matches_the_all_pairs_twin_on_handmade_graphs(graph, depth_cut):
+    """The radius itself (no cut), and the search that ``tangle_free_radius``
+    cuts at its running answer, run from every root at once with the cut
+    given: one less than the first tangled depth, or the cut if none is."""
+    if depth_cut is None:
+        radius = tangle_free_radius(graph)
+    else:
+        adjacency = np.ascontiguousarray(graph.matchings.T)
+        roots = np.arange(graph.num_vertices)
+        radius = covers._first_tangle_depth(adjacency, roots, depth_cut) - 1
+    assert radius == _all_pairs_tangle_free_radius(graph.num_vertices, _pairs(graph), depth_cut)
 
 
 def test_tangle_free_radius_matches_the_all_pairs_twin_on_sampled_covers():
@@ -560,11 +586,8 @@ def test_tangle_free_radius_matches_the_all_pairs_twin_on_sampled_covers():
     radii = []
     for n in rng.integers(5, 301, size=100):
         graph = dual_graph(sample_cover(int(n), int(rng.integers(2**32))))
-        max_radius = int(rng.choice([0, 1, 2, graph.num_vertices]))
-        radius = tangle_free_radius(graph, max_radius=max_radius)
-        assert radius == _all_pairs_tangle_free_radius(
-            graph.num_vertices, _pairs(graph), max_radius
-        ), (graph.num_vertices, max_radius)
+        radius = tangle_free_radius(graph)
+        assert radius == _all_pairs_tangle_free_radius(graph.num_vertices, _pairs(graph))
         radii.append(radius)
     assert {0, 1} <= set(radii)
 
@@ -586,23 +609,10 @@ def test_tangle_free_radius_matches_the_all_pairs_twin_on_random_multigraphs(
             for _ in range(int(rng.integers(1, 4)))
         ]
         graph = _disjoint_union(*parts)
-        for max_radius in (None, 1, 4):
-            radius = tangle_free_radius(graph, max_radius=max_radius)
-            assert radius == _all_pairs_tangle_free_radius(
-                graph.num_vertices, _pairs(graph), max_radius
-            ), (graph.num_vertices, max_radius)
-            radii.add(radius)
+        radius = tangle_free_radius(graph)
+        assert radius == _all_pairs_tangle_free_radius(graph.num_vertices, _pairs(graph))
+        radii.add(radius)
     assert {0, 1} <= radii
-
-
-def test_tangle_free_radius_rejects_bad_arguments():
-    graph = dual_graph(sample_cover(5, 1))
-    with pytest.raises(DomainError):
-        tangle_free_radius(graph, max_radius=True)
-    with pytest.raises(DomainError):
-        tangle_free_radius(graph, max_radius=-1)
-    with pytest.raises(DomainError):
-        tangle_free_radius(graph, max_radius=2.0)
 
 
 def test_tangle_free_radius_rejects_every_graph_form_but_a_dual_graph():

@@ -22,6 +22,7 @@ from octagap.geometry import (
     IDEAL_VERTICES,
     OCTA_CENTER,
     ORBIT_GROUPS,
+    REPLACEMENT_GRAPH_GAP,
     OrbitBall,
     Point3,
     apply_isom,
@@ -52,8 +53,8 @@ from octagap.words import (
     enumerate_racg_ball,
     evaluate_word,
     free_to_face_word,
-    in_perp_kernel,
-    is_normal_form,
+    normal_form,
+    perp_image,
 )
 
 GAP_LOWER_BOUND = 0.0014149807552836344
@@ -426,6 +427,11 @@ def _face_word(word):
     return not any(letter.endswith("p") for letter in word)
 
 
+def in_perp_kernel(word):
+    """Whether the word lies in the kernel ball: its perp image is empty."""
+    return not perp_image(word)
+
+
 def _twin_words(max_len, keep):
     """The normal forms of length <= max_len that pass keep (None keeps all)."""
     return [w for w in enumerate_racg_ball(max_len) if keep is None or keep(w)]
@@ -681,7 +687,7 @@ def _random_normal_form(rng, letters, length):
     drawn among those that keep the word a normal form."""
     word = ()
     for _ in range(length):
-        options = [name for name in letters if is_normal_form(word + (name,))]
+        options = [name for name in letters if normal_form(word + (name,)) == word + (name,)]
         word += (options[rng.integers(len(options))],)
     return word
 
@@ -1041,14 +1047,11 @@ def test_spectral_gap_bounds_frozen_values():
 
 
 def test_spectral_gap_bounds_structure():
-    """The upper bound pushes the free exponent through the kernel estimate."""
+    """The lower bound compares the replacement graph's gap with degree 4, and
+    the upper bound pushes the free exponent through the kernel estimate."""
+    gap = REPLACEMENT_GRAPH_GAP
+    assert spectral_gap_bounds().lower == pytest.approx(gap / (16.0 * 4.0 + gap), rel=1e-12)
     kernel_exponent = 2.0 - FREE_SUBGROUP_CRITICAL_EXPONENT / 2.0
     assert spectral_gap_bounds().upper == pytest.approx(
         elstrodt_sullivan(kernel_exponent), rel=1e-12
     )
-    assert spectral_gap_bounds(mu=0.5).lower < spectral_gap_bounds(mu=1.0).lower
-    with pytest.raises(DomainError):
-        spectral_gap_bounds(mu=0.0)
-    for mu in (math.inf, math.nan):
-        with pytest.raises(DomainError):
-            spectral_gap_bounds(mu=mu)

@@ -81,11 +81,11 @@ def test_library_integrals_run_on_numpy_alone():
         "riemann_zeta": "(3.0)",
         "dirichlet_beta": "(2.0)",
         "dedekind_zeta_qi": "(2.0)",
-        "gaussian_lattice_zeta": "(2.0, 20.0)",
+        "gaussian_lattice_zeta": "(2.0)",
         "scattering_coefficient": "(2.5)",
         "scattering_lattice_sum": "(2.5, 1, 20.0)",
         "scattering_oracle_value": "(2.5, 1, 20.0)",
-        "scattering_pole_scan": "(1, grid_points=20)",
+        "scattering_pole_scan": "(1)",
         "selberg_h": "(2.0, 0.5)",
         "selberg_h_quadrature": "(2.0, 0.5)",
         "cusp_decay_ratio_zeroth": "(0.5)",
@@ -203,3 +203,52 @@ def test_every_public_name_is_reached_by_a_command_or_listed_with_its_consumer()
         else:
             assert label == "criterion", (name, label)
             assert consumer[:2] in criteria, (name, consumer)
+
+
+def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether the call passes the parameter: by keyword, at its position, or
+    possibly through ``*args`` or ``**kwargs``."""
+    return (
+        any(keyword.arg in (None, parameter) for keyword in call.keywords)
+        or any(isinstance(arg, ast.Starred) for arg in call.args)
+        or (position is not None and len(call.args) > position)
+    )
+
+
+def _unpassed_defaults() -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a public
+    module-level library function that no call passes.  The calls counted
+    are those in the library and in ``test_acceptance.py``, matched by the
+    called name (``f(...)`` or ``anything.f(...)``).  README twins and
+    ``cli.main`` are left out."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in _LIBRARY.glob("*.py")}
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    calls: dict[str, list[ast.Call]] = {}
+    for node in (n for tree in [*trees.values(), acceptance] for n in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            calls.setdefault(name, []).append(node)
+    exempt = {name for name, (label, _) in _readme_consumers().items() if label == "twin"}
+    exempt.add("cli.main")
+    unpassed = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            if f"{module}.{node.name}" in exempt:
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            for parameter in defaulted:
+                position = positional.index(parameter) if parameter in positional else None
+                if not any(_passes(c, parameter, position) for c in calls.get(node.name, ())):
+                    unpassed.append(f"{module}.{node.name}({parameter})")
+    return sorted(unpassed)
+
+
+def test_every_defaulted_parameter_is_passed_by_a_command_or_a_criterion():
+    """A default that no command and no acceptance criterion overrides is a
+    setting only the unit tests turn: it is a constant, and is written as one."""
+    assert _unpassed_defaults() == []

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from octagap.errors import DomainError, MemoryGuardError, PoleError
 from octagap.geometry import cap_volume_monte_carlo, horoball_cover_check
+from octagap import spectral
 from octagap.spectral import (
+    POLE_SCAN_INTERVAL,
     FlatteningBudget,
     _scattering_counts,
     cusp_decay_ratio_zeroth,
@@ -83,7 +85,6 @@ def test_dedekind_zeta_factors_and_matches_the_lattice_sum(s):
         lambda: dirichlet_beta(math.nan),
         lambda: dedekind_zeta_qi(math.nan),
         lambda: gaussian_lattice_zeta(math.nan),
-        lambda: gaussian_lattice_zeta(2.0, radius=math.nan),
         lambda: scattering_lattice_sum(math.nan),
         lambda: scattering_lattice_sum(3.0, radius=math.nan),
         lambda: scattering_oracle_value(math.nan),
@@ -94,7 +95,6 @@ def test_dedekind_zeta_factors_and_matches_the_lattice_sum(s):
         "dirichlet_beta",
         "dedekind_zeta_qi",
         "gaussian_lattice_zeta-s",
-        "gaussian_lattice_zeta-radius",
         "scattering_lattice_sum-s",
         "scattering_lattice_sum-radius",
         "scattering_oracle_value-s",
@@ -107,9 +107,7 @@ def test_range_checks_reject_nan(call):
         call()
 
 
-def test_gaussian_lattice_zeta_guards_its_radius():
-    with pytest.raises(MemoryGuardError):
-        gaussian_lattice_zeta(2.0, radius=5000.0)
+def test_gaussian_lattice_zeta_needs_s_above_one():
     with pytest.raises(DomainError):
         gaussian_lattice_zeta(1.0)
 
@@ -153,17 +151,19 @@ def test_scattering_coefficient_rejects_non_finite_s(s):
 
 def test_scattering_pole_scan_is_empty_inside_the_strip():
     for level in (1, 2, 3):
-        assert scattering_pole_scan(level, grid_points=200) == []
+        assert scattering_pole_scan(level) == []
 
 
-def test_scattering_pole_scan_flags_what_the_scalar_coefficient_exceeds():
-    grid = np.linspace(1.05, 1.95, 60)
+def test_scattering_pole_scan_flags_what_the_scalar_coefficient_exceeds(monkeypatch):
+    grid = np.linspace(*POLE_SCAN_INTERVAL, 60)
     scalar = [abs(scattering_coefficient(float(s), 2)) for s in grid]
     ranked = sorted(scalar)
     threshold = (ranked[29] + ranked[30]) / 2.0  # far from every value
     expected = [float(s) for s, value in zip(grid, scalar) if value > threshold]
     assert len(expected) == 30
-    assert scattering_pole_scan(2, grid_points=60, threshold=threshold) == expected
+    monkeypatch.setattr(spectral, "_POLE_SCAN_POINTS", 60)
+    monkeypatch.setattr(spectral, "_POLE_SCAN_THRESHOLD", threshold)
+    assert scattering_pole_scan(2) == expected
 
 
 def test_scattering_pole_scan_flags_non_finite_values(monkeypatch):
@@ -172,16 +172,15 @@ def test_scattering_pole_scan_flags_non_finite_values(monkeypatch):
         values[1], values[3] = np.inf, np.nan
         return values
 
-    monkeypatch.setattr("octagap.spectral._scattering_formula", formula)
-    grid = np.linspace(1.1, 1.9, 5)
-    assert scattering_pole_scan(1, (1.1, 1.9), 5) == [grid[1], grid[3]]
+    monkeypatch.setattr(spectral, "_scattering_formula", formula)
+    monkeypatch.setattr(spectral, "_POLE_SCAN_POINTS", 5)
+    grid = np.linspace(*POLE_SCAN_INTERVAL, 5)
+    assert scattering_pole_scan(1) == [grid[1], grid[3]]
 
 
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        (lambda: scattering_pole_scan(1, grid_points=10.5), DomainError, "grid_points"),
-        (lambda: scattering_pole_scan(1, grid_points=10**12), MemoryGuardError, "GiB"),
         (
             lambda: flattening_budget([(1.0, 1.0, math.inf)], 10.0, 0.4, 0.8, 0.01),
             DomainError,
@@ -192,8 +191,6 @@ def test_scattering_pole_scan_flags_non_finite_values(monkeypatch):
         (lambda: cap_volume_monte_carlo(2.0, 0.5, 100, -1), DomainError, "seed"),
     ],
     ids=[
-        "fractional-grid",
-        "huge-grid",
         "infinite-cusp-area",
         "infinite-radius",
         "horoball-seed",

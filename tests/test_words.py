@@ -17,8 +17,6 @@ from octagap.words import (
     free_ball_count,
     free_sphere_count,
     free_to_face_word,
-    in_perp_kernel,
-    is_normal_form,
     normal_form,
     perp_image,
     racg_ball_count,
@@ -55,7 +53,6 @@ def test_normal_form_preserves_the_group_element(word):
 @given(face_words)
 def test_normal_form_is_idempotent_and_recognized(word):
     reduced = normal_form(word)
-    assert is_normal_form(reduced)
     assert normal_form(reduced) == reduced
 
 
@@ -81,7 +78,8 @@ def test_normal_form_examples():
     assert normal_form(("r1", "r1")) == ()
     assert normal_form(("r2p", "r1", "r2p")) == ("r1",)
     assert normal_form(("r2", "r1p")) == ("r1p", "r2")
-    assert is_normal_form(("r1", "r2")) and not is_normal_form(("r2", "r1p"))
+    assert normal_form(("r1", "r2")) == ("r1", "r2")
+    assert normal_form(("r2", "r1p")) != ("r2", "r1p")
 
 
 # -- growth counts ---------------------------------------------------------------
@@ -109,9 +107,8 @@ def test_free_sphere_counts_are_four_times_powers_of_three():
 
 def test_brute_force_normal_form_count_matches_growth_series():
     """Filtering all strings of length three reproduces the sphere count."""
-    count = sum(
-        1 for letters in itertools.product(GENERATOR_NAMES, repeat=3) if is_normal_form(letters)
-    )
+    strings = itertools.product(GENERATOR_NAMES, repeat=3)
+    count = sum(1 for letters in strings if normal_form(letters) == letters)
     assert count == racg_sphere_count(3)
 
 
@@ -127,7 +124,7 @@ def test_enumerated_group_ball_is_exact():
     """Normal forms of length at most four map to pairwise distinct isometries."""
     ball = list(enumerate_racg_ball(4))
     assert len(ball) == racg_ball_count(4)
-    assert all(is_normal_form(word) for word in ball)
+    assert all(normal_form(word) == word for word in ball)
     by_length = {}
     for word in ball:
         by_length[len(word)] = by_length.get(len(word), 0) + 1
@@ -176,12 +173,14 @@ def test_perp_image_is_a_homomorphism(left, right):
 
 @given(face_words)
 def test_perp_kernel_matches_trivial_image(word):
-    assert in_perp_kernel(word) == (perp_image(word) == ())
+    """Kernel membership, an empty perp image, is a property of the element:
+    a word and its normal form have the same perp image."""
+    assert perp_image(word) == perp_image(normal_form(word))
 
 
 @given(free_words)
 def test_face_embedding_lies_in_perp_kernel(word):
-    assert in_perp_kernel(free_to_face_word(word))
+    assert not perp_image(free_to_face_word(word))
 
 
 @given(free_words)
