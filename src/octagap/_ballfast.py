@@ -92,6 +92,7 @@ right-multiply by the entrywise conjugate of the letter's matrix.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -103,7 +104,7 @@ from typing import Generator, Iterable, Sequence
 
 import numpy as np
 
-from .errors import MemoryGuardError
+from .errors import DomainError, MemoryGuardError
 from .group import GENERATOR_NAMES, STANDARD_GENERATORS, ProjIsom
 from .words import (
     free_sphere_count,
@@ -120,8 +121,9 @@ _CHUNK = 1 << 13
 #: subtrees to come out about even, and the levels both halves walk stay tiny.
 _SPLIT_LEVEL = 3
 
-#: Spacing of the grid on which an orbit ball counts its points.
-GRID_STEP = 0.1
+#: Spacing of the grid on which an orbit ball counts its points: a power of
+#: two, so that d / GRID_STEP and k * GRID_STEP are exact floats.
+GRID_STEP = 1 / 16
 
 MAX_FREE_LEN = 15
 MAX_RACG_LEN = 10
@@ -214,9 +216,11 @@ def _frame(z0: complex, t0: float) -> tuple[np.ndarray, np.ndarray]:
 
     cosh d(x0, M x0) = v(M) @ readout[s] for an element whose conjugation
     bit is s: readout[s] = ((t0 + |z0|^2 / t0) / 2, 1 / (2 t0), Re z / t0,
-    Im z / t0), with z = z0 for s = 0 and conj(z0) for s = 1.
+    Im z / t0), with z = z0 for s = 0 and conj(z0) for s = 1.  Nothing here
+    raises on a base point too far out: its entries overflow to inf, and
+    ``_grid_counts`` refuses the displacements that follow.
     """
-    r2 = abs(z0) ** 2 / t0
+    r2 = (z0.real * z0.real + z0.imag * z0.imag) / t0
     start = np.array([1 / t0, r2 + t0, -z0.real / t0, -z0.imag / t0])
     readout = np.array(
         [[(t0 + r2) / 2, 0.5 / t0, z.real / t0, z.imag / t0] for z in (z0, z0.conjugate())]
@@ -441,34 +445,29 @@ def _sphere_displacements(
 def _grid_counts(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
     """N(k GRID_STEP) for k = 0, 1, ..., j(r), and r, the largest displacement.
 
-    Each displacement d goes into bin j(d), the least k with k GRID_STEP >= d,
-    guessed as ceil(d * (1 / GRID_STEP)) and then fixed by one compare on
-    each side, since the guess's rounding can put it one bin off.  The
-    products k * GRID_STEP are the floats the exponent fit reads at, so the
-    cumulated bins equal searchsorted(sorted displacements, k * GRID_STEP,
-    "right") exactly.  Each slice is binned whole, in place in temporaries
-    of its own size, none kept for the next slice: the walker's hold at most
-    8 ``_CHUNK`` = 65,536 floats, so they stay in cache.
+    Each displacement d goes into bin j(d) = ceil(d / GRID_STEP), the least
+    k with k GRID_STEP >= d.  GRID_STEP is a power of two, so d / GRID_STEP
+    and k * GRID_STEP, the floats the exponent fit reads at, are exact, and
+    the cumulated bins equal searchsorted(sorted displacements,
+    k * GRID_STEP, "right") exactly.  Each slice is binned whole, in a
+    temporary of its own size, none kept for the next slice: the walker's
+    hold at most 8 ``_CHUNK`` = 65,536 floats, so they stay in cache.
+
+    Raises DomainError on a displacement that is not finite, which a base
+    point too far out for floating point gives; the running maximum finds
+    it before the slice is cast to bin indices.
     """
     bins = np.zeros(1, dtype=np.int64)
     radius = 0.0
     for d in slices:
+        radius = float(d.max(initial=radius))
+        if not math.isfinite(radius):
+            raise DomainError("orbit displacements overflow: the base point lies too far out")
         j = np.multiply(d, 1 / GRID_STEP)
-        np.ceil(j, out=j)
-        step = np.subtract(j, 1.0)
-        np.multiply(step, GRID_STEP, out=step)
-        fix = np.greater_equal(step, d)
-        np.subtract(j, 1.0, out=j, where=fix)
-        np.multiply(j, GRID_STEP, out=step)
-        np.less(step, d, out=fix)
-        np.add(j, 1.0, out=j, where=fix)
-        # freed first, so that the cast is the only other temporary held
-        del step, fix
-        counts = np.bincount(j.astype(np.intp))
+        counts = np.bincount(np.ceil(j, out=j).astype(np.intp))
         if counts.size > bins.size:
             bins, counts = counts, bins
         bins[: counts.size] += counts
-        radius = float(d.max(initial=radius))
     return np.cumsum(bins), radius
 
 

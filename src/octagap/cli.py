@@ -262,17 +262,6 @@ def _new_report(params: dict) -> dict:
 # -- verify-group ------------------------------------------------------------
 
 
-def _is_face_letter(name: str) -> bool:
-    return not name.endswith("p")
-
-
-def _expected_commuting(a: str, b: str) -> bool:
-    if _is_face_letter(a) == _is_face_letter(b):
-        return False
-    face, perp = (a, b) if _is_face_letter(a) else (b, a)
-    return face[1] != perp[1]
-
-
 def _cmd_verify_group(params: dict) -> tuple[int, dict, tuple]:
     from . import group
 
@@ -290,7 +279,7 @@ def _cmd_verify_group(params: dict) -> tuple[int, dict, tuple]:
     cube_ok = True
     for i, a in enumerate(group.GENERATOR_NAMES):
         for b in group.GENERATOR_NAMES[i + 1 :]:
-            expected = _expected_commuting(a, b)
+            expected = group.cube_commutes(a, b)
             measured = table[a] * table[b] == table[b] * table[a]
             kind = "cube-edge" if expected else "cube-non-edge"
             ok = measured == expected
@@ -500,9 +489,8 @@ def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
     walk_steps = params["walk_steps"]
     if walk_steps < 0:
         raise DomainError(f"walk steps must be nonnegative, got {walk_steps}")
-    bins = params["bins"]
-    if bins < 1:
-        raise DomainError(f"bins must be at least 1, got {bins}")
+    # checked before the walk, which takes far longer than the check
+    bins = covers.check_histogram_bins(params["bins"])
 
     cover = covers.sample_cover(n, seed)
     graph = covers.dual_graph(cover)

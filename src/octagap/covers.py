@@ -119,12 +119,11 @@ class CoverPresentation:
     """A random cover of degree 2n: one perfect matching per color.
 
     The presentation is reproducible: ``sample_cover(n, seed)`` with the
-    stored seed rebuilds the same four matchings.
+    same seed rebuilds the same four matchings.
     """
 
     n: int
     sigma: tuple[Matching, ...]
-    seed: int
 
     def __post_init__(self) -> None:
         if len(self.sigma) != NUM_COLORS:
@@ -236,7 +235,7 @@ def sample_cover(n: int, seed: int) -> CoverPresentation:
         perm[order[0::2]] = order[1::2]
         perm[order[1::2]] = order[0::2]
         matchings.append(Matching(perm))
-    return CoverPresentation(n, tuple(matchings), seed)
+    return CoverPresentation(n, tuple(matchings))
 
 
 def dual_graph(cover: CoverPresentation) -> DualGraph:
@@ -573,6 +572,18 @@ def switching_walk(graph: DualGraph, steps: int, seed: int) -> list[tuple[str, f
     return trajectory
 
 
+def check_histogram_bins(bins: int) -> int:
+    """``bins`` as an int, if it is a positive integer whose walk histogram
+    fits the byte limit; raises DomainError or MemoryGuardError otherwise.
+
+    ``walk_summary`` calls it before binning, and a caller may call it
+    before the walk, whose steps take far longer than the check.
+    """
+    bins = check_count("bins", bins, 1)
+    check_bytes(f"a histogram of {bins} bins", bins * _SUMMARY_BYTES_PER_BIN)
+    return bins
+
+
 def walk_summary(
     n: int,
     seed: int,
@@ -583,10 +594,9 @@ def walk_summary(
     """JSON-ready record of a nonempty switching walk: series plus histogram.
 
     Raises MemoryGuardError, before binning, when bins is above about 18.8
-    million.
+    million (``check_histogram_bins``).
     """
-    bins = check_count("bins", bins, 1)
-    check_bytes(f"a histogram of {bins} bins", bins * _SUMMARY_BYTES_PER_BIN)
+    bins = check_histogram_bins(bins)
     if len(trajectory) == 0:
         raise DomainError("walk summary needs a nonempty trajectory")
     gaps = [float(gap) for _, gap in trajectory]

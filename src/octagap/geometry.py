@@ -398,11 +398,11 @@ class OrbitBall:
     ``grid_counts`` holds N(k GRID_STEP) for k = 0, 1, ... up to the first
     grid point at or past every displacement, ``count`` the number of
     points and ``radius`` the largest displacement (the identity's is 0).
+    GRID_STEP is 1/16, so every grid point k GRID_STEP is an exact float.
     ``orbit_ball`` builds one from a walk of the orbit walker; the ball
     keeps no words and no displacements.
     """
 
-    base: Point3
     word_length: int
     grid_counts: np.ndarray
     radius: float
@@ -454,7 +454,7 @@ def orbit_ball(group: str, base: Point3, max_len: int) -> OrbitBall:
     if group not in ORBIT_GROUPS:
         raise DomainError(f"unknown orbit group {group!r}; expected one of {ORBIT_GROUPS}")
     grid_counts, radius = _ballfast.ball_counts(group, base.z, base.t, max_len)
-    return OrbitBall(base, max_len, grid_counts, radius, int(grid_counts[-1]))
+    return OrbitBall(max_len, grid_counts, radius, int(grid_counts[-1]))
 
 
 DEFAULT_BASE_POINT = Point3(0.3 + 0.4j, 0.9)
@@ -471,9 +471,6 @@ class ExponentFit:
     t_values: tuple[float, ...]
     counts: tuple[int, ...]
 
-    def __float__(self) -> float:
-        return self.exponent
-
 
 #: Distinct counts an exponent fit needs inside its window.
 _MIN_FIT_COUNTS = 10
@@ -485,8 +482,10 @@ def estimate_critical_exponent(
     """Estimate the orbital growth exponent from the counting function.
 
     N(T) is read off at the multiples of GRID_STEP inside the window
-    (absolute distance bounds), the grid on which the ball counts exactly,
-    and a line is fit to (T, log N(T)).  The default window is [0.3, 0.9]
+    (absolute distance bounds, both included), the grid on which the ball
+    counts exactly, and a line is fit to (T, log N(T)).  The window's ends
+    divided by GRID_STEP are exact floats, so their ceil and floor miss no
+    grid point.  The default window is [0.3, 0.9]
     times the ball's word length: word balls count all orbit points out to
     roughly their word radius and start missing points beyond it, so
     distances past the word length mostly measure that truncation rather

@@ -259,14 +259,21 @@ def opposite_generator(name: str) -> str:
     return name[:-1] if name.endswith("p") else name + "p"
 
 
+def cube_commutes(a: str, b: str) -> bool:
+    """Whether the cube rule makes the standard reflections a and b commute:
+    one is a face letter and the other a perp letter, not its opposite."""
+    return a.endswith("p") != b.endswith("p") and opposite_generator(a) != b
+
+
 @lru_cache(maxsize=1)
 def commutation_graph() -> dict[str, frozenset[str]]:
     """Adjacency of the commutation graph on the eight standard generators.
 
     Two distinct reflections are adjacent when their product has order two,
-    decided by exact arithmetic.  The result is checked to be the 1-skeleton
-    of a cube: 3-regular and bipartite between the faces and their opposites,
-    with ``rk`` adjacent to ``rjp`` exactly for j != k.
+    decided by exact arithmetic.  The result is checked against
+    ``cube_commutes``, the 1-skeleton of a cube: 3-regular and bipartite
+    between the faces and their opposites, with ``rk`` adjacent to ``rjp``
+    exactly for j != k.
     """
     names = GENERATOR_NAMES
     adj: dict[str, set[str]] = {n: set() for n in names}
@@ -277,16 +284,7 @@ def commutation_graph() -> dict[str, frozenset[str]]:
                 adj[x].add(y)
                 adj[y].add(x)
     for n in names:
-        if len(adj[n]) != 3:
-            raise SetupError(f"commutation graph is not 3-regular at {n}")
-        expected = {
-            opposite_generator(m)
-            for m in names
-            if not m.endswith("p") and m != n and opposite_generator(m) != n
-        }
-        if n.endswith("p"):
-            expected = {opposite_generator(m) for m in expected}
-        if adj[n] != expected:
+        if adj[n] != {m for m in names if cube_commutes(n, m)}:
             raise SetupError(f"commutation graph is not the cube skeleton at {n}")
     return {n: frozenset(adj[n]) for n in names}
 

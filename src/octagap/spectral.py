@@ -426,13 +426,10 @@ def _check_finite(value: float, what: str, L: float) -> float:
 class FlatteningBudget:
     """Error budget for flattening an eigenfunction along interior faces.
 
-    ``areas`` holds the three incident cusp areas per face and ``tau`` the
-    matching flattening heights.  The three budget terms cover the cusp
-    cutoff, the face cutoff, and the norm loss; all are nonnegative.
+    The three budget terms cover the cusp cutoff, the face cutoff, and the
+    norm loss; all are nonnegative.
     """
 
-    areas: tuple[tuple[float, float, float], ...]
-    tau: tuple[tuple[float, float, float], ...]
     e1: float
     e2: float
     e3: float
@@ -479,11 +476,9 @@ def flattening_budget(
 
     floor = math.exp(math.sqrt(1.0 - lam0) * L)
 
-    taus: list[tuple[float, float, float]] = []
     e1 = e2 = e3 = 0.0
     for triple in face_areas:
         tau_face = tuple(max(math.sqrt(a), floor) for a in triple)
-        taus.append(tau_face)  # type: ignore[arg-type]
         norm_loss = 0.0
         face_e2_sum = 0.0
         for area, tau in zip(triple, tau_face):
@@ -497,6 +492,4 @@ def flattening_budget(
         e2 += damping * (growth + face_e2_sum)
         e3 += norm_loss
     _check_finite(e1 + e2 + e3, "the flattening budget", L)
-    return FlatteningBudget(
-        areas=tuple(face_areas), tau=tuple(taus), e1=e1, e2=e2, e3=e3
-    )
+    return FlatteningBudget(e1=e1, e2=e2, e3=e3)

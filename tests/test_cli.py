@@ -173,7 +173,7 @@ def test_delta_inf_fails_below_the_kernel_bound(tmp_path, capsys):
     report = _read_json(out)
     assert report["passed"] is False
     assert report["band"] == [2.0 - FREE_SUBGROUP_CRITICAL_EXPONENT / 2.0, 2.0]
-    assert report["estimate"] == pytest.approx(1.1208, abs=1e-4)
+    assert report["estimate"] == pytest.approx(1.146044, abs=1e-6)
 
 
 def test_delta_rejects_unknown_groups():
@@ -193,6 +193,17 @@ def test_delta_rejects_a_non_finite_base_point_before_walking(capsys, base_point
         warnings.simplefilter("error")
         assert main(args) == EXIT_USAGE
     assert "coordinates must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base_point", ["1e308,0,1", "1e150,0,1", "0,0,1e-300", "0,0,1e300"])
+def test_delta_refuses_a_base_point_too_far_out_with_one_error_line(capsys, base_point):
+    args = ["delta", "--group", "ap", "--word-length", "3", "--base-point", base_point]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--seed", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_delta_csv_is_the_counting_function(tmp_path):
@@ -288,6 +299,22 @@ def test_sizes_over_the_byte_limit_fail_the_command_with_a_message(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "GiB" in err
     assert not out.exists()
+
+
+def test_cover_refuses_oversized_bins_before_the_cover_and_the_walk(monkeypatch, capsys):
+    """The byte guard on --bins ran only after every walk step."""
+    from octagap import covers
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran before the bins were checked")
+
+    monkeypatch.setattr(covers, "sample_cover", not_reached)
+    monkeypatch.setattr(covers, "switching_walk", not_reached)
+    argv = ["cover", "--n", "3000", "--walk-steps", "200", "--bins", str(10**13), "--seed", "7"]
+    assert main(argv) == EXIT_COMPUTE
+    assert capsys.readouterr().err == (
+        "error: a histogram of 10000000000000 bins needs 530853.9 GiB, over the 1 GiB limit\n"
+    )
 
 
 # -- bounds-and-budgets ------------------------------------------------------------

@@ -244,7 +244,7 @@ def test_matching_leaves_the_callers_array_writable():
 def test_sample_cover_draws_valid_presentations(n, seed):
     cover = sample_cover(n, seed)
     assert isinstance(cover, CoverPresentation)
-    assert cover.n == n and cover.seed == seed
+    assert cover.n == n
     assert len(cover.sigma) == NUM_COLORS
     for matching in cover.sigma:
         assert matching.num_points == 2 * n

@@ -481,14 +481,14 @@ def test_walks_match_the_word_route_across_slice_boundaries(monkeypatch, label, 
 
 @pytest.mark.parametrize("label, max_len", [("free", 8), ("full", 6), ("kernel", 6)])
 def test_counting_function_matches_the_word_route_exactly(label, max_len):
-    """N(T) at every 0.1 grid point, the counts the exponent fit reads."""
+    """N(T) at every grid point, the counts the exponent fit reads."""
     if label == "free":
         words = [free_to_face_word(w) for w in enumerate_free_ball(max_len)]
     else:
         words = _twin_words(max_len, in_perp_kernel if label == "kernel" else None)
     ball = orbit_ball(label, DEFAULT_BASE_POINT, max_len)
     slow = _word_route_displacements(words, DEFAULT_BASE_POINT)
-    grid = [k * 0.1 for k in range(math.ceil(ball.radius / 0.1) + 2)]
+    grid = [k * GRID_STEP for k in range(math.ceil(ball.radius / GRID_STEP) + 2)]
     assert [ball.counting_function(t) for t in grid] == [
         int(np.searchsorted(slow, t, side="right")) for t in grid
     ]
@@ -649,8 +649,8 @@ def test_deep_walks_stay_clear_of_the_recursion_limit(monkeypatch):
 
 
 def test_grid_bins_are_exact_at_and_next_to_the_grid_points():
-    """Zero, every k GRID_STEP up to 20 and its neighbours on both sides,
-    split over unsorted slices of several sizes."""
+    """Zero, every k GRID_STEP up to 200 GRID_STEP and its neighbours on
+    both sides, split over unsorted slices of several sizes."""
     grid = np.arange(201) * GRID_STEP
     values = np.concatenate(
         [[0.0], grid, np.nextafter(grid[1:], 0.0), np.nextafter(grid, np.inf)]
@@ -658,10 +658,10 @@ def test_grid_bins_are_exact_at_and_next_to_the_grid_points():
     shuffled = np.random.default_rng(5).permutation(values)
     pieces = np.split(shuffled, [1, 8, 300])
     grid_counts, radius = _ballfast._grid_counts(pieces)
-    ball = OrbitBall(DEFAULT_BASE_POINT, 0, grid_counts, radius, int(grid_counts[-1]))
+    ball = OrbitBall(0, grid_counts, radius, int(grid_counts[-1]))
     ordered = np.sort(values)
     assert ball.count == values.size
-    assert ball.radius == ordered[-1] == np.nextafter(20.0, np.inf)
+    assert ball.radius == ordered[-1] == np.nextafter(200 * GRID_STEP, np.inf)
     expected = np.searchsorted(ordered, grid, side="right")
     assert [ball.counting_function(t) for t in grid] == expected.tolist()
     assert ball.grid_counts.tolist() == np.searchsorted(
@@ -674,8 +674,9 @@ def test_grid_bins_are_exact_at_and_next_to_the_grid_points():
 def test_counting_function_is_defined_on_the_grid_and_past_the_radius():
     ball = orbit_ball("free", DEFAULT_BASE_POINT, 6)
     assert ball.counting_function(3 * GRID_STEP) == int(ball.grid_counts[3])
-    # 0.3 is not the float 3 * 0.1 = 0.30000000000000004
-    for t in (0.05, 0.3, np.nextafter(3 * GRID_STEP, 1.0), ball.radius - 1e-9, math.nan, -math.inf):
+    # half a step, a point between two grid points and the float next to one
+    off_grid = (GRID_STEP / 2, 4.8 * GRID_STEP, np.nextafter(3 * GRID_STEP, 1.0))
+    for t in (*off_grid, ball.radius - 1e-9, math.nan, -math.inf):
         with pytest.raises(DomainError, match="multiples"):
             ball.counting_function(t)
     for t in (ball.radius, ball.radius + 0.05, math.inf):
@@ -1008,6 +1009,33 @@ def test_exponent_fit_counts_are_the_counting_function_at_its_distances(label, m
     fit = estimate_critical_exponent(ball)
     assert all(t == round(t / GRID_STEP) * GRID_STEP for t in fit.t_values)
     assert fit.counts == tuple(ball.counting_function(t) for t in fit.t_values)
+
+
+@pytest.mark.parametrize("window", [None, (1.5, 4.3), (2.5, 4.25)])
+def test_exponent_fit_reads_every_grid_point_of_its_window(window):
+    """Every grid point inside the window with a nonzero count, both ends
+    included, found by scanning k: the default window at word length 9 is
+    [2.7, 8.1], and the last window's ends are grid points."""
+    ball = orbit_ball("free", DEFAULT_BASE_POINT, 9)
+    fit = estimate_critical_exponent(ball, window)
+    lo, hi = window or (0.3 * 9, 0.9 * 9)
+    expected = [
+        k * GRID_STEP
+        for k, n in enumerate(ball.grid_counts.tolist())
+        if lo <= k * GRID_STEP <= hi and n > 0
+    ]
+    assert fit.window == (lo, hi)
+    assert fit.t_values == tuple(expected)
+
+
+@pytest.mark.parametrize("x, t", [(1e308, 1.0), (1e150, 1.0), (0.0, 1e-300), (0.0, 1e300)])
+def test_orbit_ball_refuses_a_base_point_too_far_out(x, t):
+    """The first raised OverflowError from |z0|^2, the others gave inf or NaN
+    displacements that np.bincount refused; a base point far out but within
+    floating point still gives a ball."""
+    with pytest.raises(DomainError, match="overflow"):
+        orbit_ball("free", point(x, 0.0, t), 3)
+    assert orbit_ball("free", point(0.0, 0.0, 1e-8), 3).count == 53
 
 
 def test_critical_exponent_is_stable_under_base_point_moves():

@@ -215,14 +215,19 @@ def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
     )
 
 
+def _library_and_acceptance() -> tuple[dict[str, ast.Module], ast.Module]:
+    """The parsed library modules, by name, and the parsed acceptance tests."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in _LIBRARY.glob("*.py")}
+    return trees, ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+
+
 def _unpassed_defaults() -> list[str]:
     """``module.function(parameter)`` for each defaulted parameter of a public
     module-level library function that no call passes.  The calls counted
     are those in the library and in ``test_acceptance.py``, matched by the
     called name (``f(...)`` or ``anything.f(...)``).  README twins and
     ``cli.main`` are left out."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in _LIBRARY.glob("*.py")}
-    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    trees, acceptance = _library_and_acceptance()
     calls: dict[str, list[ast.Call]] = {}
     for node in (n for tree in [*trees.values(), acceptance] for n in ast.walk(tree)):
         if isinstance(node, ast.Call):
@@ -252,3 +257,31 @@ def test_every_defaulted_parameter_is_passed_by_a_command_or_a_criterion():
     """A default that no command and no acceptance criterion overrides is a
     setting only the unit tests turn: it is a constant, and is written as one."""
     assert _unpassed_defaults() == []
+
+
+def _unread_fields() -> list[str]:
+    """``module.Class.field`` for each annotated field of a public library
+    class that no attribute load names (``anything.field``), in the library
+    or in ``test_acceptance.py``."""
+    trees, acceptance = _library_and_acceptance()
+    loaded = {
+        node.attr
+        for tree in [*trees.values(), acceptance]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}.{node.name}.{field.target.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in loaded
+    )
+
+
+def test_every_record_field_is_read_by_the_library_or_a_criterion():
+    """A field that only the unit tests read is a value computed and stored
+    for nobody: it is deleted, not kept."""
+    assert _unread_fields() == []

@@ -430,12 +430,38 @@ def test_flattening_budget_frozen_totals_decrease_in_the_tangle_radius():
     assert all(a > b for a, b in zip(totals, totals[1:]))
 
 
+def _budget_terms(areas, taus, L, lam, lam0, eps):
+    """e1, e2 and e3 of one face, from the formulas of ``flattening_budget``
+    with the given flattening heights."""
+    damping = math.exp(-2.0 * L * math.sqrt(1.0 - lam))
+    growth = math.exp(L * (math.sqrt(1.0 - lam0) + eps))
+    half = math.sinh(L / 2.0)
+    ratio = [tau / a * max(math.log(tau * half / a), 0.0) for a, tau in zip(areas, taus)]
+    e1 = sum(
+        damping * (a / tau**2 * growth + max(math.log(tau * half), 0.0))
+        for a, tau in zip(areas, taus)
+    )
+    e3 = sum(
+        tau ** (-2.0 * math.sqrt(1.0 - lam0)) + damping * (growth + r)
+        for tau, r in zip(taus, ratio)
+    )
+    return e1, damping * (growth + sum(ratio)), e3
+
+
 def test_flattening_heights_take_the_larger_of_area_and_growth_scales():
-    budget = flattening_budget([(1.0, 1e10, 4.0)], 20.0, 0.4, 0.8, 0.01)
+    """The area-1 cusp takes the growth scale as its height and the area-1e10
+    cusp sqrt(1e10) = 1e5: the three terms match those heights, and match
+    neither scale taken alone."""
+    areas, params = (1.0, 1e10, 4.0), (20.0, 0.4, 0.8, 0.01)
+    budget = flattening_budget([areas], *params)
+    terms = (budget.e1, budget.e2, budget.e3)
     growth = math.exp(math.sqrt(1.0 - 0.8) * 20.0)
-    assert budget.tau[0][0] == pytest.approx(growth, rel=1e-12)
-    assert budget.tau[0][1] == pytest.approx(1e5, rel=1e-12)
     assert growth == pytest.approx(7663.866573592062, rel=1e-12)
+    taus = [max(math.sqrt(a), growth) for a in areas]
+    assert taus[:2] == [growth, pytest.approx(1e5, rel=1e-12)]
+    assert terms == pytest.approx(_budget_terms(areas, taus, *params), rel=1e-12)
+    for alone in ([math.sqrt(a) for a in areas], [growth] * 3):
+        assert terms != pytest.approx(_budget_terms(areas, alone, *params), rel=1e-6)
 
 
 def test_flattening_budget_terms_are_nonnegative_and_sum():
@@ -491,7 +517,7 @@ def test_tangle_delocalization_validates_parameters(length, lam, lam0, eps):
 def test_flattening_budget_with_no_faces_costs_nothing():
     budget = flattening_budget([], 10.0, 0.4, 0.8, 0.01)
     assert budget.total == 0.0
-    assert budget.tau == ()
+    assert (budget.e1, budget.e2, budget.e3) == (0.0, 0.0, 0.0)
 
 
 # -- spectral parameters -----------------------------------------------------------------
