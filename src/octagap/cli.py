@@ -19,6 +19,14 @@ library module it does not use, and no command loads scipy.  Handlers call
 the layers through their modules (``covers.graph_lambda1(...)``), which the
 benchmark's tracer wraps.
 
+One report path serves every command.  A handler ``_cmd_*`` computes,
+prints its summary and verdict lines, and returns ``(fields, table)``: the
+report fields, plain Python values with ``passed`` among them, and the CSV
+header and rows.  ``main`` alone adds ``schema``, ``command`` and ``timestamp``,
+writes the JSON report or the CSV table to ``--out``, and maps ``passed`` to
+the exit code.  ``tests/golden/`` pins the report, stdout and stderr of the
+README and benchmark commands (``tools/golden.py --write`` regenerates them).
+
 Exit codes: 0 when all checks of the subcommand pass, 1 for a computational
 failure or a failed check, 2 for invalid input.  Output files are written
 only after a computation finishes, so invalid input and mid-run failures
@@ -213,16 +221,6 @@ def _require_seed(params: dict) -> int:
     return params["seed"]
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if hasattr(value, "tolist"):  # a numpy array or scalar
-        return _jsonify(value.tolist())
-    return value
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -233,14 +231,12 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_output(params: dict, report: dict, table: tuple | None) -> None:
+def _write_output(params: dict, report: dict, table: tuple) -> None:
     if params["out"] is None:
         return
     if params["format"] == "json":
-        text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
-        if table is None:
-            raise DomainError(f"{params['command']} has no CSV table output")
         header, rows = table
         lines = [",".join(header)]
         lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
@@ -249,20 +245,10 @@ def _write_output(params: dict, report: dict, table: tuple | None) -> None:
         handle.write(text)
 
 
-def _new_report(params: dict) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": params["command"],
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-    }
-
-
 # -- verify-group ------------------------------------------------------------
 
 
-def _cmd_verify_group(params: dict) -> tuple[int, dict, tuple]:
+def _cmd_verify_group(params: dict) -> tuple[dict, tuple]:
     from . import group
 
     table = dict(group.STANDARD_GENERATORS)
@@ -302,22 +288,18 @@ def _cmd_verify_group(params: dict) -> tuple[int, dict, tuple]:
         )
 
     failures = [name for name, ok in checks if not ok]
-    report = _new_report(params)
-    report.update(
-        {
-            "checks": [{"name": name, "passed": ok} for name, ok in checks],
-            "involution_checks": 8,
-            "edge_checks": 12,
-            "non_edge_checks": 16,
-            "passed": not failures,
-        }
-    )
-    table_out = (["check", "passed"], [[name, ok] for name, ok in checks])
     if failures:
         print(f"FAIL: {failures[0]} (and {len(failures) - 1} more)", file=sys.stderr)
-        return EXIT_COMPUTE, report, table_out
-    print(f"PASS: all {len(checks)} group checks (24-element symmetry group confirmed)")
-    return EXIT_OK, report, table_out
+    else:
+        print(f"PASS: all {len(checks)} group checks (24-element symmetry group confirmed)")
+    fields = {
+        "checks": [{"name": name, "passed": ok} for name, ok in checks],
+        "involution_checks": 8,
+        "edge_checks": 12,
+        "non_edge_checks": 16,
+        "passed": not failures,
+    }
+    return fields, (["check", "passed"], [[name, ok] for name, ok in checks])
 
 
 # -- scattering --------------------------------------------------------------
@@ -328,7 +310,7 @@ def _cmd_verify_group(params: dict) -> tuple[int, dict, tuple]:
 _SCATTERING_BYTES_PER_POINT = 1900
 
 
-def _cmd_scattering(params: dict) -> tuple[int, dict, tuple]:
+def _cmd_scattering(params: dict) -> tuple[dict, tuple]:
     import numpy as np
 
     from . import spectral
@@ -351,48 +333,22 @@ def _cmd_scattering(params: dict) -> tuple[int, dict, tuple]:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
 
     rows = []
-    max_relgap = None
-    for s in np.linspace(s_min, s_max, grid):
-        s = float(s)
+    for s in np.linspace(s_min, s_max, grid).tolist():
         try:
             formula = spectral.scattering_coefficient(s, level)
         except PoleError:
-            rows.append({"s": s, "formula": None, "oracle": None, "relgap": None, "flag": "POLE"})
-            continue
-        if s > 2.0:
+            formula = None
+        oracle = relgap = None
+        if formula is not None and s > 2.0:
             oracle = spectral.scattering_oracle_value(s, level, radius)
             relgap = abs(formula - oracle) / abs(formula)
-            max_relgap = relgap if max_relgap is None else max(max_relgap, relgap)
-            rows.append(
-                {"s": s, "formula": formula, "oracle": oracle, "relgap": relgap, "flag": "ok"}
-            )
-        else:
-            rows.append(
-                {"s": s, "formula": formula, "oracle": None, "relgap": None, "flag": "formula-only"}
-            )
-
+        flag = "POLE" if formula is None else "formula-only" if oracle is None else "ok"
+        rows.append({"s": s, "formula": formula, "oracle": oracle, "relgap": relgap, "flag": flag})
+    max_relgap = max((r["relgap"] for r in rows if r["relgap"] is not None), default=None)
     poles = spectral.scattering_pole_scan(level)
     scan_verdict = "no poles" if not poles else f"{len(poles)} pole candidates"
     passed = not poles and (max_relgap is None or max_relgap < tolerance)
 
-    report = _new_report(params)
-    report.update(
-        {
-            "level": level,
-            "oracle_radius": radius,
-            "tolerance": tolerance,
-            "rows": rows,
-            "pole_scan": {
-                "interval": list(spectral.POLE_SCAN_INTERVAL),
-                "verdict": scan_verdict,
-                "points": poles,
-            },
-            "max_relgap": max_relgap,
-            "passed": passed,
-        }
-    )
-    header = ["s", "formula", "oracle", "relgap", "flag"]
-    table_out = (header, [[r[k] for k in header] for r in rows])
     for r in rows:
         if r["flag"] == "ok":
             print(
@@ -406,13 +362,27 @@ def _cmd_scattering(params: dict) -> tuple[int, dict, tuple]:
     if max_relgap is not None:
         print(f"max relgap {max_relgap:.3e} (tolerance {tolerance:g})")
     print("PASS" if passed else "FAIL")
-    return (EXIT_OK if passed else EXIT_COMPUTE), report, table_out
+    fields = {
+        "level": level,
+        "oracle_radius": radius,
+        "tolerance": tolerance,
+        "rows": rows,
+        "pole_scan": {
+            "interval": list(spectral.POLE_SCAN_INTERVAL),
+            "verdict": scan_verdict,
+            "points": poles,
+        },
+        "max_relgap": max_relgap,
+        "passed": passed,
+    }
+    header = ["s", "formula", "oracle", "relgap", "flag"]
+    return fields, (header, [[r[k] for k in header] for r in rows])
 
 
 # -- delta -------------------------------------------------------------------
 
 
-def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
+def _cmd_delta(params: dict) -> tuple[dict, tuple]:
     from . import geometry
 
     token = params["group"]
@@ -433,51 +403,44 @@ def _cmd_delta(params: dict) -> tuple[int, dict, tuple]:
     bounds = geometry.spectral_gap_bounds()
     in_band = band[0] <= fit.exponent <= band[1]
 
-    report = _new_report(params)
-    report.update(
-        {
-            "group": token,
-            "orbit_group": orbit_group,
-            "word_length": word_length,
-            "base_point": [base.z.real, base.z.imag, base.t],
-            "estimate": fit.exponent,
-            "fit": {
-                "intercept": fit.intercept,
-                "n_points": fit.n_points,
-                "window": list(fit.window),
-                "t_values": list(fit.t_values),
-                "counts": list(fit.counts),
-            },
-            "band": list(band),
-            "reference": reference,
-            "orbit_points": ball.count,
-            "bounds": {
-                "lower": bounds.lower,
-                "upper": bounds.upper,
-                "es_at_reference": geometry.elstrodt_sullivan(
-                    geometry.FREE_SUBGROUP_CRITICAL_EXPONENT
-                ),
-            },
-            "passed": in_band,
-        }
-    )
-    table_out = (
-        ["t", "count"],
-        [[t, c] for t, c in zip(fit.t_values, fit.counts)],
-    )
     print(
         f"group {token}: estimate {fit.exponent:.6f} from {fit.n_points} points "
         f"on window [{fit.window[0]:.2f}, {fit.window[1]:.2f}], band [{band[0]}, {band[1]}]"
     )
     print(f"gap bounds: lower {bounds.lower:.10g}, upper {bounds.upper:.10g}")
     print("PASS" if in_band else "FAIL")
-    return (EXIT_OK if in_band else EXIT_COMPUTE), report, table_out
+    fields = {
+        "group": token,
+        "orbit_group": orbit_group,
+        "word_length": word_length,
+        "base_point": [base.z.real, base.z.imag, base.t],
+        "estimate": fit.exponent,
+        "fit": {
+            "intercept": fit.intercept,
+            "n_points": fit.n_points,
+            "window": list(fit.window),
+            "t_values": list(fit.t_values),
+            "counts": list(fit.counts),
+        },
+        "band": list(band),
+        "reference": reference,
+        "orbit_points": ball.count,
+        "bounds": {
+            "lower": bounds.lower,
+            "upper": bounds.upper,
+            "es_at_reference": geometry.elstrodt_sullivan(
+                geometry.FREE_SUBGROUP_CRITICAL_EXPONENT
+            ),
+        },
+        "passed": in_band,
+    }
+    return fields, (["t", "count"], [[t, c] for t, c in zip(fit.t_values, fit.counts)])
 
 
 # -- cover -------------------------------------------------------------------
 
 
-def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
+def _cmd_cover(params: dict) -> tuple[dict, tuple]:
     import numpy as np
 
     from . import covers
@@ -498,18 +461,15 @@ def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
     lambda1 = covers.graph_lambda1(graph)
     radius = covers.tangle_free_radius(graph)
 
-    report = _new_report(params)
-    report.update(
-        {
-            "n": n,
-            "seed": seed,
-            "num_vertices": graph.num_vertices,
-            "num_edges": graph.num_edges,
-            "connected": connected,
-            "lambda1": lambda1,
-            "tangle_free_radius": radius,
-        }
-    )
+    fields = {
+        "n": n,
+        "seed": seed,
+        "num_vertices": graph.num_vertices,
+        "num_edges": graph.num_edges,
+        "connected": connected,
+        "lambda1": lambda1,
+        "tangle_free_radius": radius,
+    }
     checks = [0.0 <= lambda1 <= 8.0]
     print(
         f"n={n}: {graph.num_vertices} vertices, connected={connected}, "
@@ -519,11 +479,11 @@ def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
         trajectory = covers.switching_walk(graph, walk_steps, seed)
         summary = covers.walk_summary(n, seed, trajectory, bins=bins)
         summary["signing_hashes"] = [h for h, _ in trajectory]
-        report["walk"] = summary
+        fields["walk"] = summary
         first = trajectory[0][1]
         checks.append(first <= 1e-9)
         checks.append(all(0.0 <= lam <= 8.0 for _, lam in trajectory))
-        table_out = (
+        table = (
             ["step", "signing_hash", "lambda1"],
             [[i, h, lam] for i, (h, lam) in enumerate(trajectory)],
         )
@@ -538,17 +498,16 @@ def _cmd_cover(params: dict) -> tuple[int, dict, tuple]:
             ones = np.ones(graph.num_edges, dtype=np.int64)
             yield from np.column_stack([*graph.edges(), ones]).tolist()
 
-        table_out = (["u", "v", "color", "sign"], edge_rows())
-    passed = all(checks)
-    report["passed"] = passed
-    print("PASS" if passed else "FAIL")
-    return (EXIT_OK if passed else EXIT_COMPUTE), report, table_out
+        table = (["u", "v", "color", "sign"], edge_rows())
+    fields["passed"] = all(checks)
+    print("PASS" if fields["passed"] else "FAIL")
+    return fields, table
 
 
 # -- bounds and budgets ------------------------------------------------------
 
 
-def _cmd_bounds_and_budgets(params: dict) -> tuple[int, dict, tuple]:
+def _cmd_bounds_and_budgets(params: dict) -> tuple[dict, tuple]:
     from . import geometry, spectral
 
     seed = _require_seed(params)
@@ -563,13 +522,11 @@ def _cmd_bounds_and_budgets(params: dict) -> tuple[int, dict, tuple]:
         raise DomainError("cap radii must be positive")
 
     cap_rows = []
-    caps_ok = True
     for radius in radii:
         for separation in separations:
             volume = geometry.cap_volume(radius, separation)
             bound = geometry.cap_volume_bound(radius, separation)
             ok = volume <= bound * (1.0 + 1e-12)
-            caps_ok = caps_ok and ok
             cap_rows.append(
                 {
                     "radius": radius,
@@ -579,21 +536,10 @@ def _cmd_bounds_and_budgets(params: dict) -> tuple[int, dict, tuple]:
                     "ok": ok,
                 }
             )
+    caps_ok = all(row["ok"] for row in cap_rows)
 
-    budget_rows = []
-    totals = []
-    for length in lengths:
-        budget = spectral.flattening_budget(areas, length, lam, lam0, eps)
-        totals.append(budget.total)
-        budget_rows.append(
-            {
-                "tangle_radius": length,
-                "e1": budget.e1,
-                "e2": budget.e2,
-                "e3": budget.e3,
-                "total": budget.total,
-            }
-        )
+    budgets = [spectral.flattening_budget(areas, length, lam, lam0, eps) for length in lengths]
+    totals = [budget.total for budget in budgets]
     decreasing = all(b < a for a, b in zip(totals, totals[1:]))
 
     horoball = geometry.horoball_cover_check(samples, seed, exclusion_radius=exclusion)
@@ -602,28 +548,8 @@ def _cmd_bounds_and_budgets(params: dict) -> tuple[int, dict, tuple]:
         and horoball.max_multiplicity <= 3
         and horoball.covered_fraction == 1.0
     )
-
     passed = caps_ok and decreasing and horoball_ok
-    report = _new_report(params)
-    report.update(
-        {
-            "cap_sweep": cap_rows,
-            "caps_within_bound": caps_ok,
-            "budgets": budget_rows,
-            "budget_decreasing": decreasing,
-            "horoball": {
-                "n_checked": horoball.n_checked,
-                "n_excluded": horoball.n_excluded,
-                "covered_fraction": horoball.covered_fraction,
-                "max_multiplicity": horoball.max_multiplicity,
-                "multiplicity_counts": horoball.multiplicity_counts,
-            },
-            "horoball_ok": horoball_ok,
-            "passed": passed,
-        }
-    )
-    header = ["radius", "separation", "volume", "bound", "ok"]
-    table_out = (header, [[row[k] for k in header] for row in cap_rows])
+
     print(f"cap sweep: {len(cap_rows)} rows, all within bound: {caps_ok}")
     print(
         "budget totals over lengths "
@@ -635,7 +561,26 @@ def _cmd_bounds_and_budgets(params: dict) -> tuple[int, dict, tuple]:
         f"max multiplicity {horoball.max_multiplicity}"
     )
     print("PASS" if passed else "FAIL")
-    return (EXIT_OK if passed else EXIT_COMPUTE), report, table_out
+    fields = {
+        "cap_sweep": cap_rows,
+        "caps_within_bound": caps_ok,
+        "budgets": [
+            {"tangle_radius": length, "e1": b.e1, "e2": b.e2, "e3": b.e3, "total": b.total}
+            for length, b in zip(lengths, budgets)
+        ],
+        "budget_decreasing": decreasing,
+        "horoball": {
+            "n_checked": horoball.n_checked,
+            "n_excluded": horoball.n_excluded,
+            "covered_fraction": horoball.covered_fraction,
+            "max_multiplicity": horoball.max_multiplicity,
+            "multiplicity_counts": horoball.multiplicity_counts,
+        },
+        "horoball_ok": horoball_ok,
+        "passed": passed,
+    }
+    header = ["radius", "separation", "volume", "bound", "ok"]
+    return fields, (header, [[row[k] for k in header] for row in cap_rows])
 
 
 #: Per subcommand: (handler, one-line help).
@@ -652,11 +597,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         params = _merge_params(args)
-        code, report, table = _COMMANDS[args.command][0](params)
+        fields, table = _COMMANDS[args.command][0](params)
+        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+        report = {"schema": SCHEMA_VERSION, "command": args.command, "timestamp": stamp, **fields}
         _write_output(params, report, table)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -664,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OctagapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    return code
+    return EXIT_OK if fields["passed"] else EXIT_COMPUTE
 
 
 if __name__ == "__main__":

@@ -131,7 +131,8 @@ class CoverPresentation:
         for matching in self.sigma:
             if matching.num_points != 2 * self.n:
                 raise DomainError(
-                    f"matching on {matching.num_points} points does not fit degree 2n = {2 * self.n}"
+                    f"matching on {matching.num_points} points does not fit "
+                    f"degree 2n = {2 * self.n}"
                 )
 
 

@@ -166,27 +166,19 @@ class ProjIsom:
     def entries(self) -> tuple[GaussianInt, GaussianInt, GaussianInt, GaussianInt]:
         return (self.a, self.b, self.c, self.d)
 
+    def _key(self) -> tuple[int, ...]:
+        """The conjugation bit and the canonical entries' parts, in one tuple
+        that equality, hashing and the symmetry group's order all read."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (self.conj, a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjIsom):
             return NotImplemented
-        return (
-            self.conj == other.conj
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                self.a.re, self.a.im,
-                self.b.re, self.b.im,
-                self.c.re, self.c.im,
-                self.d.re, self.d.im,
-                self.conj,
-            )
-        )
+        return hash(self._key())
 
     def __mul__(self, other: "ProjIsom") -> "ProjIsom":
         if not isinstance(other, ProjIsom):
@@ -341,11 +333,4 @@ def octa_symmetry_group() -> tuple[ProjIsom, ...]:
     if len(seen) != 24:
         raise SetupError(f"expected 24 octahedral symmetries, found {len(seen)}")
 
-    def key(g: ProjIsom) -> tuple:
-        return (
-            g.conj,
-            g.a.re, g.a.im, g.b.re, g.b.im,
-            g.c.re, g.c.im, g.d.re, g.d.im,
-        )
-
-    return tuple(sorted(seen, key=key))
+    return tuple(sorted(seen, key=ProjIsom._key))

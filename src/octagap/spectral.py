@@ -229,7 +229,9 @@ def _scattering_counts(level: int, norm_cut: int) -> tuple[np.ndarray, np.ndarra
 
 def _scattering_terms(s: float, level: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """The class norms |c|^2 with |c| <= radius, sorted, and their terms
-    count / |c|^(2s), after validating the arguments."""
+    count / |c|^(2s), after validating the arguments.  Every denominator
+    c = level c' has |c| >= level, so a level above the radius leaves the
+    sum empty and raises DomainError."""
     s = float(s)
     check_count("level", level, 1)
     if not s > 2.0:
@@ -239,6 +241,11 @@ def _scattering_terms(s: float, level: int, radius: float) -> tuple[np.ndarray, 
     if radius > _ORACLE_RADIUS_GUARD:
         raise MemoryGuardError(
             f"radius {radius} exceeds the cost guard of {_ORACLE_RADIUS_GUARD}"
+        )
+    if level > radius:
+        raise DomainError(
+            f"the oracle's denominators c = level c' need level <= radius, "
+            f"got level {level} and radius {radius}"
         )
     norms, counts = _scattering_counts(level, int(radius * radius + 1e-9))
     return norms, counts * norms.astype(np.float64) ** -s

@@ -133,6 +133,25 @@ def test_scattering_csv_rows(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--level", "121", "--oracle-radius", "120"],
+        ["--level", "3037000500", "--oracle-radius", "20", "--grid", "2"],
+    ],
+    ids=["empty-sum", "int64-overflow"],
+)
+def test_scattering_refuses_a_level_above_the_oracle_radius(tmp_path, capsys, argv):
+    """Level 121 printed oracle=0 and FAIL; level 3037000500 raised a raw
+    OverflowError out of main."""
+    out = tmp_path / "report.json"
+    assert main(["scattering", *argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "need level <= radius" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # -- delta -----------------------------------------------------------------------
 
 
@@ -275,6 +294,33 @@ def test_cover_is_deterministic_for_a_seed(tmp_path):
     a.pop("timestamp")
     b.pop("timestamp")
     assert a == b
+
+
+def test_cover_csv_is_the_edge_list_without_a_walk(tmp_path):
+    out = tmp_path / "edges.csv"
+    argv = ["cover", "--n", "6", "--seed", "7", "--format", "csv", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header == ["u", "v", "color", "sign"]
+    assert len(rows) == 4 * 6
+    cells = [[int(cell) for cell in row] for row in rows]
+    assert all(0 <= u < v < 12 and sign == 1 for u, v, _, sign in cells)
+    for color in range(1, 5):
+        ends = [end for u, v, c, _ in cells if c == color for end in (u, v)]
+        assert sorted(ends) == list(range(12)), f"color {color} is not a perfect matching"
+
+
+def test_cover_csv_is_the_walk_table_with_the_report_hashes(tmp_path):
+    argv = ["cover", "--n", "12", "--seed", "7", "--walk-steps", "5"]
+    report, table = tmp_path / "cover.json", tmp_path / "walk.csv"
+    assert main([*argv, "--out", str(report)]) == EXIT_OK
+    assert main([*argv, "--format", "csv", "--out", str(table)]) == EXIT_OK
+    walk = _read_json(report)["walk"]
+    header, *rows = [line.split(",") for line in table.read_text().splitlines()]
+    assert header == ["step", "signing_hash", "lambda1"]
+    assert [int(step) for step, _, _ in rows] == list(range(6))
+    assert [h for _, h, _ in rows] == walk["signing_hashes"]
+    assert [float(lam) for _, _, lam in rows] == pytest.approx(walk["lambda1_series"], rel=1e-11)
 
 
 def test_cover_requires_seed_and_size(capsys):

@@ -298,6 +298,22 @@ def test_oracle_at_radius_120_is_pinned(level):
     assert scattering_lattice_sum(3.0, level, 120.0) == lattice_sum
 
 
+@pytest.mark.parametrize("level, radius", [(121, 120.0), (3037000500, 20.0)])
+def test_oracle_refuses_a_level_above_its_radius(level, radius):
+    """Its denominators c = level c' have |c| >= level.  Above the radius the
+    oracle read 0 at level 121, and from level 3037000500 on level^2 times a
+    class norm overflowed int64."""
+    for oracle in (scattering_lattice_sum, scattering_oracle_value):
+        with pytest.raises(DomainError, match=f"got level {level} and radius"):
+            oracle(3.0, level, radius)
+
+
+def test_oracle_at_a_level_equal_to_its_radius_sums_one_class():
+    norms, terms = spectral._scattering_terms(3.0, 20, 20.0)
+    assert norms.tolist() == [400]
+    assert terms.tolist() == [400.0**-3.0]
+
+
 def test_cached_oracle_arrays_are_read_only():
     norms, counts = _scattering_counts(2, 30 * 30)
     with pytest.raises(ValueError):
