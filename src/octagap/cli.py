@@ -329,6 +329,9 @@ def _cmd_scattering(params: dict) -> tuple[dict, tuple]:
     check_bytes(f"a scattering grid of {grid} points", grid * _SCATTERING_BYTES_PER_POINT)
     if not 10.0 <= radius <= 500.0:
         raise DomainError(f"oracle radius must lie in [10, 500], got {radius}")
+    # before the formula, whose trial division of the level takes O(sqrt(level))
+    if level > radius:
+        raise DomainError(f"need level <= radius, got level {level} and radius {radius}")
     if not tolerance > 0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
 

@@ -2,12 +2,13 @@
 replacement-product comparison graph.
 
 A degree 2n cover of the octahedron orbifold is presented combinatorially by
-four perfect matchings on 2n points, one per mirror color.  The dual graph has
-the 2n octahedron copies as vertices and one colored edge per matched pair; it
-is 4-regular, loop-free, and may carry parallel edges.  Degree two covers of
-the glued manifold correspond to signings of the dual graph's edges, and the
-spectrum of such a two-lift splits into the base spectrum and the spectrum of
-the sign-twisted adjacency matrix.  The replacement-product ball (complete
+four perfect matchings on 2n points, one per mirror color, kept as one
+(4, 2n) table of involutions.  The dual graph has the 2n octahedron copies as
+vertices and one colored edge per matched pair; it is 4-regular, loop-free,
+and may carry parallel edges.  Degree two covers of the glued manifold
+correspond to signings of the dual graph's edges, and the spectrum of such a
+two-lift splits into the base spectrum and the spectrum of the sign-twisted
+adjacency matrix.  The replacement-product ball (complete
 graphs on four vertices glued along a 4-regular tree) supplies the comparison
 graph whose spectral radius 1 + sqrt(5 + 2 sqrt(3)) calibrates the limiting
 spectral gap 3 - sqrt(5 + 2 sqrt(3)).
@@ -35,8 +36,6 @@ from .errors import DomainError, SetupError, check_bytes, check_count
 
 __all__ = [
     "NUM_COLORS",
-    "Matching",
-    "CoverPresentation",
     "DualGraph",
     "Signing",
     "sample_cover",
@@ -65,9 +64,9 @@ _RITZ_TOL = 1e-13
 #: Lanczos steps after which the solve is given up.  Random covers need about
 #: 300 steps at 6,000 vertices and 900 at 200,000.
 _LANCZOS_MAX_STEPS = 3000
-#: Bytes ``sample_cover`` holds at its peak per unit of n: the four matchings
-#: and the shuffle and checks of the one being drawn (tracemalloc, 130.0
-#: bytes at n = 10^5 and 10^6).
+#: Upper bound on the bytes ``sample_cover`` holds at its peak per unit of n:
+#: the table and the shuffle of the row being drawn (tracemalloc, 96.0 to
+#: 103.3 bytes at n = 10^6 and 10^5).
 _COVER_BYTES_PER_N = 130
 #: Bytes ``walk_summary`` holds per histogram bin: numpy's edges and counts
 #: and their lists (tracemalloc, 56.0 to 56.9 bytes at 10^4 to 10^6 bins).
@@ -77,74 +76,17 @@ _BFS_BATCH_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
-class Matching:
-    """A perfect matching on an even point set, stored as its involution.
-
-    ``perm[j]`` is the partner of point ``j``; the array is a fixed point
-    free involution of integer dtype (not bool), checked at construction.
-    """
-
-    perm: np.ndarray
-
-    def __post_init__(self) -> None:
-        perm = np.asarray(self.perm)
-        if not np.issubdtype(perm.dtype, np.integer):
-            raise DomainError(f"matching entries must be integers, got dtype {perm.dtype}")
-        perm = perm.astype(np.int64)
-        if perm.ndim != 1 or perm.size == 0 or perm.size % 2 != 0:
-            raise DomainError(
-                f"matching needs a 1-d array over an even point set, got shape {perm.shape}"
-            )
-        points = np.arange(perm.size)
-        if not np.array_equal(np.sort(perm), points):
-            raise DomainError("matching entries must be a permutation of the points")
-        if np.any(perm == points):
-            raise DomainError("matching has a fixed point")
-        if not np.array_equal(perm[perm], points):
-            raise DomainError("matching is not an involution")
-        perm.setflags(write=False)
-        object.__setattr__(self, "perm", perm)
-
-    @property
-    def num_points(self) -> int:
-        return int(self.perm.size)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """The matched pairs (u, v) with u < v, sorted by u."""
-        return [(int(j), int(self.perm[j])) for j in range(self.num_points) if j < self.perm[j]]
-
-
-@dataclass(frozen=True, eq=False)
-class CoverPresentation:
-    """A random cover of degree 2n: one perfect matching per color.
-
-    The presentation is reproducible: ``sample_cover(n, seed)`` with the
-    same seed rebuilds the same four matchings.
-    """
-
-    n: int
-    sigma: tuple[Matching, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.sigma) != NUM_COLORS:
-            raise DomainError(f"expected {NUM_COLORS} matchings, got {len(self.sigma)}")
-        for matching in self.sigma:
-            if matching.num_points != 2 * self.n:
-                raise DomainError(
-                    f"matching on {matching.num_points} points does not fit "
-                    f"degree 2n = {2 * self.n}"
-                )
-
-
-@dataclass(frozen=True, eq=False)
 class DualGraph:
     """The 4-regular colored dual graph of a cover, stored as its four matchings.
 
     ``matchings`` is a read-only (4, V) int64 array whose row c - 1 is the
     involution of color c: an edge of color c joins u and
-    ``matchings[c - 1, u]``.  Each row is validated as a ``Matching``, so
-    every color class is a perfect matching and the graph is loop free and
-    exactly 4-regular, with parallel edges allowed.
+    ``matchings[c - 1, u]``.  This is the one place a cover is checked: the
+    table needs an integer dtype (not bool), an even V > 0, entries in
+    0 .. V - 1, no fixed point, and each row its own inverse, which makes
+    it a permutation.  So every color class is a perfect matching and the
+    graph is loop free and exactly 4-regular, with parallel edges allowed.
+    The caller's array is copied, never frozen.
 
     Edges are ordered color by color, and within a color by ascending
     smaller endpoint; ``edges()`` lists them in that order, and a
@@ -155,18 +97,28 @@ class DualGraph:
 
     def __post_init__(self) -> None:
         try:
-            rows = np.asarray(self.matchings)
+            table = np.asarray(self.matchings)
         except ValueError:
             raise DomainError(
                 f"a dual graph needs {NUM_COLORS} matchings of equal size, got ragged rows"
             ) from None
-        if rows.ndim != 2 or len(rows) != NUM_COLORS:
+        if not np.issubdtype(table.dtype, np.integer):
+            raise DomainError(f"matching entries must be integers, got dtype {table.dtype}")
+        if table.ndim != 2 or len(table) != NUM_COLORS or table.size == 0 or table.shape[1] % 2:
             raise DomainError(
-                f"a dual graph needs {NUM_COLORS} matchings of equal size, got shape {rows.shape}"
+                f"a dual graph needs {NUM_COLORS} matchings on one even point set, "
+                f"got shape {table.shape}"
             )
-        matchings = np.stack([Matching(row).perm for row in rows])
-        matchings.setflags(write=False)
-        object.__setattr__(self, "matchings", matchings)
+        table = table.astype(np.int64)
+        points = np.arange(table.shape[1])
+        if table.min() < 0 or table.max() >= points.size:
+            raise DomainError(f"matching entries must be points 0 .. {points.size - 1}")
+        if np.any(table == points):
+            raise DomainError("matching has a fixed point")
+        if np.any(np.take_along_axis(table, table, axis=1) != points):
+            raise DomainError("matching is not an involution")
+        table.setflags(write=False)
+        object.__setattr__(self, "matchings", table)
 
     @property
     def num_vertices(self) -> int:
@@ -182,11 +134,25 @@ class DualGraph:
         return u, self.matchings[color, u], color + 1
 
     @cached_property
+    def _connected(self) -> bool:
+        """Whether a breadth-first search from vertex 0 over the matchings
+        reaches every vertex.  Searched once per graph, since both
+        ``is_connected`` and ``_mu2`` need it."""
+        reached = np.zeros(self.num_vertices, dtype=bool)
+        reached[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            neighbors = self.matchings[:, frontier].ravel()
+            frontier = _distinct(neighbors[~reached[neighbors]])
+            reached[frontier] = True
+        return bool(reached.all())
+
+    @cached_property
     def _mu2(self) -> float:
         """Second largest adjacency eigenvalue, with multiplicity; exactly 4
         when the graph is disconnected.  Solved once per graph, since both
         ``graph_lambda1`` and ``switching_walk`` need it."""
-        if not _reaches_every_vertex(self.matchings):
+        if not self._connected:
             return 4.0
         return _lanczos_top(self.matchings, deflate=True)
 
@@ -217,9 +183,11 @@ class Signing:
         return int(self.values.size)
 
 
-def sample_cover(n: int, seed: int) -> CoverPresentation:
-    """Sample four independent uniform perfect matchings on 2n points.
+def sample_cover(n: int, seed: int) -> np.ndarray:
+    """Four independent uniform perfect matchings on 2n points, as one table.
 
+    Returns a read-only (4, 2n) int64 array whose row c - 1 is the
+    involution of color c; ``dual_graph`` checks it and builds the graph.
     Each matching pairs consecutive entries of a seeded random shuffle,
     which is uniform over the (2n - 1)!! perfect matchings.  The seed must
     be a non-negative integer, so every cover can be drawn again.  Raises
@@ -229,19 +197,18 @@ def sample_cover(n: int, seed: int) -> CoverPresentation:
     seed = check_count("seed", seed, 0)
     check_bytes(f"a cover of degree {2 * n}", n * _COVER_BYTES_PER_N)
     rng = np.random.default_rng(seed)
-    matchings = []
-    for _ in range(NUM_COLORS):
+    table = np.empty((NUM_COLORS, 2 * n), dtype=np.int64)
+    for row in table:
         order = rng.permutation(2 * n)
-        perm = np.empty(2 * n, dtype=np.int64)
-        perm[order[0::2]] = order[1::2]
-        perm[order[1::2]] = order[0::2]
-        matchings.append(Matching(perm))
-    return CoverPresentation(n, tuple(matchings))
+        row[order[0::2]] = order[1::2]
+        row[order[1::2]] = order[0::2]
+    table.setflags(write=False)
+    return table
 
 
-def dual_graph(cover: CoverPresentation) -> DualGraph:
-    """The colored dual graph of a cover presentation."""
-    return DualGraph(np.stack([matching.perm for matching in cover.sigma]))
+def dual_graph(table: np.ndarray) -> DualGraph:
+    """The colored dual graph of a cover given as its (4, 2n) matching table."""
+    return DualGraph(table)
 
 
 def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.ndarray:
@@ -253,26 +220,26 @@ def adjacency_matrix(graph: DualGraph, signing: Signing | None = None) -> np.nda
     would exceed 1 GiB (above about 11,585 vertices).  No other function
     here calls it, and no eigenvalue solve forms a dense matrix.
     """
-    if signing is not None and signing.num_edges != graph.num_edges:
-        raise DomainError(
-            f"signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
-        )
+    signs = None if signing is None else _table_signs(graph, signing)
     check_bytes(
         f"a dense adjacency matrix on {graph.num_vertices} vertices",
         graph.num_vertices * graph.num_vertices * 8,
     )
-    signs = None if signing is None else signing.values[_edge_ids(graph)]
     return _dense(graph.matchings, signs)
 
 
-def _edge_ids(graph: DualGraph) -> np.ndarray:
-    """(4, V) table beside the matchings: entry (c, u) is the index, in edge
-    order, of u's color c + 1 edge, so ``signing.values[ids]`` gives the
-    sign of every matching entry."""
+def _table_signs(graph: DualGraph, signing: Signing) -> np.ndarray:
+    """The signing laid onto the matching table: a (4, V) int8 array whose
+    entry (c, u) is the sign of u's color c + 1 edge.  Raises DomainError
+    unless the signing covers the graph's edges."""
+    if signing.num_edges != graph.num_edges:
+        raise DomainError(
+            f"signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
+        )
     edge_u, edge_v, color = graph.edges()
-    ids = np.empty(graph.matchings.shape, dtype=np.int64)
-    ids[color - 1, edge_u] = ids[color - 1, edge_v] = np.arange(edge_u.size)
-    return ids
+    signs = np.empty(graph.matchings.shape, dtype=np.int8)
+    signs[color - 1, edge_u] = signs[color - 1, edge_v] = signing.values
+    return signs
 
 
 def _dense(neighbors: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -288,21 +255,7 @@ def _dense(neighbors: np.ndarray, weights: np.ndarray | None = None) -> np.ndarr
 def is_connected(graph: DualGraph) -> bool:
     """Whether the dual graph is connected: a breadth-first search from
     vertex 0 over the four matchings reaches every vertex."""
-    return _reaches_every_vertex(graph.matchings)
-
-
-def _reaches_every_vertex(matchings: np.ndarray) -> bool:
-    """The search behind ``is_connected``.  ``DualGraph._mu2`` calls it
-    directly, so that the benchmark's tracer, which wraps the public
-    functions, sees no ``is_connected`` nested inside ``graph_lambda1``."""
-    reached = np.zeros(matchings.shape[1], dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        neighbors = matchings[:, frontier].ravel()
-        frontier = _distinct(neighbors[~reached[neighbors]])
-        reached[frontier] = True
-    return bool(reached.all())
+    return graph._connected
 
 
 def _lanczos_top(
@@ -503,17 +456,8 @@ def lift_graph(graph: DualGraph, signing: Signing) -> DualGraph:
     sheet-crossing copies.  The result is again a valid colored dual graph,
     on twice the vertices: vertex u + V is u's copy on the second sheet.
     """
-    if signing.num_edges != graph.num_edges:
-        raise DomainError(
-            f"signing covers {signing.num_edges} edges, graph has {graph.num_edges}"
-        )
     nv = graph.num_vertices
-    edge_u, edge_v, color = graph.edges()
-    negative = signing.values < 0
-    crossed = np.zeros_like(graph.matchings)
-    crossed[color[negative] - 1, edge_u[negative]] = 1
-    crossed[color[negative] - 1, edge_v[negative]] = 1
-    partner = graph.matchings + nv * crossed
+    partner = graph.matchings + nv * (_table_signs(graph, signing) < 0)
     return DualGraph(np.hstack([partner, (partner + nv) % (2 * nv)]))
 
 
@@ -558,11 +502,10 @@ def switching_walk(graph: DualGraph, steps: int, seed: int) -> list[tuple[str, f
     steps = check_count("steps", steps, 1)
     rng = np.random.default_rng(check_count("seed", seed, 0))
     signing = all_plus_signing(graph)
-    ids = _edge_ids(graph)
     mu2_old = graph._mu2
 
     def gap(current: Signing) -> float:
-        mu1_new = _lanczos_top(graph.matchings, current.values[ids].astype(float))
+        mu1_new = _lanczos_top(graph.matchings, _table_signs(graph, current).astype(float))
         return max(0.0, 4.0 - max(mu2_old, mu1_new))
 
     trajectory = [(signing_hash(signing), gap(signing))]

@@ -19,6 +19,7 @@ residues, the sieve's own twin, and compare it class by class.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable, Sequence
@@ -149,7 +150,9 @@ def scattering_coefficient(s: float, level: int = 1) -> float:
     (1 - norm(p)^(-s))^(-1) over Gaussian primes p dividing the level.  The
     numerator zeta at s - 1 is continued through (0, 1) by the eta series, so
     the whole expression is defined on (1, 2) and (2, oo), with a simple pole
-    at s = 2 inherited from the Riemann zeta factor.
+    at s = 2 inherited from the Riemann zeta factor.  Raises DomainError when
+    the value underflows below the smallest normal float, as level^(-2s-2)
+    does at level 2 and s = 600.
     """
     s = float(s)
     check_count("level", level, 1)
@@ -157,7 +160,10 @@ def scattering_coefficient(s: float, level: int = 1) -> float:
         raise DomainError(f"the coefficient is defined for finite s > 1, got {s}")
     if s == 2.0:
         raise PoleError("simple pole at s = 2")
-    return float(_scattering_formula(s, level))
+    value = float(_scattering_formula(s, level))
+    if abs(value) < sys.float_info.min:
+        raise DomainError(f"the coefficient underflows at s = {s} and level {level}")
+    return value
 
 
 def _scattering_formula(s: float | np.ndarray, level: int) -> float | np.ndarray:
@@ -276,11 +282,18 @@ def scattering_oracle_value(s: float, level: int = 1, radius: float = 120.0) -> 
     pi / (4 (s - 1) level^2) times the limit of the counting sum of
     ``scattering_lattice_sum``, which is estimated by Richardson
     extrapolation: the tail scales like radius^(4 - 2s), so the sums at the
-    radius and at radius/sqrt(2) are combined to cancel it.
+    radius and at radius/sqrt(2) are combined to cancel it.  Every
+    denominator has |c| >= level, so a level above radius/sqrt(2) leaves the
+    inner sum empty and raises DomainError.
     """
     norms, terms = _scattering_terms(s, level, radius)
+    inner_count = np.searchsorted(norms, radius * radius / 2.0, side="right")
+    if inner_count == 0:
+        raise DomainError(
+            f"the inner sum needs level <= radius/sqrt(2), got level {level} and radius {radius}"
+        )
     full = float(terms.sum())
-    inner = float(terms[: np.searchsorted(norms, radius * radius / 2.0, side="right")].sum())
+    inner = float(terms[:inner_count].sum())
     ratio = 2.0 ** (2.0 - s)  # (radius/sqrt(2) / radius)^(2s - 4)
     prefactor = math.pi / (4.0 * (s - 1.0) * level * level)
     return prefactor * ((full - inner * ratio) / (1.0 - ratio))

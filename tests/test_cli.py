@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -150,6 +151,36 @@ def test_scattering_refuses_a_level_above_the_oracle_radius(tmp_path, capsys, ar
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "need level <= radius" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--level", "85", "--oracle-radius", "120", "--grid", "2"],
+        ["--level", "1000000000000000003", "--s-min", "1.5", "--s-max", "1.9", "--grid", "1"],
+        ["--level", "1000000000000000003"],
+        ["--level", "2", "--s-min", "600", "--s-max", "600", "--grid", "1"],
+    ],
+    ids=["empty-inner-sum", "formula-only-huge-level", "huge-level", "underflow"],
+)
+def test_scattering_refuses_what_the_oracle_or_the_formula_cannot_serve(tmp_path, capsys, argv):
+    """Level 85 at radius 120 printed relgap 1.19 and FAIL; level
+    1000000000000000003 factored by trial division for longer than 20 s;
+    s = 600 at level 2 raised ZeroDivisionError at the relgap."""
+    out = tmp_path / "report.json"
+    start = time.monotonic()
+    assert main(["scattering", *argv, "--out", str(out)]) == EXIT_USAGE
+    assert time.monotonic() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_scattering_serves_a_small_coefficient_above_the_underflow(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["--level", "2", "--s-min", "300", "--s-max", "300", "--grid", "1"]
+    assert main(["scattering", *argv, "--out", str(out)]) == EXIT_OK
+    assert _read_json(out)["rows"][0]["flag"] == "ok"
 
 
 # -- delta -----------------------------------------------------------------------

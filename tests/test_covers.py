@@ -19,9 +19,7 @@ from scipy.sparse.linalg import eigsh
 from octagap import covers, errors
 from octagap.covers import (
     NUM_COLORS,
-    CoverPresentation,
     DualGraph,
-    Matching,
     Signing,
     adjacency_matrix,
     all_plus_signing,
@@ -96,13 +94,14 @@ def _edge_triples(graph):
     return list(zip(*(column.tolist() for column in graph.edges())))
 
 
-def _dual_graph_edges_twin(cover):
-    """Per-pair twin of ``dual_graph(cover).edges()``: each color's matched
+def _dual_graph_edges_twin(table):
+    """Per-pair twin of ``dual_graph(table).edges()``: each color's matched
     pairs (u, v) with u < v in ascending u, color by color."""
     edges = []
-    for index, matching in enumerate(cover.sigma):
-        for u, v in matching.pairs():
-            edges.append((u, v, index + 1))
+    for index, row in enumerate(table.tolist()):
+        for u, v in enumerate(row):
+            if u < v:
+                edges.append((u, v, index + 1))
     return edges
 
 
@@ -200,62 +199,86 @@ HANDMADE_GRAPHS = (
 # -- matchings -------------------------------------------------------------------
 
 
+def _with_first_row(row):
+    """A table whose color-1 row is ``row`` and whose other rows pair 0-1, 2-3, ...."""
+    paired = np.arange(len(row)) ^ 1
+    return np.array([row, paired, paired, paired])
+
+
 def test_matching_accepts_fixed_point_free_involutions():
-    m = Matching(np.array([1, 0, 3, 2]))
-    assert m.num_points == 4
-    assert m.pairs() == [(0, 1), (2, 3)]
+    graph = DualGraph(_with_first_row([2, 3, 0, 1]))
+    assert graph.num_vertices == 4
+    assert _edge_triples(graph)[:2] == [(0, 2, 1), (1, 3, 1)]
 
 
 def test_matching_rejects_degenerate_arrays():
-    with pytest.raises(DomainError):
-        Matching(np.array([0, 1, 2]))
-    with pytest.raises(DomainError):
-        Matching(np.array([0, 1, 3, 2]))
-    with pytest.raises(DomainError):
-        Matching(np.array([1, 2, 3, 0]))
+    """``DualGraph`` checks every row of the table at once: an odd or empty
+    point set, an entry off the points, a fixed point, a repeated entry and
+    a permutation that is not its own inverse are all refused."""
+    cases = [
+        ([[0, 1, 2]] * NUM_COLORS, "even point set"),
+        (np.zeros((NUM_COLORS, 0), dtype=np.int64), "even point set"),
+        (_with_first_row([1, 0, 3, 4]), "points 0 .. 3"),
+        (_with_first_row([1, 0, 3, -1]), "points 0 .. 3"),
+        (_with_first_row([0, 1, 3, 2]), "fixed point"),
+        (_with_first_row([1, 0, 0, 2]), "involution"),
+        (_with_first_row([1, 2, 3, 0]), "involution"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(DomainError, match=message):
+            DualGraph(rows)
+    # a bad row is found wherever it sits in the table
+    rows = _with_first_row([1, 0, 3, 2])
+    rows[3] = [1, 2, 3, 0]
+    with pytest.raises(DomainError, match="involution"):
+        DualGraph(rows)
 
 
 def test_matching_rejects_non_integer_dtypes():
-    """Floats are not truncated and bools are not read as 0 and 1."""
-    with pytest.raises(DomainError):
-        Matching(np.array([1.9, 0.2]))
-    with pytest.raises(DomainError):
-        Matching(np.array([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        Matching(np.array([True, False]))
-    assert Matching(np.array([1, 0], dtype=np.uint8)).perm.dtype == np.int64
+    """Floats are not truncated and bools are not read as 0 and 1; any
+    integer dtype is read as int64."""
+    for rows in ([[1.9, 0.2]] * NUM_COLORS, [[1.0, 0.0]] * NUM_COLORS):
+        with pytest.raises(DomainError, match="integers"):
+            DualGraph(np.array(rows))
+    with pytest.raises(DomainError, match="integers"):
+        DualGraph(np.array([[True, False]] * NUM_COLORS))
+    graph = DualGraph(np.array([[1, 0]] * NUM_COLORS, dtype=np.uint8))
+    assert graph.matchings.dtype == np.int64
+    assert graph.matchings.tolist() == [[1, 0]] * NUM_COLORS
 
 
 def test_matching_array_is_immutable():
-    m = Matching(np.array([1, 0]))
+    table = sample_cover(4, 1)
     with pytest.raises(ValueError):
-        m.perm[0] = 0
+        table[0, 0] = 1
+    graph = dual_graph(table)
+    with pytest.raises(ValueError):
+        graph.matchings[0, 0] = 1
 
 
 def test_matching_leaves_the_callers_array_writable():
-    perm = np.array([1, 0])
-    m = Matching(perm)
-    assert perm.flags.writeable
-    perm[0] = 0
-    assert m.perm.tolist() == [1, 0]
+    rows = np.array([[1, 0]] * NUM_COLORS)
+    graph = DualGraph(rows)
+    assert rows.flags.writeable
+    rows[0, 0] = 0
+    assert graph.matchings.tolist() == [[1, 0]] * NUM_COLORS
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_sample_cover_draws_valid_presentations(n, seed):
-    cover = sample_cover(n, seed)
-    assert isinstance(cover, CoverPresentation)
-    assert cover.n == n
-    assert len(cover.sigma) == NUM_COLORS
-    for matching in cover.sigma:
-        assert matching.num_points == 2 * n
+    table = sample_cover(n, seed)
+    assert isinstance(table, np.ndarray)
+    assert table.shape == (NUM_COLORS, 2 * n)
+    assert table.dtype == np.int64
+    assert not table.flags.writeable
+    assert np.array_equal(dual_graph(table).matchings, table)
 
 
 def test_sample_cover_is_reproducible():
     a, b = sample_cover(25, 99), sample_cover(25, 99)
-    for ma, mb in zip(a.sigma, b.sigma):
-        assert np.array_equal(ma.perm, mb.perm)
+    assert np.array_equal(a, b)
     c = sample_cover(25, 100)
-    assert any(not np.array_equal(ma.perm, mc.perm) for ma, mc in zip(a.sigma, c.sigma))
+    assert not np.array_equal(a, c)
 
 
 def test_sample_cover_rejects_bad_sizes():
@@ -277,7 +300,7 @@ def test_matchings_on_six_points_are_close_to_uniform():
     """A chi-square test over the 15 matchings on 6 points at 2000 draws."""
     counts = {}
     for seed in range(2000):
-        key = tuple(sample_cover(3, seed).sigma[0].pairs())
+        key = tuple(sample_cover(3, seed)[0].tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 15
     result = scipy.stats.chisquare(list(counts.values()))
@@ -321,7 +344,7 @@ def test_dual_graph_validation():
     # color 1 touches vertex 1 twice
     with pytest.raises(DomainError):
         DualGraph(np.array([[1, 1]] + [matched] * 3))
-    # float and bool rows go through the Matching check
+    # float and bool rows
     with pytest.raises(DomainError):
         DualGraph(np.array([matched] * 4, dtype=float))
     with pytest.raises(DomainError):
@@ -344,10 +367,10 @@ def test_dual_graph_stores_one_read_only_array():
 def test_edges_match_the_per_pair_twin(n):
     """Edge order (color by color, ascending smaller endpoint) is what signings index."""
     for seed in range(4):
-        cover = sample_cover(n, seed)
-        graph = dual_graph(cover)
+        table = sample_cover(n, seed)
+        graph = dual_graph(table)
         assert all(column.dtype == np.int64 for column in graph.edges())
-        assert _edge_triples(graph) == _dual_graph_edges_twin(cover)
+        assert _edge_triples(graph) == _dual_graph_edges_twin(table)
 
 
 @pytest.mark.parametrize("n", [1, 5, 30])
@@ -405,6 +428,20 @@ def test_lambda1_vanishes_exactly_on_disconnected_graphs():
         assert graph_lambda1(graph) > 0.0
 
 
+def test_connectivity_is_searched_once_per_graph(monkeypatch):
+    """``is_connected`` and ``graph_lambda1`` read one cached search."""
+    searches = []
+    distinct = covers._distinct
+    monkeypatch.setattr(covers, "_distinct", lambda values: searches.append(1) or distinct(values))
+    graph = dual_graph(sample_cover(50, 3))
+    assert is_connected(graph)
+    assert searches
+    done = len(searches)
+    assert graph_lambda1(graph) > 0.0
+    assert is_connected(graph)
+    assert len(searches) == done
+
+
 def test_lambda1_sparse_path_matches_the_dense_path():
     """Lanczos on the matchings against every eigenvalue of the dense adjacency."""
     for n, seed in ((30, 2), (300, 7), (1100, 4)):
@@ -434,7 +471,9 @@ def test_lambda1_and_the_walk_repeat_bit_for_bit_at_any_thread_count():
     src = str(Path(covers.__file__).resolve().parents[1])
     outputs = set()
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env = dict(
+            os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+        )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
@@ -616,17 +655,15 @@ def test_tangle_free_radius_matches_the_all_pairs_twin_on_random_multigraphs(
 
 
 def test_tangle_free_radius_rejects_every_graph_form_but_a_dual_graph():
-    """A (num_vertices, edges) pair, even a valid one, the bare matchings
-    and a cover presentation all raise DomainError."""
-    cover = sample_cover(5, 1)
-    graph = dual_graph(cover)
+    """A (num_vertices, edges) pair, even a valid one, and the bare
+    matching table both raise DomainError."""
+    table = sample_cover(5, 1)
+    graph = dual_graph(table)
     for other in ((graph.num_vertices, _pairs(graph)), (3, [(0, 1), (1, 2), (2, 0)]), (2, [])):
         with pytest.raises(DomainError):
             tangle_free_radius(other)
     with pytest.raises(DomainError):
-        tangle_free_radius(graph.matchings)
-    with pytest.raises(DomainError):
-        tangle_free_radius(cover)
+        tangle_free_radius(table)
 
 
 def test_tangle_free_radius_rejects_non_integer_endpoints():
@@ -661,6 +698,14 @@ def test_all_plus_signing_and_switching():
     assert signing_hash(simple_switching(switched, 5)) == signing_hash(signing)
     with pytest.raises(DomainError):
         simple_switching(signing, graph.num_edges)
+
+
+def test_a_signing_must_cover_the_graphs_edges():
+    graph = _disjoint_pair_graph()
+    short = Signing(np.ones(3, dtype=np.int8))
+    for build in (adjacency_matrix, lift_graph, two_cover_spectra):
+        with pytest.raises(DomainError, match="signing covers 3 edges, graph has 8"):
+            build(graph, short)
 
 
 def test_lift_of_the_trivial_signing_is_two_disjoint_copies():

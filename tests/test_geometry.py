@@ -143,7 +143,8 @@ def test_point_requires_positive_height():
 
 
 @pytest.mark.parametrize(
-    "coords", [(0.3, 0.4, math.inf), (math.nan, 0.4, 0.9), (0.3, -math.inf, 0.9), (0.3, 0.4, math.nan)]
+    "coords",
+    [(0.3, 0.4, math.inf), (math.nan, 0.4, 0.9), (0.3, -math.inf, 0.9), (0.3, 0.4, math.nan)],
 )
 def test_point_rejects_non_finite_coordinates(coords):
     with pytest.raises(DomainError, match="finite"):

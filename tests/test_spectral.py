@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -312,6 +313,28 @@ def test_oracle_at_a_level_equal_to_its_radius_sums_one_class():
     norms, terms = spectral._scattering_terms(3.0, 20, 20.0)
     assert norms.tolist() == [400]
     assert terms.tolist() == [400.0**-3.0]
+
+
+def test_oracle_refuses_a_level_above_its_inner_radius():
+    """The Richardson step subtracts the sum over |c| <= radius/sqrt(2), and
+    every |c| >= level: level 85 at radius 120 (84.85) left that sum empty
+    and read a relgap of 1.19."""
+    with pytest.raises(DomainError, match=r"level <= radius/sqrt\(2\), got level 85 and"):
+        scattering_oracle_value(3.0, 85, 120.0)
+    assert scattering_lattice_sum(3.0, 85, 120.0) == 85.0**-6.0
+    assert 0.0 < scattering_oracle_value(3.0, 84, 120.0) < math.inf
+    # above the radius the lattice sum's own message comes first
+    with pytest.raises(DomainError, match="need level <= radius, got level 121 and"):
+        scattering_oracle_value(3.0, 121, 120.0)
+
+
+def test_scattering_coefficient_refuses_a_value_below_the_normal_floats():
+    """level^(-2s-2) underflows to 0 at level 2 and s = 600, and the report's
+    relgap divided by it."""
+    with pytest.raises(DomainError, match="underflows"):
+        scattering_coefficient(600.0, 2)
+    assert scattering_coefficient(300.0, 2) > sys.float_info.min
+    assert scattering_coefficient(600.0, 1) > sys.float_info.min
 
 
 def test_cached_oracle_arrays_are_read_only():
