@@ -106,15 +106,20 @@ def test_scattering_validates_its_window():
 
 @pytest.mark.parametrize(
     "flags",
-    [["--tolerance", "nan"], ["--s-max", "inf", "--grid", "3"]],
-    ids=["nan-tolerance", "infinite-s-max"],
+    [["--tolerance", "nan"], ["--tolerance", "inf"], ["--s-max", "inf", "--grid", "3"]],
+    ids=["nan-tolerance", "infinite-tolerance", "infinite-s-max"],
 )
 def test_scattering_rejects_non_finite_input(tmp_path, capsys, flags):
-    args = ["scattering", "--oracle-radius", "20", "--out", str(tmp_path / "r.json")]
+    """Each exits 2 with one error line; an infinite tolerance printed PASS."""
+    out = tmp_path / "r.json"
+    args = ["scattering", "--oracle-radius", "20", "--grid", "2", "--out", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(args + flags) == EXIT_USAGE
-    assert f"got {flags[1]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"got {flags[1]}" in err
+    assert not out.exists()
 
 
 def test_scattering_csv_rows(tmp_path):
@@ -392,6 +397,23 @@ def test_cover_refuses_oversized_bins_before_the_cover_and_the_walk(monkeypatch,
     assert capsys.readouterr().err == (
         "error: a histogram of 10000000000000 bins needs 530853.9 GiB, over the 1 GiB limit\n"
     )
+
+
+def test_cover_refuses_an_oversized_walk_before_the_cover(tmp_path, monkeypatch, capsys):
+    """Ten million walk steps ran for minutes towards about 5 GiB."""
+    from octagap import covers
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran before the walk length was checked")
+
+    monkeypatch.setattr(covers, "sample_cover", not_reached)
+    out = tmp_path / "report.json"
+    argv = ["cover", "--n", "1", "--walk-steps", str(10**7), "--seed", "1", "--out", str(out)]
+    assert main(argv) == EXIT_COMPUTE
+    assert capsys.readouterr().err == (
+        "error: a switching walk of 10000000 steps needs 5.6 GiB, over the 1 GiB limit\n"
+    )
+    assert not out.exists()
 
 
 # -- bounds-and-budgets ------------------------------------------------------------
