@@ -71,8 +71,13 @@ _COVER_BYTES_PER_N = 130
 #: Bytes ``walk_summary`` holds per histogram bin: numpy's edges and counts
 #: and their lists (tracemalloc, 56.0 to 56.9 bytes at 10^4 to 10^6 bins).
 _SUMMARY_BYTES_PER_BIN = 57
-#: Neighbour entries one batch of tangle-free BFS roots may gather per level.
-_BFS_BATCH_ENTRIES = 1 << 20
+#: Neighbour keys one batch of tangle-free BFS roots may gather per depth.
+#: 2**16 int64 keys take 512 KB, so a depth's keys and lookups fit a 2 MB L2
+#: cache.  ``tangle_free_radius(dual_graph(sample_cover(n, 7)))`` on a 2-vCPU
+#: x86 host: at n = 100,000, 1.02 to 1.10 s at 2**16, 1.05 to 1.07 s at
+#: 2**17 and 1.29 to 1.40 s at 2**20; at n = 3000, 9 to 12 ms and a 1.9 MB
+#: tracemalloc peak at 2**16, against 12 to 16 ms and 3.0 MB at 2**17.
+_BFS_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,13 +280,13 @@ def _lanczos_top(
     converged, so the top Ritz value still converges to the top eigenvalue
     (Paige 1976; Parlett, *The Symmetric Eigenvalue Problem*, ch. 13).  At
     step 10, and then every max(10, k // 10) steps, the top eigenvalue of the
-    tridiagonal T_k comes from LAPACK.  The run stops once that value has
-    moved by at most ``_RITZ_TOL`` since the previous check, once beta_k, a
-    bound on the residual of every Ritz pair, is that small, or once k
-    reaches the dimension of the space.  Inner products are numpy's
-    pairwise sums, not BLAS calls, and LAPACK's reduction of an already
-    tridiagonal matrix is exact, so the result repeats bit for bit at any
-    thread count.  Raises SetupError after ``_LANCZOS_MAX_STEPS`` steps.
+    tridiagonal T_k, written into one k x k matrix, comes from LAPACK.  The
+    run stops once that value has moved by at most ``_RITZ_TOL`` since the
+    previous check, once beta_k, a bound on the residual of every Ritz
+    pair, is that small, or once k reaches the dimension of the space.
+    Inner products are numpy's pairwise sums, not BLAS calls, and LAPACK's
+    reduction of an already tridiagonal matrix is exact, so the result
+    repeats bit for bit at any thread count.  Raises SetupError after ``_LANCZOS_MAX_STEPS`` steps.
     """
     nv = neighbors.shape[1]
     dimension = nv - 1 if deflate else nv
@@ -309,8 +314,9 @@ def _lanczos_top(
         betas.append(beta)
         done = step >= dimension or beta <= _RITZ_TOL
         if done or step == check:
-            off = betas[:-1]
-            tridiagonal = np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1)
+            tridiagonal = np.zeros((step, step))
+            tridiagonal.flat[:: step + 1] = alphas
+            tridiagonal.flat[1 :: step + 1] = tridiagonal.flat[step :: step + 1] = betas[:-1]
             ritz = float(np.linalg.eigvalsh(tridiagonal)[-1])
             if done or ritz - top <= _RITZ_TOL:
                 return ritz
@@ -339,7 +345,11 @@ def graph_lambda1(graph: DualGraph) -> float:
 def _distinct(values: np.ndarray) -> np.ndarray:
     """``np.unique(values)``.  NumPy 2's ``np.unique`` imports ``numpy.ma`` on
     its first call, about 20 ms of every ``cover`` command."""
-    values = np.sort(values)
+    return _dedupe_sorted(np.sort(values))
+
+
+def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
+    """The sorted array ``values`` with each run of equal entries cut to one."""
     keep = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
@@ -360,11 +370,14 @@ def _first_tangle_depth(adjacency: np.ndarray, roots: np.ndarray, depth_cut: int
     array whose row v lists v's four neighbours.  The roots' breadth-first
     searches run side by side, one depth per step.  A (root, vertex) pair is
     the key slot * V + vertex, where slot is the root's place in ``roots``,
-    and each depth is a sorted key array.  A neighbour of a depth-t vertex
-    lies at depth t - 1, t or t + 1, so the last two depths tell the three
-    apart.  The edges that join the ball at depth t are those from depth t
-    back to t - 1 and those inside depth t (seen from both ends), counted
-    with their multiplicity, one adjacency entry per copy.
+    so a key's owner is key // V, and each depth is a sorted key array.  A
+    neighbour of a depth-t vertex lies at depth t - 1, t or t + 1, so the
+    last two depths tell the three apart.  The edges that join the ball at
+    depth t are those from depth t back to t - 1 and those inside depth t
+    (seen from both ends), counted with their multiplicity, one adjacency
+    entry per copy.  Each depth's neighbour keys are sorted once, so both
+    membership lookups search with sorted queries, and the next depth is
+    the survivors with adjacent repeats dropped.
     """
     nv = adjacency.shape[0]
     slots = roots.size
@@ -373,18 +386,20 @@ def _first_tangle_depth(adjacency: np.ndarray, roots: np.ndarray, depth_cut: int
     rank = np.ones(slots, dtype=np.int64)
     for depth in range(depth_cut + 1):
         owner, vertex = np.divmod(level, nv)
-        keys = (adjacency[vertex] + (owner * nv)[:, None]).ravel()
-        owner_of = np.repeat(owner, NUM_COLORS)
+        keys = adjacency[vertex]
+        keys += (owner * nv)[:, None]
+        keys = keys.ravel()
+        keys.sort()
         back = _sorted_contains(previous, keys)
         inside = _sorted_contains(level, keys)
-        rank += np.bincount(owner_of[back], minlength=slots)
-        rank += np.bincount(owner_of[inside], minlength=slots) // 2
+        rank += np.bincount(keys[back] // nv, minlength=slots)
+        rank += np.bincount(keys[inside] // nv, minlength=slots) // 2
         rank -= np.bincount(owner, minlength=slots)
         if np.any(rank > 1):
             return depth
         if depth == depth_cut:
             break
-        previous, level = level, _distinct(keys[~(back | inside)])
+        previous, level = level, _dedupe_sorted(keys[~(back | inside)])
         if level.size == 0:
             break
     return depth_cut + 1
@@ -392,8 +407,10 @@ def _first_tangle_depth(adjacency: np.ndarray, roots: np.ndarray, depth_cut: int
 
 def _ball_entries(depth: int, total: int) -> int:
     """Upper bound on the neighbour entries one root gathers up to ``depth``:
-    four per vertex of the radius-``depth`` ball in the 4-regular tree."""
-    ball = (NUM_COLORS ** (min(depth, 64) + 1) - 1) // (NUM_COLORS - 1)
+    four per vertex of its radius-``depth`` ball, which in a 4-regular graph
+    holds at most 1 + 4 (1 + 3 + ... + 3^(depth - 1)) = 2 * 3^depth - 1
+    vertices, and at most ``total`` entries in all."""
+    ball = 2 * (NUM_COLORS - 1) ** min(depth, 64) - 1
     return min(total, ball * NUM_COLORS)
 
 
@@ -409,8 +426,9 @@ def tangle_free_radius(graph: DualGraph) -> int:
     Each root runs a breadth-first search over the rows of ``matchings.T``,
     copied once as a contiguous (V, 4) array, that stops at the running
     answer: a ball deeper than it can no longer lower it.  Roots go in
-    batches whose neighbour entries per depth stay under 2**20, so memory
-    grows with the balls searched, not with V * V.
+    batches sized by ``_ball_entries`` so that the sorted neighbour keys of
+    a depth stay within ``_BFS_BATCH_ENTRIES``, unless one root's ball alone
+    exceeds that; memory grows with the balls searched, not with V * V.
     """
     if not isinstance(graph, DualGraph):
         raise DomainError(f"expected a DualGraph, got {type(graph).__name__}")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -652,6 +653,97 @@ def test_tangle_free_radius_matches_the_all_pairs_twin_on_random_multigraphs(
         assert radius == _all_pairs_tangle_free_radius(graph.num_vertices, _pairs(graph))
         radii.add(radius)
     assert {0, 1} <= radii
+
+
+def _recording_gathers(monkeypatch):
+    """The number of neighbour keys each depth of ``_first_tangle_depth``
+    gathers, one entry per depth and batch, in call order.  Both membership
+    lookups of a depth search with the same key array, so it counts once."""
+    gathered = []
+    last = []
+    lookup = covers._sorted_contains
+
+    def recording(sorted_keys, keys):
+        if not last or last[0] is not keys:
+            last[:] = [keys]
+            gathered.append(keys.size)
+        return lookup(sorted_keys, keys)
+
+    monkeypatch.setattr(covers, "_sorted_contains", recording)
+    return gathered
+
+
+@pytest.mark.parametrize("depth", range(12))
+def test_ball_entries_counts_the_ball_of_the_4_regular_tree(depth):
+    """A radius-d ball of a 4-regular graph holds at most 1 + 4 + 4 * 3 +
+    ... + 4 * 3^(d - 1) = 2 * 3^d - 1 vertices, and each gathers its four
+    neighbour entries; the total caps it."""
+    ball = 2 * 3**depth - 1
+    assert ball == 1 + sum(4 * 3**t for t in range(depth))
+    for total in (4, 100, 24_000, 10**9):
+        assert covers._ball_entries(depth, total) == min(total, 4 * ball)
+
+
+def test_tangle_search_batches_stay_within_the_budget(monkeypatch):
+    """Sampled covers at n = 300 and 3000 and a disjoint union of covers:
+    no depth of any batch gathers more than ``_BFS_BATCH_ENTRIES`` keys."""
+    union = _disjoint_union(*(dual_graph(sample_cover(n, 5)) for n in (3000, 300, 40)))
+    gathered = _recording_gathers(monkeypatch)
+    for graph in (dual_graph(sample_cover(300, 7)), dual_graph(sample_cover(3000, 7)), union):
+        gathered.clear()
+        tangle_free_radius(graph)
+        assert 0 < max(gathered) <= covers._BFS_BATCH_ENTRIES
+
+
+@pytest.mark.parametrize("n, depths", [(40, range(6)), (3000, range(4))])
+def test_one_root_gathers_at_most_its_ball_entries(monkeypatch, n, depths):
+    """A root searched alone up to depth d gathers at most
+    ``_ball_entries(d, 4V)`` keys over all depths, and a root whose ball is
+    a tree of the full size gathers exactly that many."""
+    graph = dual_graph(sample_cover(n, 3))
+    adjacency = np.ascontiguousarray(graph.matchings.T)
+    gathered = _recording_gathers(monkeypatch)
+    for depth in depths:
+        bound = covers._ball_entries(depth, adjacency.size)
+        totals = []
+        for root in range(0, graph.num_vertices, max(1, graph.num_vertices // 200)):
+            gathered.clear()
+            covers._first_tangle_depth(adjacency, np.array([root]), depth)
+            totals.append(sum(gathered))
+        assert max(totals) <= bound
+        if n == 3000:
+            assert max(totals) == bound
+
+
+def test_tangle_search_memory_stays_within_its_batches():
+    """Peak of numpy's allocations, as tracemalloc sees them, while the
+    bench cover's tangle-free radius is searched: 1,965,512 bytes with
+    batches of 2**16 keys sized by the ball of the 4-regular tree,
+    11,995,248 with batches of 2**20 entries sized by a tree of four
+    children a vertex.  The bound is 4 MiB."""
+    graph = dual_graph(sample_cover(3000, 7))
+    tracemalloc.start()
+    try:
+        tangle_free_radius(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_lanczos_builds_its_tridiagonal_as_one_matrix():
+    """Peak of numpy's allocations, as tracemalloc sees them, while lambda1
+    of the 6000-vertex bench cover is solved: 1,319,789 bytes when T_k is
+    written into one k x k matrix, 1,961,637 when it was summed from three
+    ``np.diag`` matrices.  The bound is their geometric mean."""
+    graph = dual_graph(sample_cover(3000, 7))
+    tracemalloc.start()
+    try:
+        graph_lambda1(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < math.sqrt(1_319_789 * 1_961_637)
 
 
 def test_tangle_free_radius_rejects_every_graph_form_but_a_dual_graph():

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -335,6 +336,23 @@ def test_scattering_coefficient_refuses_a_value_below_the_normal_floats():
         scattering_coefficient(600.0, 2)
     assert scattering_coefficient(300.0, 2) > sys.float_info.min
     assert scattering_coefficient(600.0, 1) > sys.float_info.min
+
+
+def test_trial_division_refuses_a_level_above_its_cost_guard():
+    """The level is factored by trial division, O(sqrt(level)) Python steps:
+    ``scattering_coefficient(1.5, 10**18 + 3)`` ran for minutes.  Both
+    routes to it refuse a level above 2**40 at once, before factoring."""
+    for call in (
+        lambda: scattering_coefficient(1.5, 10**18 + 3),
+        lambda: scattering_pole_scan(10**18 + 3),
+        lambda: scattering_coefficient(2.5, 2**40 + 1),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(MemoryGuardError, match="trial-division cost guard"):
+            call()
+        assert time.perf_counter() - start < 1.0
+    assert spectral._gaussian_prime_norms(2**40) == [2]
+    assert math.isfinite(scattering_coefficient(2.5, 2**40))
 
 
 def test_cached_oracle_arrays_are_read_only():
