@@ -31,11 +31,22 @@ end before the frame forms the next.  A frame holds its block, the block's
 (letters, n) mask of live children and a cursor into them, and the child
 block it is walking is the next frame's.  So memory is bounded by one block
 per level times the depth, not by the widest sphere: building the full ball
-at L = 9 (4.4M elements) peaks at 3.7 MB of numpy allocations under
+at L = 9 (4.4M elements) peaks at 2.3 MB of numpy allocations under
 ``tracemalloc`` (numpy 2.4).  No slice holds more than 8 ``_CHUNK`` =
-65,536 floats, and none is ever joined: ``_grid_counts`` bins each slice as
+32,768 floats, and none is ever joined: ``_grid_counts`` bins each slice as
 it arrives.  The sizes of the levels are summed across blocks and returned
 once the walk is exhausted.
+
+A walk allocates its large arrays once, as its workspace: the buffer the
+readout writes a block's cosh values into, the buffer a letter's run
+gathers its parents' columns into, and per level one full child block,
+made the first time the level forms one.  A block then allocates nothing
+large but the slice it yields, which is new, so callers may keep it;
+``_grid_counts`` likewise bins every slice in two buffers of its own.
+Arrays made and freed block after block sit near glibc's mmap and trim
+thresholds, which returned them to the system and faulted them in again on
+most blocks: the full ball at L = 10 took 33K minor faults walked a second
+time in one process, and takes about 550 with the workspace.
 
 A walk can be split in two halves whose subtrees are disjoint: at level
 ``_SPLIT_LEVEL`` each block deals its parents by column to the halves, and
@@ -97,7 +108,6 @@ import os
 import pickle
 import signal
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Generator, Iterable, Sequence
@@ -114,7 +124,7 @@ from .words import (
 
 #: Parents per block of the walk.  A block has at most 8 _CHUNK children, so
 #: none of its arrays outgrows a few MB and every slice fits in cache.
-_CHUNK = 1 << 13
+_CHUNK = 1 << 12
 
 #: Level whose blocks deal their parents to the two halves of a split walk.
 #: Its sphere holds 36 free and 224 full words, enough for the halves'
@@ -133,14 +143,17 @@ MAX_RACG_LEN = 10
 #: retraction is kept; the length guard; the shortest word length whose ball
 #: is walked in two halves; and the sphere count each level must hit.
 #:
-#: The split lengths were measured on 2 CPUs, each ball walked once in a
-#: fresh process after a warm-up ball, 9 alternating serial / split runs,
-#: medians: free L = 11 (354K elements) 10.1 ms serial against 12.5 ms split,
-#: L = 12 (1.06M) 32.6 against 25.2 ms; full L = 7 (176K) 7.1 against
-#: 10.4 ms, L = 8 (879K) 29.3 against 21.4 ms.  The kernel walk forms only
-#: the prefixes that can still return to the kernel, so its ball costs less
-#: than the full ball of the same length: L = 8 10.1 against 15.0 ms,
-#: L = 9 35.8 against 28.2 ms.
+#: The split lengths were measured on 2 CPUs at 4,096-parent blocks, each
+#: ball walked once in a fresh process after a warm-up ball, 9 alternating
+#: serial / split runs, medians: free L = 11 (354K elements) 7.0 ms serial
+#: against 7.6 ms split, L = 12 (1.06M) 17.7 against 14.1 ms; full L = 7
+#: (176K) 4.4 against 5.8 ms, L = 8 (879K) 14.6 against 11.8 ms.  The kernel
+#: walk forms only the prefixes that can still return to the kernel, so its
+#: ball costs less than the full ball of the same length: L = 8 7.0 against
+#: 7.9 ms, L = 9 20.1 against 15.0 ms.  A second process ran at full speed
+#: on the second CPU before and after these runs; while it ran at half
+#: speed, as it does on a shared host for minutes at a time, the split lost
+#: at every length up to free L = 14 and full and kernel L = 10.
 _WALKS = {
     "free": ((0, 2, 4, 6), False, MAX_FREE_LEN, 12, free_sphere_count),
     "full": (tuple(range(8)), False, MAX_RACG_LEN, 8, racg_sphere_count),
@@ -228,15 +241,18 @@ def _frame(z0: complex, t0: float) -> tuple[np.ndarray, np.ndarray]:
     return start, readout
 
 
-def _child_displacements(grams: np.ndarray, hit: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _child_displacements(
+    grams: np.ndarray, hit: np.ndarray, weights: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """Displacements of the children hit[k, i], by letter k, of the parents
-    with Gram vectors grams[:, i].
+    with Gram vectors grams[:, i], in a new array.
 
-    The product runs in ``einsum``, not in BLAS: a threaded BLAS wakes its
-    threads for every block, which costs more than the product itself, and
-    this way the values repeat at any thread count.
+    The cosh values of all children go into ``out``, a C-contiguous array of
+    hit's shape.  The product runs in ``einsum``, not in BLAS: a threaded
+    BLAS wakes its threads for every block, which costs more than the
+    product itself, and this way the values repeat at any thread count.
     """
-    coshd = np.compress(hit.ravel(), np.einsum("ji,jk->ki", grams, weights))
+    coshd = np.compress(hit.ravel(), np.einsum("ji,jk->ki", grams, weights, out=out))
     return np.arccosh(np.maximum(coshd, 1.0, out=coshd), out=coshd)
 
 
@@ -253,28 +269,16 @@ def _continuations(letters: tuple[int, ...], state: int, depth: int) -> int:
     )
 
 
-def _perp_pops(
-    pack: np.ndarray, plen: np.ndarray, sym: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whether appending sym pops the top symbol of packed perp-image words,
-    and the bit offset of that symbol; sym 0 never pops.  Broadcasts as
-    ``_perp_step`` does."""
-    top_shift = (3 * np.maximum(plen - 1, 0)).astype(np.uint64)
-    return (plen > 0) & ((pack >> top_shift) & np.uint64(7) == sym), top_shift
+def _perp_step(pack: np.ndarray, sym: int) -> None:
+    """Append the perp symbol sym (1 to 4) to packed perp-image words, in place.
 
-
-def _perp_step(
-    pack: np.ndarray, plen: np.ndarray, sym: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append letters to packed perp-image words: push or pop sym (0 keeps the word).
-
-    The arguments broadcast: an (n,) row of words against a (k, 1) column of
-    symbols gives the (k, n) images of every word's children.
+    A word whose last symbol is sym pops it, any other pushes sym.
     """
-    pop, top_shift = _perp_pops(pack, plen, sym)
-    pushed = pack | (sym << (3 * plen).astype(np.uint64))
-    popped = pack & ~(np.uint64(7) << top_shift)
-    return np.where(pop, popped, pushed), np.where(pop, plen - 1, plen + (sym != 0))
+    pop = pack & 7 == sym
+    np.right_shift(pack, 3, out=pack, where=pop)
+    push = np.logical_not(pop, out=pop)
+    np.left_shift(pack, 3, out=pack, where=push)
+    np.bitwise_or(pack, sym, out=pack, where=push)
 
 
 @dataclass(slots=True)
@@ -284,31 +288,55 @@ class _Frame:
     ``live[k, i]`` marks the child of parent i by letter k that gets formed.
     The live children are formed letter major: ``starts[k]`` is where letter
     k's run starts among them, ``starts[-1]`` is how many there are, and
-    ``cursor`` is the first not yet formed.  ``image`` is empty but for the
-    kernel walk, where it holds the packed perp images and their lengths.
+    ``cursor`` is the first not yet formed.  ``pack`` is None but for the
+    kernel walk, where it holds the packed perp images.
     """
 
     level: int
     grams: np.ndarray
     state: np.ndarray
-    image: tuple[np.ndarray, ...]
+    pack: np.ndarray | None
     live: np.ndarray
     starts: list[int]
     cursor: int = 0
 
 
-def _check_growth(group: str, max_len: int, sizes: list[int], dead: list[Counter]) -> None:
+@lru_cache(maxsize=None)
+def _automaton_states(letters: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The automaton states reachable on the letters, ascending, and the table
+    of their positions in that tuple, indexed by state."""
+    keep_masks, set_masks = shortlex_automaton_masks()
+    states, todo = {0}, [0]
+    while todo:
+        state = todo.pop()
+        for g in letters:
+            child = (state & keep_masks[g]) | set_masks[g]
+            if not (state >> (2 * g)) & 3 and child not in states:
+                states.add(child)
+                todo.append(child)
+    states = tuple(sorted(states))
+    index = np.zeros(states[-1] + 1, dtype=np.uint16)
+    index[list(states)] = range(len(states))
+    index.setflags(write=False)
+    return states, index
+
+
+def _check_growth(group: str, max_len: int, sizes: list[int], dead: np.ndarray) -> None:
     """Raise AssertionError unless a walk's level tallies hit the group's growth series.
 
-    ``sizes[n]`` counts the words of length n walked and ``dead[n]`` the
-    automaton states of the pruned kernel prefixes of length n, with their
-    multiplicities; each sphere's walked words plus the accepted
+    ``sizes[n]`` counts the words of length n walked and ``dead[n, s]`` the
+    pruned kernel prefixes of length n in the s-th automaton state of
+    ``_automaton_states``; each sphere's walked words plus the accepted
     continuations of the pruned prefixes must make its sphere count.
     """
     letters, *_, sphere_count = _WALKS[group]
+    states = _automaton_states(letters)[0]
     for n in range(1, max_len + 1):
         missing = sum(
-            m * _continuations(letters, s, n - j) for j in range(1, n) for s, m in dead[j].items()
+            m * _continuations(letters, s, n - j)
+            for j in range(1, n)
+            for s, m in zip(states, dead[j].tolist())
+            if m
         )
         if sizes[n] + missing != sphere_count(n):
             raise AssertionError(f"sphere {n}: {sizes[n]} + {missing} pruned != {sphere_count(n)}")
@@ -316,7 +344,7 @@ def _check_growth(group: str, max_len: int, sizes: list[int], dead: list[Counter
 
 def _sphere_displacements(
     z0: complex, t0: float, max_len: int, group: str, half: int | None = None
-) -> Generator[np.ndarray, None, tuple[list[int], list[Counter]]]:
+) -> Generator[np.ndarray, None, tuple[list[int], np.ndarray]]:
     """Displacements d(x0, g x0) over a word-length ball of an orbit group, in slices.
 
     ``group`` is a key of ``_WALKS``: "free" (the free product on r1..r4),
@@ -353,46 +381,61 @@ def _sphere_displacements(
     shifts = np.array([[2 * g] for g in letters], dtype=np.uint16)
     # perp letters are the odd positions of GENERATOR_NAMES; letter rkp pushes
     # or pops the symbol k on the reduced image word, packed 3 bits per symbol
-    perp_symbol = [(g // 2 + 1) if GENERATOR_NAMES[g].endswith("p") else 0 for g in range(8)]
-    syms = np.array([[perp_symbol[g]] for g in letters], dtype=np.uint64)
-    # sizes[n]: words of length n walked; dead[n]: the automaton states of the
-    # pruned kernel prefixes of length n, with their multiplicities
+    # with its last symbol lowest.  Symbols are not 0, so an image has at
+    # most n symbols iff its pack is below 8**n.  A formed child of length j
+    # has at most j symbols and at most the max_len - j letters left, so
+    # 64 bits hold the image of any walk within the guard.
+    perp = [(g // 2 + 1) if GENERATOR_NAMES[g].endswith("p") else 0 for g in letters]
+    syms = np.array(perp, dtype=np.uint64)[:, None]
+    # sizes[n]: words of length n walked; dead[n, s]: the pruned kernel
+    # prefixes of length n in the automaton state of position s
+    states, state_index = _automaton_states(letters)
     sizes = [0] * (max_len + 1)
-    dead = [Counter() for _ in range(max_len + 1)]
+    dead = np.zeros((max_len + 1, len(states)), dtype=np.int64)
     stack: list[_Frame] = []
+    # The walk's workspace, made once: the cosh values of a block's children,
+    # the parents' columns of a letter's run, and per level the arrays of a
+    # full child block, made when the level forms its first.  A block makes
+    # nothing large but the slice it yields, so a caller may keep the slices.
+    cosh = np.empty(len(letters) * _CHUNK)
+    columns = np.empty(4 * _CHUNK)
+    full_blocks: list[tuple | None] = [None] * (max_len + 1)
+
+    def new_block(size):
+        pack = np.empty(size, dtype=np.uint64) if kernel_only else None
+        return np.empty((4, size)), np.empty(size, dtype=np.uint16), pack
 
     # Columns are gathered with np.take, not with fancy indexing, which
     # copies them about four times slower.
-    def enter(level, grams, state, image):
+    def enter(level, grams, state, pack):
         """Yields the slice of the block's children unless they are the other
         half's; pushes the block's frame if they are extended."""
         if level == _SPLIT_LEVEL and half is not None:
             # the half's share of the block: every other parent from the half-th
             cols = np.arange(half, state.size, 2)
             grams, state = np.take(grams, cols, axis=1), np.take(state, cols)
-            image = tuple(np.take(a, cols) for a in image)
+            if kernel_only:
+                pack = np.take(pack, cols)
         # the children up to the split level are half 0's to count and yield
         mine = half != 1 or level >= _SPLIT_LEVEL
         # the children in letter-major order: free[k, i] is child k of parent i
         free = (state >> shifts) & np.uint16(3) == 0
-        if kernel_only:
-            pack, plen = image
         if level + 1 < max_len:
             live = free
             if kernel_only:
                 # a child whose image is longer than the letters left never
-                # returns to the trivial image: it is counted, not formed.  Its
-                # image is one symbol shorter than its parent's if its letter
-                # pops, one longer if it pushes and as long for a face letter.
+                # returns to the trivial image: it is counted, not formed.  A
+                # face letter keeps its parent's image, and a perp letter pushes
+                # a symbol, or pops it if the image ends in it: the parent's
+                # image was short enough for one more letter than are left.
                 left = max_len - level - 1
-                pop = _perp_pops(pack, plen, syms)[0]
-                live = free & np.where(pop, plen <= left + 1, plen <= left - (syms != 0))
+                limit = np.array([[8 ** (left - (sym != 0))] for sym in perp], dtype=np.uint64)
+                live = free & ((pack < limit) | (pack & 7 == syms))
                 if mine:
-                    pruned = ((state & keep) | put)[free & ~live]
-                    states, mult = np.unique(pruned, return_counts=True)
-                    dead[level + 1].update(dict(zip(states.tolist(), mult.tolist())))
+                    pruned = np.take(state_index, ((state & keep) | put)[free & ~live])
+                    dead[level + 1] += np.bincount(pruned, minlength=len(states))
             starts = [0, *np.cumsum(np.count_nonzero(live, axis=1)).tolist()]
-            stack.append(_Frame(level, grams, state, image, live, starts))
+            stack.append(_Frame(level, grams, state, pack, live, starts))
         if not mine:
             return
         sizes[level + 1] += int(np.count_nonzero(free))
@@ -400,19 +443,26 @@ def _sphere_displacements(
             # a child has a trivial image iff a face letter (symbol 0) extends
             # an empty image (pack 0) or a perp letter pops the one symbol of
             # its parent's image: in both cases the pack equals the symbol
-            near = np.flatnonzero(plen <= 1)
+            near = np.flatnonzero(pack < 8)
             hit = np.take(free, near, axis=1) & (np.take(pack, near) == syms)
-            yield _child_displacements(np.take(grams, near, axis=1), hit, weights[level % 2])
+            grams = np.take(grams, near, axis=1)
         else:
-            yield _child_displacements(grams, free, weights[level % 2])
+            hit = free
+        out = cosh[: hit.size].reshape(hit.shape)
+        yield _child_displacements(grams, hit, weights[level % 2], out)
 
     def form(frame):
-        """The frame's next block: its next _CHUNK live children, or the rest."""
+        """The frame's next block: its next _CHUNK live children, or the rest;
+        a full block goes into its level's workspace."""
         cursor, starts = frame.cursor, frame.starts
         stop = min(cursor + _CHUNK, starts[-1])
-        grams = np.empty((4, stop - cursor))
-        state = np.empty(stop - cursor, dtype=np.uint16)
-        image = tuple(np.empty(stop - cursor, dtype=a.dtype) for a in frame.image)
+        level = frame.level + 1
+        if stop - cursor < _CHUNK:
+            grams, state, pack = new_block(stop - cursor)
+        else:
+            if full_blocks[level] is None:
+                full_blocks[level] = new_block(_CHUNK)
+            grams, state, pack = full_blocks[level]
         # one letter's run at a time, and only the children of this block
         for k, lmap in enumerate(maps[frame.level % 2]):
             lo, hi = max(cursor, starts[k]), min(stop, starts[k + 1])
@@ -420,20 +470,26 @@ def _sphere_displacements(
                 continue
             parents = np.flatnonzero(frame.live[k])[lo - starts[k] : hi - starts[k]]
             out = slice(lo - cursor, hi - cursor)
-            np.einsum("ji,jr->ri", np.take(frame.grams, parents, axis=1), lmap, out=grams[:, out])
-            state[out] = (np.take(frame.state, parents) & keep[k]) | put[k]
+            # take writes straight into a C-contiguous out unless mode="raise"
+            taken = columns[: 4 * parents.size].reshape(4, parents.size)
+            np.take(frame.grams, parents, axis=1, out=taken, mode="clip")
+            np.einsum("ji,jr->ri", taken, lmap, out=grams[:, out])
+            child = np.take(frame.state, parents, out=state[out], mode="clip")
+            child &= keep[k]
+            child |= put[k]
             if kernel_only:
-                pack, plen = _perp_step(*(np.take(a, parents) for a in frame.image), syms[k])
-                image[0][out], image[1][out] = pack, plen
+                image = np.take(frame.pack, parents, out=pack[out], mode="clip")
+                if perp[k]:
+                    _perp_step(image, perp[k])
         frame.cursor = stop
-        return frame.level + 1, grams, state, image
+        return level, grams, state, pack
 
     if half != 1:
         yield np.zeros(1)
     if max_len == 0:
         return sizes, dead
-    image = (np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64)) if kernel_only else ()
-    yield from enter(0, start[:, None], np.zeros(1, dtype=np.uint16), image)
+    pack = np.zeros(1, dtype=np.uint64) if kernel_only else None
+    yield from enter(0, start[:, None], np.zeros(1, dtype=np.uint16), pack)
     while stack:
         if stack[-1].cursor == stack[-1].starts[-1]:
             stack.pop()
@@ -449,9 +505,10 @@ def _grid_counts(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
     k with k GRID_STEP >= d.  GRID_STEP is a power of two, so d / GRID_STEP
     and k * GRID_STEP, the floats the exponent fit reads at, are exact, and
     the cumulated bins equal searchsorted(sorted displacements,
-    k * GRID_STEP, "right") exactly.  Each slice is binned whole, in a
-    temporary of its own size, none kept for the next slice: the walker's
-    hold at most 8 ``_CHUNK`` = 65,536 floats, so they stay in cache.
+    k * GRID_STEP, "right") exactly.  Each slice is binned whole, in two
+    buffers that grow to the largest slice and serve every slice: the
+    walker's hold at most 8 ``_CHUNK`` = 32,768 floats, so they stay in
+    cache.
 
     Raises DomainError on a displacement that is not finite, which a base
     point too far out for floating point gives; the running maximum finds
@@ -459,12 +516,15 @@ def _grid_counts(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
     """
     bins = np.zeros(1, dtype=np.int64)
     radius = 0.0
+    scaled, index = np.empty(0), np.empty(0, dtype=np.intp)
     for d in slices:
         radius = float(d.max(initial=radius))
         if not math.isfinite(radius):
             raise DomainError("orbit displacements overflow: the base point lies too far out")
-        j = np.multiply(d, 1 / GRID_STEP)
-        counts = np.bincount(np.ceil(j, out=j).astype(np.intp))
+        if d.size > index.size:
+            scaled, index = np.empty(d.size), np.empty(d.size, dtype=np.intp)
+        j = np.multiply(d, 1 / GRID_STEP, out=scaled[: d.size])
+        counts = np.bincount(np.ceil(j, out=index[: d.size], casting="unsafe"))
         if counts.size > bins.size:
             bins, counts = counts, bins
         bins[: counts.size] += counts
@@ -569,7 +629,5 @@ def ball_counts(group: str, z0: complex, t0: float, max_len: int) -> tuple[np.nd
     size = max(b.size for b in bins)
     # cumulated counts: past its own radius a half counts all of its points
     grid_counts = sum(np.pad(b, (0, size - b.size), mode="edge") for b in bins)
-    _check_growth(
-        group, max_len, [sum(n) for n in zip(*sizes)], [sum(c, Counter()) for c in zip(*dead)]
-    )
+    _check_growth(group, max_len, [sum(n) for n in zip(*sizes)], sum(dead))
     return grid_counts, max(radii)

@@ -194,6 +194,13 @@ def _scattering_formula(s: float | np.ndarray, level: int) -> float | np.ndarray
 
 _ORACLE_RADIUS_GUARD = 500.0
 
+#: Fewest classes the oracle's inner sum, over |c| <= radius/sqrt(2), may hold.
+#: At radius 120 and s in [2.2, 4], fewer than 17 classes read relgaps of
+#: 1.4e-2 to 0.45, and from level 84 on the inner sum holds one class; the
+#: README, the golden runs and the benchmark hold 1,412 or more, the tests'
+#: smallest oracle 158.
+_ORACLE_INNER_CLASSES = 100
+
 
 @lru_cache(maxsize=8)
 def _scattering_counts(level: int, norm_cut: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,13 +306,21 @@ def scattering_oracle_value(s: float, level: int = 1, radius: float = 120.0) -> 
     extrapolation: the tail scales like radius^(4 - 2s), so the sums at the
     radius and at radius/sqrt(2) are combined to cancel it.  Every
     denominator has |c| >= level, so a level above radius/sqrt(2) leaves the
-    inner sum empty and raises DomainError.
+    inner sum empty, and one not far below it leaves too few classes to
+    extrapolate from: an inner sum of fewer than ``_ORACLE_INNER_CLASSES``
+    classes raises DomainError.
     """
     norms, terms = _scattering_terms(s, level, radius)
-    inner_count = np.searchsorted(norms, radius * radius / 2.0, side="right")
+    inner_count = int(np.searchsorted(norms, radius * radius / 2.0, side="right"))
     if inner_count == 0:
         raise DomainError(
             f"the inner sum needs level <= radius/sqrt(2), got level {level} and radius {radius}"
+        )
+    if inner_count < _ORACLE_INNER_CLASSES:
+        raise DomainError(
+            f"the inner sum over |c| <= radius/sqrt(2) counts {inner_count} of the "
+            f"{_ORACLE_INNER_CLASSES} classes it extrapolates from: got level {level} and "
+            f"radius {radius}; raise the radius or lower the level"
         )
     full = float(terms.sum())
     inner = float(terms[:inner_count].sum())

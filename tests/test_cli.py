@@ -162,14 +162,16 @@ def test_scattering_refuses_a_level_above_the_oracle_radius(tmp_path, capsys, ar
     "argv",
     [
         ["--level", "85", "--oracle-radius", "120", "--grid", "2"],
+        ["--level", "84", "--oracle-radius", "120", "--grid", "2"],
         ["--level", "1000000000000000003", "--s-min", "1.5", "--s-max", "1.9", "--grid", "1"],
         ["--level", "1000000000000000003"],
         ["--level", "2", "--s-min", "600", "--s-max", "600", "--grid", "1"],
     ],
-    ids=["empty-inner-sum", "formula-only-huge-level", "huge-level", "underflow"],
+    ids=["empty-inner-sum", "one-class-inner-sum", "formula-only-huge-level", "huge-level", "underflow"],
 )
 def test_scattering_refuses_what_the_oracle_or_the_formula_cannot_serve(tmp_path, capsys, argv):
-    """Level 85 at radius 120 printed relgap 1.19 and FAIL; level
+    """Level 85 at radius 120 printed relgap 1.19 and FAIL, and level 84,
+    whose inner sum holds one class, relgap 2.3e-2 and FAIL; level
     1000000000000000003 factored by trial division for longer than 20 s;
     s = 600 at level 2 raised ZeroDivisionError at the relgap."""
     out = tmp_path / "report.json"

@@ -545,11 +545,11 @@ def test_walked_displacements_match_the_exact_word_products(label, max_len):
 @pytest.mark.parametrize("label, max_len", [("free", 10), ("full", 7), ("kernel", 7)])
 def test_walker_slices_hold_at_most_one_block_of_children(label, max_len):
     """A block of _CHUNK parents has at most eight children, so no slice
-    outgrows 65,536 floats; the identity's 0 comes first."""
+    outgrows 32,768 floats; the identity's 0 comes first."""
     base = DEFAULT_BASE_POINT
     walk = _ballfast._sphere_displacements(base.z, base.t, max_len, label)
     sizes = [piece.size for piece in walk]
-    assert 8 * _ballfast._CHUNK == 1 << 16
+    assert 8 * _ballfast._CHUNK == 1 << 15
     assert sizes[0] == 1
     assert max(sizes) <= 8 * _ballfast._CHUNK
 
@@ -594,6 +594,46 @@ def test_walk_forms_one_child_block_at_a_time(
     finally:
         tracemalloc.stop()
     assert peak < math.sqrt(all_children_peak * one_block_peak)
+
+
+@pytest.mark.parametrize(
+    "label, per_block_peak, workspace_peak",
+    [("full", 3_694_074, 2_320_581), ("kernel", 3_079_873, 1_933_999)],
+)
+def test_walk_keeps_one_workspace_of_smaller_blocks(
+    monkeypatch, label, per_block_peak, workspace_peak
+):
+    """Peak of numpy's allocations, as tracemalloc sees them, while the full
+    and the kernel ball of word length 9 are built: 2.32 and 1.93 MB for a
+    walk of 4,096-parent blocks that allocates its large arrays once, 3.69
+    and 3.08 MB for the walk before it, whose 8,192-parent blocks allocated
+    theirs anew.  Each bound is the geometric mean of the two peaks.  The
+    walk stays in this process, where tracemalloc sees all of it."""
+    monkeypatch.setattr(_ballfast, "_part_count", lambda: 1)
+    orbit_ball(label, DEFAULT_BASE_POINT, 3)
+    tracemalloc.start()
+    try:
+        orbit_ball(label, DEFAULT_BASE_POINT, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < math.sqrt(per_block_peak * workspace_peak)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux minor fault counts")
+def test_a_repeated_walk_takes_few_minor_faults(monkeypatch):
+    """Minor page faults, as getrusage counts them, while the full ball of
+    word length 10 is walked a second time in this process: about 550 for a
+    walk that allocates its large arrays once, 33.1K for the walk before it,
+    whose per-block arrays glibc handed back to the system and faulted in
+    again on most blocks.  The bound is their geometric mean."""
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(_ballfast, "_part_count", lambda: 1)
+    orbit_ball("full", DEFAULT_BASE_POINT, 10)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    orbit_ball("full", DEFAULT_BASE_POINT, 10)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < math.sqrt(33_105 * 546)
 
 
 @pytest.mark.parametrize(

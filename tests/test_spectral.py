@@ -323,10 +323,23 @@ def test_oracle_refuses_a_level_above_its_inner_radius():
     with pytest.raises(DomainError, match=r"level <= radius/sqrt\(2\), got level 85 and"):
         scattering_oracle_value(3.0, 85, 120.0)
     assert scattering_lattice_sum(3.0, 85, 120.0) == 85.0**-6.0
-    assert 0.0 < scattering_oracle_value(3.0, 84, 120.0) < math.inf
     # above the radius the lattice sum's own message comes first
     with pytest.raises(DomainError, match="need level <= radius, got level 121 and"):
         scattering_oracle_value(3.0, 121, 120.0)
+
+
+@pytest.mark.parametrize("level, radius, classes", [(84, 120.0, 1), (10, 120.0, 56), (5, 80.0, 101)])
+def test_oracle_refuses_an_inner_sum_too_thin_to_extrapolate(level, radius, classes):
+    """Level 84 at radius 120 left one class inside radius/sqrt(2) and read
+    a relgap of 2.3e-2, blamed on the formula; 100 classes is the least the
+    oracle extrapolates from, and 101 pass."""
+    norms, _ = spectral._scattering_terms(3.0, level, radius)
+    assert np.searchsorted(norms, radius * radius / 2.0, side="right") == classes
+    if classes < spectral._ORACLE_INNER_CLASSES:
+        with pytest.raises(DomainError, match=f"counts {classes} of the 100 classes"):
+            scattering_oracle_value(3.0, level, radius)
+    else:
+        assert 0.0 < scattering_oracle_value(3.0, level, radius) < math.inf
 
 
 def test_scattering_coefficient_refuses_a_value_below_the_normal_floats():
