@@ -39,10 +39,12 @@ once the walk is exhausted.
 
 A walk allocates its large arrays once, as its workspace: the buffer the
 readout writes a block's cosh values into, the buffer a letter's run
-gathers its parents' columns into, and per level one full child block,
-made the first time the level forms one.  A block then allocates nothing
-large but the slice it yields, which is new, so callers may keep it;
-``_grid_counts`` likewise bins every slice in two buffers of its own.
+gathers its parents' columns into, and per level one block buffer, which
+grows to the largest block the level forms; every block of the level,
+partial or full, is formed in a leading view of it.  A block then
+allocates nothing large but the slice it yields, which is new, so callers
+may keep it; ``_grid_counts`` likewise bins every slice in two buffers
+that grow the same way.
 Arrays made and freed block after block sit near glibc's mmap and trim
 thresholds, which returned them to the system and faulted them in again on
 most blocks: the full ball at L = 10 took 33K minor faults walked a second
@@ -88,10 +90,10 @@ product at free L = 8 and full and kernel L = 6, and the tests bound the
 error by 1e-13 at free 6, full 4 and kernel 5.
 
 The kernel walk never forms a child whose perp image is longer than the
-letters left, since such a prefix can never return to the trivial image, and
-reads out only the parents whose image has at most one letter, the only
-ones with a child of trivial image.  The pruning comes before the product:
-only the children left are formed.  The growth check still covers
+letters left, since such a prefix can never return to the trivial image.
+The pruning comes before the product: only the children left are formed.
+Its readout runs on the whole block like the other walks', with only the
+children of trivial image hit.  The growth check still covers
 the dropped prefixes: their automaton states are counted per level, and
 their accepted continuations (``_continuations``) are added to the kept
 words.
@@ -394,16 +396,13 @@ def _sphere_displacements(
     dead = np.zeros((max_len + 1, len(states)), dtype=np.int64)
     stack: list[_Frame] = []
     # The walk's workspace, made once: the cosh values of a block's children,
-    # the parents' columns of a letter's run, and per level the arrays of a
-    # full child block, made when the level forms its first.  A block makes
-    # nothing large but the slice it yields, so a caller may keep the slices.
+    # the parents' columns of a letter's run, and per level the arrays its
+    # blocks are formed in, which grow to the largest block the level forms.
+    # A block makes nothing large but the slice it yields, so a caller may
+    # keep the slices.
     cosh = np.empty(len(letters) * _CHUNK)
     columns = np.empty(4 * _CHUNK)
-    full_blocks: list[tuple | None] = [None] * (max_len + 1)
-
-    def new_block(size):
-        pack = np.empty(size, dtype=np.uint64) if kernel_only else None
-        return np.empty((4, size)), np.empty(size, dtype=np.uint16), pack
+    blocks: list[tuple | None] = [None] * (max_len + 1)
 
     # Columns are gathered with np.take, not with fancy indexing, which
     # copies them about four times slower.
@@ -439,30 +438,24 @@ def _sphere_displacements(
         if not mine:
             return
         sizes[level + 1] += int(np.count_nonzero(free))
-        if kernel_only:
-            # a child has a trivial image iff a face letter (symbol 0) extends
-            # an empty image (pack 0) or a perp letter pops the one symbol of
-            # its parent's image: in both cases the pack equals the symbol
-            near = np.flatnonzero(pack < 8)
-            hit = np.take(free, near, axis=1) & (np.take(pack, near) == syms)
-            grams = np.take(grams, near, axis=1)
-        else:
-            hit = free
+        # a kernel child has a trivial image iff a face letter (symbol 0)
+        # extends an empty image (pack 0) or a perp letter pops the one symbol
+        # of its parent's image: in both cases the pack equals the symbol
+        hit = free & (pack == syms) if kernel_only else free
         out = cosh[: hit.size].reshape(hit.shape)
         yield _child_displacements(grams, hit, weights[level % 2], out)
 
     def form(frame):
-        """The frame's next block: its next _CHUNK live children, or the rest;
-        a full block goes into its level's workspace."""
+        """The frame's next block, its next _CHUNK live children or the rest,
+        formed in leading views of its level's buffers."""
         cursor, starts = frame.cursor, frame.starts
         stop = min(cursor + _CHUNK, starts[-1])
-        level = frame.level + 1
-        if stop - cursor < _CHUNK:
-            grams, state, pack = new_block(stop - cursor)
-        else:
-            if full_blocks[level] is None:
-                full_blocks[level] = new_block(_CHUNK)
-            grams, state, pack = full_blocks[level]
+        level, size = frame.level + 1, stop - cursor
+        buffers = blocks[level]
+        if buffers is None or buffers[1].size < size:
+            pack = np.empty(size, dtype=np.uint64) if kernel_only else None
+            buffers = blocks[level] = np.empty((4, size)), np.empty(size, dtype=np.uint16), pack
+        grams, state, pack = (b if b is None else b[..., :size] for b in buffers)
         # one letter's run at a time, and only the children of this block
         for k, lmap in enumerate(maps[frame.level % 2]):
             lo, hi = max(cursor, starts[k]), min(stop, starts[k + 1])

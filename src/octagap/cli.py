@@ -529,6 +529,9 @@ def _cmd_bounds_and_budgets(params: dict) -> tuple[dict, tuple]:
     exclusion = params["exclusion_radius"]
     if any(r <= 0 for r in radii):
         raise DomainError("cap radii must be positive")
+    if len(set(lengths)) < len(lengths):
+        # equal tangle radii give equal budgets, which cannot decrease
+        raise DomainError(f"budget lengths must be distinct, got {params['budget_lengths']}")
 
     cap_rows = []
     for radius in radii:

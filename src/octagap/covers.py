@@ -363,31 +363,32 @@ def _sorted_contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[at] == keys
 
 
-def _first_tangle_depth(adjacency: np.ndarray, roots: np.ndarray, depth_cut: int) -> int:
+def _first_tangle_depth(matchings: np.ndarray, roots: np.ndarray, depth_cut: int) -> int:
     """Smallest depth t <= depth_cut at which some root's ball has cycle rank above 1.
 
-    Returns depth_cut + 1 when there is none.  ``adjacency`` is the (V, 4)
-    array whose row v lists v's four neighbours.  The roots' breadth-first
+    Returns depth_cut + 1 when there is none.  ``matchings`` is a dual
+    graph's (4, V) table, whose column v lists v's four neighbours, and the
+    neighbours are gathered from it in place.  The roots' breadth-first
     searches run side by side, one depth per step.  A (root, vertex) pair is
     the key slot * V + vertex, where slot is the root's place in ``roots``,
     so a key's owner is key // V, and each depth is a sorted key array.  A
     neighbour of a depth-t vertex lies at depth t - 1, t or t + 1, so the
     last two depths tell the three apart.  The edges that join the ball at
     depth t are those from depth t back to t - 1 and those inside depth t
-    (seen from both ends), counted with their multiplicity, one adjacency
+    (seen from both ends), counted with their multiplicity, one table
     entry per copy.  Each depth's neighbour keys are sorted once, so both
     membership lookups search with sorted queries, and the next depth is
     the survivors with adjacent repeats dropped.
     """
-    nv = adjacency.shape[0]
+    nv = matchings.shape[1]
     slots = roots.size
     level = np.arange(slots, dtype=np.int64) * nv + roots
     previous = np.empty(0, dtype=np.int64)
     rank = np.ones(slots, dtype=np.int64)
     for depth in range(depth_cut + 1):
         owner, vertex = np.divmod(level, nv)
-        keys = adjacency[vertex]
-        keys += (owner * nv)[:, None]
+        keys = np.take(matchings, vertex, axis=1)
+        keys += owner * nv
         keys = keys.ravel()
         keys.sort()
         back = _sorted_contains(previous, keys)
@@ -423,24 +424,23 @@ def tangle_free_radius(graph: DualGraph) -> int:
     anything else raises DomainError.  The answer is capped at the vertex
     count, where every ball has saturated.
 
-    Each root runs a breadth-first search over the rows of ``matchings.T``,
-    copied once as a contiguous (V, 4) array, that stops at the running
-    answer: a ball deeper than it can no longer lower it.  Roots go in
-    batches sized by ``_ball_entries`` so that the sorted neighbour keys of
-    a depth stay within ``_BFS_BATCH_ENTRIES``, unless one root's ball alone
-    exceeds that; memory grows with the balls searched, not with V * V.
+    Each root runs a breadth-first search over the columns of ``matchings``,
+    read in place, that stops at the running answer: a ball deeper than it
+    can no longer lower it.  Roots go in batches sized by ``_ball_entries``
+    so that the sorted neighbour keys of a depth stay within
+    ``_BFS_BATCH_ENTRIES``, unless one root's ball alone exceeds that;
+    memory grows with the balls searched, not with V * V.
     """
     if not isinstance(graph, DualGraph):
         raise DomainError(f"expected a DualGraph, got {type(graph).__name__}")
     num_vertices = graph.num_vertices
-    adjacency = np.ascontiguousarray(graph.matchings.T)
     best = num_vertices
     start = 0
     while best > 0 and start < num_vertices:
-        batch = _BFS_BATCH_ENTRIES // _ball_entries(best, adjacency.size)
+        batch = _BFS_BATCH_ENTRIES // _ball_entries(best, graph.matchings.size)
         stop = min(num_vertices, start + max(1, batch))
         roots = np.arange(start, stop, dtype=np.int64)
-        best = min(best, _first_tangle_depth(adjacency, roots, best) - 1)
+        best = min(best, _first_tangle_depth(graph.matchings, roots, best) - 1)
         start = stop
     return best
 

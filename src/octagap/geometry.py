@@ -14,6 +14,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -446,13 +447,17 @@ def estimate_critical_exponent(
     roughly their word radius and start missing points beyond it, so
     distances past the word length mostly measure that truncation rather
     than growth.  Windows reaching past 0.9 of the displacement radius are
-    rejected outright.  Raises InsufficientDataError when fewer than
-    _MIN_FIT_COUNTS bins carry distinct counts, which happens for balls too
-    small to show their growth rate.
+    rejected outright, and so is a window that is not a pair of numbers.
+    Raises InsufficientDataError when fewer than _MIN_FIT_COUNTS bins carry
+    distinct counts, which happens for balls too small to show their growth
+    rate.
     """
     if window is None:
         window = (0.3 * ball.word_length, 0.9 * ball.word_length)
-    t_lo, t_hi = float(window[0]), float(window[1])
+    ends = tuple(window) if np.iterable(window) else ()
+    if len(ends) != 2 or not all(isinstance(end, Real) for end in ends):
+        raise DomainError(f"window must be a pair (lo, hi) of numbers, got {window!r}")
+    t_lo, t_hi = float(ends[0]), float(ends[1])
     radius = ball.radius
     if not (0.0 <= t_lo < t_hi <= 0.9 * radius + 1e-12):
         raise DomainError(

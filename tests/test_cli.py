@@ -504,6 +504,14 @@ def test_bounds_and_budgets_rejects_an_overflowing_budget_length(tmp_path, capsy
     assert "tangle radius" in error
 
 
+@pytest.mark.parametrize("lengths", [[10, 10, 15], [15, 10, 15.0]])
+def test_bounds_and_budgets_rejects_repeated_budget_lengths(tmp_path, capsys, lengths):
+    """Equal tangle radii give equal budgets, which used to be computed and
+    then reported as not decreasing, ending FAIL with exit code 1."""
+    error = _bounds_and_budgets_error(tmp_path, capsys, {"budget_lengths": lengths})
+    assert "distinct" in error
+
+
 # -- shared behavior ----------------------------------------------------------------
 
 

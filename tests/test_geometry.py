@@ -620,6 +620,24 @@ def test_walk_keeps_one_workspace_of_smaller_blocks(
     assert peak < math.sqrt(per_block_peak * workspace_peak)
 
 
+def test_kernel_walk_reads_out_whole_blocks(monkeypatch):
+    """Peak of numpy's allocations, as tracemalloc sees them, while the
+    kernel ball of word length 9 is built: 1,586,190 bytes for a walk that
+    reads out every parent of a block, 1,934,668 for the walk before it,
+    which first gathered the parents whose perp image has at most one
+    letter.  The bound is their geometric mean.  The walk stays in this
+    process, where tracemalloc sees all of it."""
+    monkeypatch.setattr(_ballfast, "_part_count", lambda: 1)
+    orbit_ball("kernel", DEFAULT_BASE_POINT, 3)
+    tracemalloc.start()
+    try:
+        orbit_ball("kernel", DEFAULT_BASE_POINT, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < math.sqrt(1_934_668 * 1_586_190)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux minor fault counts")
 def test_a_repeated_walk_takes_few_minor_faults(monkeypatch):
     """Minor page faults, as getrusage counts them, while the full ball of
@@ -1094,6 +1112,19 @@ def test_critical_exponent_window_validation():
         estimate_critical_exponent(ball, window=(2.0, ball.radius + 5.0))
     with pytest.raises(InsufficientDataError):
         estimate_critical_exponent(orbit_ball("free", DEFAULT_BASE_POINT, 2))
+
+
+@pytest.mark.parametrize(
+    "window", [(2.0, 6.0, 99), (2.0,), 4.0, "26", (2.0, "6"), (2.0, 6j)]
+)
+def test_critical_exponent_window_must_be_a_pair_of_numbers(window):
+    """A third end used to be dropped silently, and a scalar window ended
+    in a TypeError traceback."""
+    ball = orbit_ball("free", DEFAULT_BASE_POINT, 8)
+    with pytest.raises(DomainError, match="pair"):
+        estimate_critical_exponent(ball, window)
+    fit = estimate_critical_exponent(ball, (2.0, 6.0))
+    assert estimate_critical_exponent(ball, np.array([2, 6])) == fit
 
 
 # -- spectral gap bounds --------------------------------------------------------------
