@@ -16,8 +16,11 @@ spectral gap 3 - sqrt(5 + 2 sqrt(3)).
 Every solve and search runs on one graph form, a (d, V) neighbour table
 whose row k gives each vertex one neighbour: a dual graph's table is its
 four matchings, and a replacement ball is solved on the (3, 2r + 1) table
-of its equitable quotient.  Every top eigenvalue comes from Lanczos on such
-a table; only the dense twin ``adjacency_matrix`` forms a V x V matrix.
+of its equitable quotient.  A dual graph's top eigenvalues come from Lanczos
+on its table, which reduces it to a tridiagonal matrix; the quotient is
+tridiagonal already.  Both tridiagonal matrices are solved by Sturm counts
+in Python floats, and only the dense twin ``adjacency_matrix`` forms a
+V x V matrix or calls LAPACK.
 
 Vertices are indexed 0 .. 2n-1 and colors run 1 .. 4.
 """
@@ -64,6 +67,12 @@ _RITZ_TOL = 1e-13
 #: Lanczos steps after which the solve is given up.  Random covers need about
 #: 300 steps at 6,000 vertices and 900 at 200,000.
 _LANCZOS_MAX_STEPS = 3000
+#: Largest radius ``dirichlet_rho`` solves.  Each Sturm pass reads the 2r + 1
+#: classes once and a solve takes 30 to 70 passes, so time and memory grow
+#: like r.  On a 2-vCPU x86 host: r = 1499, 42 passes in 18 ms; r = 10^4, 49
+#: passes in 0.07 to 0.15 s and a 2.4 MB tracemalloc peak; r = 10^5, 66
+#: passes in 1.6 s and 24 MB.
+_QUOTIENT_MAX_RADIUS = 10_000
 #: Upper bound on the bytes ``sample_cover`` holds at its peak per unit of n:
 #: the table and the shuffle of the row being drawn (tracemalloc, 96.0 to
 #: 103.3 bytes at n = 10^6 and 10^5).
@@ -279,14 +288,18 @@ def _lanczos_top(
     start vector.  Lost orthogonality only repeats Ritz values that have
     converged, so the top Ritz value still converges to the top eigenvalue
     (Paige 1976; Parlett, *The Symmetric Eigenvalue Problem*, ch. 13).  At
-    step 10, and then every max(10, k // 10) steps, the top eigenvalue of the
-    tridiagonal T_k, written into one k x k matrix, comes from LAPACK.  The
+    step 10, and then every max(10, k // 10) steps, ``_tridiagonal_top``
+    reads the top eigenvalue of the tridiagonal T_k off its diagonal and
+    squared couplings.  By Cauchy interlacing that eigenvalue does not fall
+    between checks, so the search starts from the bracket [top - ulp,
+    top - ulp + last move], where top, the previous check's value, is the
+    upper end of a certified one-ulp bracket.  The
     run stops once that value has moved by at most ``_RITZ_TOL`` since the
     previous check, once beta_k, a bound on the residual of every Ritz
     pair, is that small, or once k reaches the dimension of the space.
-    Inner products are numpy's pairwise sums, not BLAS calls, and LAPACK's
-    reduction of an already tridiagonal matrix is exact, so the result
-    repeats bit for bit at any thread count.  Raises SetupError after ``_LANCZOS_MAX_STEPS`` steps.
+    Inner products are numpy's pairwise sums, not BLAS calls, and T_k is
+    solved in Python floats, so the result repeats bit for bit at any
+    thread count.  Raises SetupError after ``_LANCZOS_MAX_STEPS`` steps.
     """
     nv = neighbors.shape[1]
     dimension = nv - 1 if deflate else nv
@@ -296,9 +309,9 @@ def _lanczos_top(
         vector -= total(vector) / nv
     vector /= np.sqrt(total(vector * vector))
     previous = np.zeros(nv)
-    alphas, betas = [], []
+    alphas, squares = [], [0.0]
     beta = 0.0
-    top, check = -np.inf, 10
+    top, move, check = -math.inf, 1.0, 10
     for step in range(1, _LANCZOS_MAX_STEPS + 1):
         product = vector[neighbors]
         if weights is not None:
@@ -306,26 +319,81 @@ def _lanczos_top(
         product = total(product)
         if deflate:
             product -= total(product) / nv
-        alpha = total(product * vector)
+        alpha = float(total(product * vector))
         product -= alpha * vector
         product -= beta * previous
-        beta = np.sqrt(total(product * product))
+        square = float(total(product * product))
+        beta = math.sqrt(square)
         alphas.append(alpha)
-        betas.append(beta)
+        squares.append(square)
         done = step >= dimension or beta <= _RITZ_TOL
         if done or step == check:
-            tridiagonal = np.zeros((step, step))
-            tridiagonal.flat[:: step + 1] = alphas
-            tridiagonal.flat[1 :: step + 1] = tridiagonal.flat[step :: step + 1] = betas[:-1]
-            ritz = float(np.linalg.eigvalsh(tridiagonal)[-1])
+            low = max(top - math.ulp(top), max(alphas))
+            ritz = _tridiagonal_top(alphas, squares, low, move)
             if done or ritz - top <= _RITZ_TOL:
                 return ritz
-            top, check = ritz, step + max(10, step // 10)
+            top, move, check = ritz, ritz - low, step + max(10, step // 10)
         previous, vector = vector, product / beta
     raise SetupError(
         f"Lanczos did not converge in {_LANCZOS_MAX_STEPS} steps on {nv} vertices; "
         f"top Ritz value {top!r}"
     )
+
+
+def _newton_from_above(alphas: list[float], squares: list[float], x: float) -> float | None:
+    """Newton's next point x - p(x) / p'(x) on p(x) = det(x - T), or None
+    unless x lies above every eigenvalue of the tridiagonal T.
+
+    T has diagonal ``alphas`` and squared couplings ``squares``, where
+    squares[i] couples rows i - 1 and i and squares[0] is 0.  The Sturm
+    pivots of x - T are d_1 = x - alpha_1 and d_i = x - alpha_i -
+    beta_(i-1)^2 / d_(i-1); x lies above the spectrum iff every pivot is
+    positive, a count that is backward stable (Kahan 1966), so each pass
+    certifies which side of the top eigenvalue x is on.  p is the product
+    of the pivots, so p'/p is the sum of d_i'/d_i, formed in the same pass.
+    """
+    pivot, slope, ratio = math.inf, 0.0, 0.0
+    for alpha, square in zip(alphas, squares):
+        quotient = square / pivot
+        pivot, slope = x - alpha - quotient, 1.0 + quotient * slope / pivot
+        if pivot <= 0.0:
+            return None
+        ratio += slope / pivot
+    return x - 1.0 / ratio
+
+
+def _tridiagonal_top(alphas: list[float], squares: list[float], low: float, width: float) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal matrix T of
+    ``_newton_from_above``, given ``low`` at most that eigenvalue.
+
+    The bracket [low, low + width] is widened, doubling its width, until its
+    upper end is certified above the spectrum.  Newton steps from the upper
+    end then close in, since in exact arithmetic they cannot cross the top
+    eigenvalue; each step keeps at least an ulp from either end, so a step
+    that rounding stalls or throws below still moves the bracket.  Bisection
+    takes over when a step would leave the bracket or would not halve the
+    previous move of its upper end.  The search stops only when the bracket
+    is one ulp wide, never on a small step: near a converged Ritz value and
+    its ghost copies the sum p'/p is ill-conditioned.  It returns the upper
+    end, at which every pivot is positive.  A 1 x 1 matrix is its own
+    eigenvalue.  Each pass is O(k), and no k x k array is formed.
+    """
+    if len(alphas) == 1:
+        return alphas[0]
+    high = low + width
+    while (newton := _newton_from_above(alphas, squares, high)) is None:
+        low, high = high, 3 * high - 2 * low
+    last = math.inf
+    while low < (middle := 0.5 * (low + high)) < high:
+        trial = min(max(newton, low + math.ulp(low)), high - math.ulp(high))
+        if not low < trial < high or 2 * (high - trial) > last:
+            trial = middle
+        step = _newton_from_above(alphas, squares, trial)
+        if step is None:
+            low = trial
+        else:
+            high, newton, last = trial, step, high - trial
+    return high
 
 
 def graph_lambda1(graph: DualGraph) -> float:
@@ -614,13 +682,15 @@ def dirichlet_rho(radius: int) -> float:
     the split is equitable: every vertex of a class has the same number of
     neighbours in each class.  So the top eigenvalue of the ball is the
     Perron root of the quotient (Brouwer and Haemers, *Spectra of Graphs*,
-    2012, section 2.3), which ``_lanczos_top`` solves on the table of
-    ``_replacement_quotient``.  Raises DomainError, before allocating, when
-    2r + 1 exceeds the Lanczos step limit (r above 1499).
+    2012, section 2.3).  Symmetrized, the quotient of ``_replacement_quotient``
+    is a tridiagonal matrix, with diagonal weights[1] and couplings
+    weights[0, 1:], so ``_tridiagonal_top`` solves it directly, to one ulp,
+    from the bracket [max diagonal, max diagonal + 1].  Raises DomainError,
+    before allocating, when r is above ``_QUOTIENT_MAX_RADIUS`` (10,000).
     """
     radius = check_count("radius", radius, 0)
-    if 2 * radius + 1 > _LANCZOS_MAX_STEPS:
-        raise DomainError(
-            f"radius must be at most {(_LANCZOS_MAX_STEPS - 1) // 2}, got {radius}"
-        )
-    return _lanczos_top(*_replacement_quotient(radius))
+    if radius > _QUOTIENT_MAX_RADIUS:
+        raise DomainError(f"radius must be at most {_QUOTIENT_MAX_RADIUS}, got {radius}")
+    _, weights = _replacement_quotient(radius)
+    alphas = weights[1].tolist()
+    return _tridiagonal_top(alphas, (weights[0] ** 2).tolist(), max(alphas), 1.0)

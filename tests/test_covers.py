@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -490,29 +491,110 @@ def test_lanczos_past_its_step_cap_raises_setup_error(monkeypatch):
         graph_lambda1(graph)
 
 
-def test_large_cover_path_never_builds_a_dense_matrix(monkeypatch):
-    """lambda1, connectivity, the radius and the walk form no V x V matrix."""
+def _sturm_above(alphas, squares, x):
+    """Whether every Sturm pivot of x - T is positive, in the arithmetic of x:
+    T has diagonal ``alphas`` and squared couplings ``squares[1:]``."""
+    pivot = x - alphas[0]
+    for alpha, square in zip(alphas[1:], squares[1:]):
+        if pivot <= 0:
+            return False
+        pivot = x - alpha - square / pivot
+    return pivot > 0
+
+
+def _dense_tridiagonal(alphas, squares):
+    """The k x k matrix of diagonal ``alphas`` and squared couplings ``squares[1:]``."""
+    couplings = np.sqrt(squares[1:])
+    return np.diag(alphas) + np.diag(couplings, 1) + np.diag(couplings, -1)
+
+
+def _lanczos_tridiagonals(monkeypatch, solve):
+    """(alphas, squares, value) for every T_k that ``_tridiagonal_top`` is
+    handed while ``solve()`` runs, with the value it returned."""
+    calls = []
+    top = covers._tridiagonal_top
+
+    def record(alphas, squares, low, width):
+        value = top(alphas, squares, low, width)
+        calls.append((alphas[:], squares[: len(alphas)], value))
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(covers, "_tridiagonal_top", record)
+        solve()
+    return calls
+
+
+def test_tridiagonal_top_matches_lapack_and_exact_sturm_counts(monkeypatch):
+    """The top eigenvalue read off (alphas, squares) against LAPACK on the
+    dense matrix, on the bench cover's T_k at every fourth check up to
+    k = 596, where Lanczos run past convergence has made a ghost copy of
+    the top value, on the signed walk's T_k, and on random tridiagonals of
+    size 1 to 300, one with an exact double top eigenvalue and one nearly
+    split.  At the returned value every float pivot is positive, and
+    40-digit Sturm counts put the exact top eigenvalue within 2 ulps of it.
+    LAPACK itself is off by up to 19 eps * max|T| on the bench cover's
+    T_409 against those counts, so the twin bound is 32 eps * max|T|."""
+
+    def past_convergence():
+        with monkeypatch.context() as patch, pytest.raises(SetupError):
+            patch.setattr(covers, "_RITZ_TOL", -1.0)
+            patch.setattr(covers, "_LANCZOS_MAX_STEPS", 600)
+            graph_lambda1(dual_graph(sample_cover(3000, 7)))
+
+    bench = _lanczos_tridiagonals(monkeypatch, past_convergence)[::4]
+    assert [len(alphas) for alphas, _, _ in bench] == [10, 50, 90, 133, 193, 281, 409, 596]
+    spectrum = np.linalg.eigvalsh(_dense_tridiagonal(*bench[-1][:2]))
+    assert spectrum[-1] - spectrum[-2] < 1e-8
+    walk_graph = dual_graph(sample_cover(300, 7))
+    walk = _lanczos_tridiagonals(monkeypatch, lambda: switching_walk(walk_graph, 3, seed=5))
+    rng = np.random.default_rng(11)
+    block = [rng.standard_normal(8), rng.standard_normal(8) ** 2]
+    shapes = [
+        [rng.standard_normal(k), rng.standard_normal(k) ** 2] for k in (1, 2, 3, 8, 64, 300)
+    ]
+    shapes += [
+        [np.tile(block[0], 2), np.concatenate([block[1], [0.0], block[1][1:]])],
+        [np.array([1.0, 1.0, 0.5]), np.array([0.0, 1e-18, 1.0])],
+    ]
+    drawn = []
+    for alphas, squares in shapes:
+        alphas, squares = alphas.tolist(), [0.0, *squares[1:].tolist()]
+        drawn.append((alphas, squares, covers._tridiagonal_top(alphas, squares, max(alphas), 1.0)))
+    for alphas, squares, value in bench + walk + drawn:
+        spectrum = np.linalg.eigvalsh(_dense_tridiagonal(alphas, squares))
+        scale = max(np.abs(alphas).max(), math.sqrt(max(squares)))
+        assert abs(value - spectrum[-1]) <= 32 * np.finfo(float).eps * scale
+        if len(alphas) == 1:
+            assert value == alphas[0]
+        else:
+            assert _sturm_above(alphas, squares, value)
+        with mpmath.workdps(40):
+            ulps = 2 * math.ulp(value)
+            assert _sturm_above(alphas, squares, mpmath.mpf(value) + ulps)
+            assert not _sturm_above(alphas, squares, mpmath.mpf(value) - ulps)
+
+
+def test_large_cover_path_never_builds_a_dense_matrix(monkeypatch, tmp_path):
+    """lambda1, connectivity, the radius, the walk, the replacement radius and
+    the ``cover`` command form no V x V matrix and call no dense eigensolver,
+    not even on Lanczos's k x k tridiagonal."""
     graph = dual_graph(sample_cover(1100, 4))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dense adjacency built on the sparse path")
-
-    def refuse_size(solver):
-        def guarded(matrix, *args, **kwargs):
-            if len(matrix) >= graph.num_vertices:
-                raise AssertionError(f"{len(matrix)} x {len(matrix)} eigenproblem")
-            return solver(matrix, *args, **kwargs)
-
-        return guarded
+        raise AssertionError("dense matrix or dense eigensolver on the sparse path")
 
     monkeypatch.setattr(covers, "adjacency_matrix", refuse)
     monkeypatch.setattr(covers, "_dense", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse_size(np.linalg.eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", refuse_size(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     assert 0.0 < graph_lambda1(graph) < 8.0
     assert is_connected(graph)
     assert tangle_free_radius(graph) >= 0
     assert len(switching_walk(graph, 2, seed=1)) == 3
+    assert 0.0 < dirichlet_rho(100) < 4.0
+    args = ["cover", "--n", "200", "--seed", "7", "--walk-steps", "2"]
+    assert main([*args, "--out", str(tmp_path / "cover.json")]) == EXIT_OK
 
 
 def test_dense_adjacency_is_refused_above_the_byte_limit(monkeypatch):
@@ -745,11 +827,12 @@ def test_tangle_search_reads_the_matching_table_in_place():
     assert peak < math.sqrt(3_464_544 * 1_544_448)
 
 
-def test_lanczos_builds_its_tridiagonal_as_one_matrix():
+def test_lanczos_reads_its_ritz_values_without_a_k_by_k_matrix():
     """Peak of numpy's allocations, as tracemalloc sees them, while lambda1
-    of the 6000-vertex bench cover is solved: 1,319,789 bytes when T_k is
-    written into one k x k matrix, 1,961,637 when it was summed from three
-    ``np.diag`` matrices.  The bound is their geometric mean."""
+    of the 6000-vertex bench cover is solved: 356,805 bytes when the top
+    eigenvalue of T_k comes from Sturm counts on its diagonal and squared
+    couplings, 1,319,789 when T_k was written into one k x k matrix for
+    LAPACK.  The bound is their geometric mean."""
     graph = dual_graph(sample_cover(3000, 7))
     tracemalloc.start()
     try:
@@ -757,7 +840,7 @@ def test_lanczos_builds_its_tridiagonal_as_one_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < math.sqrt(1_319_789 * 1_961_637)
+    assert peak < math.sqrt(1_319_789 * 356_805)
 
 
 def test_tangle_free_radius_rejects_every_graph_form_but_a_dual_graph():
@@ -1121,15 +1204,41 @@ def test_replacement_radius_and_gap_constants_are_consistent():
 
 
 def test_replacement_ball_guards_its_radius(monkeypatch):
-    """``dirichlet_rho`` checks its radius before it allocates: a radius whose
-    2r + 1 classes pass the Lanczos step limit is refused at once."""
+    """``dirichlet_rho`` checks its radius before it allocates: a radius
+    past ``_QUOTIENT_MAX_RADIUS``, which bounds the direct solve's time, is
+    refused before the quotient is built, and the largest one still solves."""
+    cap = covers._QUOTIENT_MAX_RADIUS
+    rho_cap = dirichlet_rho(cap)
+    assert dirichlet_rho(cap - 1) < rho_cap < 4.0 - REPLACEMENT_GRAPH_GAP
+
+    def refuse(radius):
+        raise AssertionError(f"quotient of radius {radius} built")
+
+    monkeypatch.setattr(covers, "_replacement_quotient", refuse)
     for radius in (-1, True, 10**12):
         with pytest.raises(DomainError):
             dirichlet_rho(radius)
-    monkeypatch.setattr(covers, "_LANCZOS_MAX_STEPS", 22)
-    assert dirichlet_rho(10) == pytest.approx(3.8499877230339288, rel=1e-12)
-    with pytest.raises(DomainError, match="at most 10"):
-        dirichlet_rho(11)
+    with pytest.raises(DomainError, match=f"at most {cap}, got {cap + 1}"):
+        dirichlet_rho(cap + 1)
+
+
+def test_dirichlet_rho_is_the_dense_top_eigenvalue_of_the_quotient():
+    """At r = 100 and 200 the quotient's top eigenvalue lies within 1e-13 of
+    LAPACK's on the dense quotient; Lanczos, stopped at k = 2r + 1 with a
+    Ritz residual near 1e-5, fell 2.6e-11 and 1.1e-11 short.  The solve
+    forms no (2r + 1)^2 matrix: the peak of numpy's allocations, as
+    tracemalloc sees them, at r = 400 is 94,008 bytes against 10,261,688
+    for Lanczos's T_k, and the bound is their geometric mean."""
+    for radius in (100, 200):
+        dense = np.linalg.eigvalsh(covers._dense(*covers._replacement_quotient(radius)))[-1]
+        assert abs(dirichlet_rho(radius) - dense) <= 1e-13, radius
+    tracemalloc.start()
+    try:
+        dirichlet_rho(400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < math.sqrt(10_261_688 * 94_008)
 
 
 # -- the edge table --------------------------------------------------------------------
